@@ -5,6 +5,7 @@ elementary steps and refuse to start past the budget.  The default is generous
 for desk scale; override with the MISSINGDIGIT_BUDGET environment variable.
 """
 
+import math
 import os
 
 from .errors import BudgetError
@@ -12,14 +13,18 @@ from .errors import BudgetError
 DEFAULT_BUDGET = 200_000_000
 
 
-def budget_limit() -> int:
+def budget_limit() -> float:
+    """The step limit; MISSINGDIGIT_BUDGET=inf means no limit."""
     raw = os.environ.get("MISSINGDIGIT_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(float(raw))
+        limit = float(raw)
     except ValueError:
+        raise BudgetError(f"MISSINGDIGIT_BUDGET is not a number: {raw!r}") from None
+    if math.isnan(limit):
         raise BudgetError(f"MISSINGDIGIT_BUDGET is not a number: {raw!r}")
+    return limit if math.isinf(limit) else int(limit)
 
 
 def check_budget(steps: float, what: str) -> None:

@@ -13,6 +13,9 @@ Major1 (close to a reduced fraction with q not dividing X) or Minor; a single
 t can witness several major conditions, so classification checks Major3,
 then Major2, then Major1, scanning q and a in increasing order and taking
 the first witness.  That priority is what makes the labels a partition.
+The whole-grid codes are painted window by window around each fraction a/q
+instead of classifying every t: the kinds are painted in reverse priority,
+each over the ones before it, which gives the same first-witness partition.
 """
 
 from __future__ import annotations
@@ -87,16 +90,70 @@ _KIND_CODE = {KIND_MINOR: 0, KIND_M1: 1, KIND_M2: 2, KIND_M3: 3}
 _ARC_CODE_CACHE: dict[tuple[int, float], np.ndarray] = {}
 
 
+def _add_windows(cover: np.ndarray, q: int, scale: int, mod: int,
+                 radius: float, a_min: int) -> None:
+    """Add the windows of t that the reduced a/q, a_min <= a < q, witness
+    by classify_arc's tests to the difference array `cover` (length X + 1):
+
+        a_lo(t) <= a <= a_hi(t),  |t*scale - a*mod| <= radius,
+        a_lo(t) = max(a_min, ceil((t*scale - radius) / mod)),
+        a_hi(t) = min(q - 1, floor((t*scale + radius) / mod)),
+
+    Major1 is (scale, mod, radius, a_min) = (q, X, q*cutoff, 1); Major2 is
+    (1, X/q, cutoff, 0).  The exact test alone gives each a one interval
+    [t_lo, t_hi] of t.  The a-window adds nothing: where the exact test
+    holds, t*scale - radius <= a*mod <= t*scale + radius, and a*mod and
+    t*scale are exact floats (t*scale < X*cutoff < 2^53), so by monotone
+    rounding classify_arc's float expressions give a_lo(t) <= a <= a_hi(t).
+    """
+    X = cover.size - 1
+    a = np.arange(a_min, q)
+    a = a[np.gcd(a, q) == 1]
+    # |n| <= radius  <=>  |n| <= floor(radius), for an integer n
+    bound = math.floor(radius)
+    t_lo = np.maximum(0, -((bound - a * mod) // scale))
+    t_hi = np.minimum(X - 1, (a * mod + bound) // scale)
+    keep = t_lo <= t_hi
+    np.add.at(cover, t_lo[keep], 1)
+    np.add.at(cover, t_hi[keep] + 1, -1)
+
+
 def arc_codes(X: int, C: float) -> np.ndarray:
-    """Codes 0..3 (minor, M1, M2, M3) for every t < X; cached."""
+    """Codes 0..3 (minor, M1, M2, M3) for every t < X; cached, read-only.
+
+    The codes order the kinds by priority, so classify_arc's first-witness
+    label of t is the highest kind among its witnesses.  The windows around
+    the fractions a/q, q <= log(X)^C, are painted in reverse priority, each
+    kind over the ones before it: Major1 windows (q not dividing X), then
+    Major2 windows (q | X, 0 < |eta| <= cutoff), then Major3 as the strided
+    slices codes[::X//q] (q | X).  Each window is one interval of t, found
+    with classify_arc's own tests (see _add_windows).  Major2 needs no
+    eta != 0 test: eta = 0 at a reduced a/q is a Major3 point, painted over
+    last.
+    """
     key = (X, C)
     hit = _ARC_CODE_CACHE.get(key)
     if hit is not None:
         return hit
-    check_budget(X * _log_power(X, C), f"arc classification at X={X}")
+    cutoff = _log_power(X, C)
+    check_budget(X * cutoff, f"arc classification at X={X}")
+    qmax = int(min(cutoff, X))
+    divisors = [q for q in range(1, qmax + 1) if X % q == 0]
     codes = np.zeros(X, dtype=np.int8)
-    for t in range(X):
-        codes[t] = _KIND_CODE[classify_arc(t, X, C).kind]
+    m1, m2, m3 = (_KIND_CODE[kind] for kind in (KIND_M1, KIND_M2, KIND_M3))
+    if qmax < X:  # else q = X makes every t Major3
+        cover = np.zeros(X + 1, dtype=np.int64)
+        for q in range(2, qmax + 1):
+            if X % q:
+                _add_windows(cover, q, q, X, q * cutoff, 1)
+        codes[np.cumsum(cover[:X]) > 0] = m1
+        cover[:] = 0
+        for q in divisors:
+            _add_windows(cover, q, 1, X // q, cutoff, 0)
+        codes[np.cumsum(cover[:X]) > 0] = m2
+    for q in divisors:
+        codes[:: X // q] = m3
+    codes.setflags(write=False)
     if len(_ARC_CODE_CACHE) >= 4:
         _ARC_CODE_CACHE.pop(next(iter(_ARC_CODE_CACHE)))
     _ARC_CODE_CACHE[key] = codes
@@ -371,8 +428,6 @@ def arc_split(
     The four partial sums must recombine to the direct progression count;
     the relative residual is checked against 1e-5 and returned.
     """
-    if X > 10**5:
-        raise PreconditionError("arc_split scan limited to X <= 10^5")
     b = ds.base
     if ds.residue is None or math.gcd(ds.residue, b) != 1:
         raise PreconditionError("need a residue r with gcd(r, b) = 1")
@@ -381,6 +436,7 @@ def arc_split(
     k = _power_of(ds, X)
     if X - 1 > tables.limit:
         raise PreconditionError("X exceeds table limit")
+    check_budget(X * max(1.0, math.log2(X)), f"arc split FFT at X={X}")
     hat = spectrum(ds, k)
     lam = tables.mangoldt_range(X)
     masked = np.where(np.arange(X) % d == c % d, lam, 0.0)

@@ -109,12 +109,7 @@ def run_fourier_stats(args):
         "alpha_b_estimate": stats.alpha_b_estimate,
     }
     if args.check_inversion:
-        X = args.b**args.k
-        worst = 0.0
-        for n in range(X):
-            ind = fourier.inversion_indicator(ds, args.k, n)
-            expect = 1.0 if digitset.contains(ds, n) else 0.0
-            worst = max(worst, abs(ind - expect))
+        worst = fourier.inversion_max_error(ds, args.k)
         results["inversion_max_error"] = worst
         if worst > 1e-6:
             raise InternalCheckError(f"inversion error {worst} above 1e-6")

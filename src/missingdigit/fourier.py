@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._budget import check_budget
-from .digitset import DigitSystem, count
+from .digitset import DigitSystem, contains_array, count
 from .errors import PreconditionError
 
 TWO_PI = 2.0 * math.pi
@@ -90,7 +90,13 @@ def eval_hat(ds: DigitSystem, k: int, theta: float) -> complex:
 
 
 def spectrum(ds: DigitSystem, k: int) -> np.ndarray:
-    """hat1_set(t/X) for all 0 <= t < X = b^k, exact rational phases; cached."""
+    """hat1_set(t/X) for all 0 <= t < X = b^k, exact rational phases; cached.
+
+    The factor for digit position j, sum_d e(d b^j t / X), depends only on
+    t mod b^(k-j): it is built once on that period and multiplied in through
+    a reshape.  Every phase is the root e(m/X) for an exact integer m, looked
+    up in one table of the X roots.  The returned array is read-only.
+    """
     _require_product_form(ds, k)
     key = (ds.base, ds.excluded, ds.residue, k)
     cached = _SPECTRUM_CACHE.get(key)
@@ -100,19 +106,23 @@ def spectrum(ds: DigitSystem, k: int) -> np.ndarray:
     X = b**k
     check_budget(X * k * b, f"spectrum scan at X={X}")
     t = np.arange(X, dtype=np.int64)
+    roots = np.exp(2j * np.pi * t / X)
     if ds.residue is not None:
-        out = np.exp(2j * np.pi * ((ds.residue * t) % X) / X)
+        out = roots[(ds.residue * t) % X]
         start = 1
     else:
         out = np.ones(X, dtype=np.complex128)
         start = 0
     for j in range(start, k):
-        w = (b**j) % X
-        factor = np.zeros(X, dtype=np.complex128)
-        tw = (t * w) % X
+        period = b ** (k - j)
+        s = np.arange(period, dtype=np.int64)
+        factor = np.zeros(period, dtype=np.complex128)
         for d in ds.allowed:
-            factor += np.exp(2j * np.pi * ((d * tw) % X) / X)
-        out *= factor
+            # d b^j t mod X = ((d s) mod period) b^j, with s = t mod period
+            factor += roots[(d * s) % period * b**j]
+        rows = out.reshape(-1, period)
+        rows *= factor
+    out.setflags(write=False)
     if len(_SPECTRUM_CACHE) >= _SPECTRUM_CACHE_MAX:
         _SPECTRUM_CACHE.pop(next(iter(_SPECTRUM_CACHE)))
     _SPECTRUM_CACHE[key] = out
@@ -133,6 +143,20 @@ def inversion_indicator(ds: DigitSystem, k: int, n: int) -> float:
     return float((hat * phases).sum().real) / X
 
 
+def inversion_max_error(ds: DigitSystem, k: int) -> float:
+    """max over n < X of |(1/X) sum_t hat1(t/X) e(-nt/X) - 1_set(n)|.
+
+    The inversion sum for every n at once is one FFT of the spectrum, so the
+    check costs O(X log X) and goes through the scan budget.
+    """
+    _require_product_form(ds, k)
+    X = ds.base**k
+    check_budget(X * max(1.0, math.log2(X)), f"inversion check at X={X}")
+    recovered = np.fft.fft(spectrum(ds, k)).real / X
+    member = contains_array(ds, np.arange(X, dtype=np.int64))
+    return float(np.abs(recovered - member).max())
+
+
 def l1_and_cb(ds: DigitSystem, k: int) -> FourierStats:
     """Full L^1 scan of the spectrum and the growth constants derived from it.
 
@@ -148,8 +172,8 @@ def l1_and_cb(ds: DigitSystem, k: int) -> FourierStats:
     return FourierStats(k=k, l1_total=l1_total, c_b_estimate=c_b, alpha_b_estimate=alpha_b)
 
 
-def _reduced_residues(q: int) -> list[int]:
-    return [a for a in range(1, q) if math.gcd(a, q) == 1]
+# Bound on the number of (q, a) pairs hybrid_sum holds in one block.
+_HYBRID_CHUNK = 1 << 16
 
 
 def hybrid_sum(ds: DigitSystem, k: int, Q: int, B: int,
@@ -161,24 +185,37 @@ def hybrid_sum(ds: DigitSystem, k: int, Q: int, B: int,
     Also reports the bound shape (b-1)^k (Q^2 B)^alpha_b + Q^2 B (c_b log b)^k
     evaluated with the measured constants, and the LHS/RHS ratio.  Passing a
     FourierStats records the total in its (Q, B) table.
+
+    The t near each a/q that pass the exact integer test |t q - X a| < B q
+    form one run of consecutive integers, summed as a difference of the
+    cumulative sum of |hat1|; the fractions are taken in blocks of bounded
+    size.
     """
     if Q < 1 or B < 1:
         raise PreconditionError("Q and B must be >= 1")
     b = ds.base
     X = b**k
     check_budget(4 * Q * Q * B + X * k * b, f"hybrid scan Q={Q} B={B}")
-    hat_abs = np.abs(spectrum(ds, k))
+    # cs[i] = sum of |hat1(t/X)| over t < i
+    cs = np.concatenate(([0.0], np.cumsum(np.abs(spectrum(ds, k)))))
+    numerators = np.arange(1, 2 * Q, dtype=np.int64)
+    q_block = max(1, _HYBRID_CHUNK // numerators.size)
     total = 0.0
     points = 0
-    for q in range(Q + 1, 2 * Q + 1):
-        for a in _reduced_residues(q):
-            center = X * a / q
-            lo = math.floor(center - B) + 1
-            hi = math.ceil(center + B) - 1
-            for t in range(lo, hi + 1):
-                if abs(t - center) < B:
-                    total += float(hat_abs[t % X])
-                    points += 1
+    for q0 in range(Q + 1, 2 * Q + 1, q_block):
+        qs = np.arange(q0, min(q0 + q_block, 2 * Q + 1), dtype=np.int64)[:, None]
+        reduced = (numerators < qs) & (np.gcd(numerators, qs) == 1)
+        q = np.broadcast_to(qs, reduced.shape)[reduced]
+        a = np.broadcast_to(numerators, reduced.shape)[reduced]
+        # t = floor(X a / q) + e passes |t q - X a| < B q exactly for e in
+        # [1 - B, B], less e = B when q divides X a
+        base = (X // q) * a + (X % q) * a // q  # floor(X a / q) without overflow
+        length = 2 * B - ((X % q) * a % q == 0)
+        start = (base + 1 - B) % X
+        end = start + length
+        # the sum of |hat| over t in [start, end), continued periodically
+        total += float((cs[end % X] + end // X * cs[X] - cs[start]).sum())
+        points += int(length.sum())
     if stats is None:
         stats = l1_and_cb(ds, k)
     rhs = (b - 1) ** k * (Q * Q * B) ** stats.alpha_b_estimate + Q * Q * B * (

@@ -17,7 +17,7 @@ from missingdigit import (
     build_weights,
     weighted_discrepancy,
 )
-from missingdigit.circle import KIND_M1, KIND_M2, KIND_M3, KIND_MINOR
+from missingdigit.circle import KIND_M1, KIND_M2, KIND_M3, KIND_MINOR, arc_codes
 
 
 def brute_major_witness(t, X, C):
@@ -64,6 +64,13 @@ def test_classification_matches_witness_scan():
                 assert KIND_M3 not in witnesses, t
             if label.kind == KIND_M1:
                 assert KIND_M3 not in witnesses and KIND_M2 not in witnesses, t
+
+
+def test_arc_codes_cache_is_read_only():
+    X, C = 5**4, 2.0
+    with pytest.raises(ValueError):
+        arc_codes(X, C)[1] = 0
+    assert arc_codes(X, C)[1] == 2  # t = 1 is eta = 1 from 0/1
 
 
 def test_classified_label_satisfies_its_definition():

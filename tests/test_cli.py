@@ -126,3 +126,33 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     report = json.loads(path.read_text())
     assert report["results"]["kappa"] == "5/6"
+
+
+@pytest.mark.parametrize("raw,code", [("inf", 0), ("nan", 3), ("ten", 3)])
+def test_budget_env_parsing(capsys, monkeypatch, raw, code):
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", raw)
+    got, out, err = run_cli(capsys, "hybrid", "--b", "10", "--a0", "7", "--r", "3", "--k", "2",
+                            "--Q", "2", "--B", "3")
+    assert got == code
+    if code:
+        record = json.loads(err)
+        assert record["error"] == {"code": 3, "kind": "BudgetError",
+                                   "message": f"MISSINGDIGIT_BUDGET is not a number: {raw!r}"}
+    else:
+        assert json.loads(out)["results"]["points"] > 0
+
+
+def test_arcs_past_the_old_size_cap(capsys):
+    code, out, _ = run_cli(capsys, "arcs", "--b", "10", "--a0", "7", "--r", "3", "--k", "6",
+                           "--C", "2", "--d", "7", "--c", "3")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert sum(results[kind] for kind in ("minor", "major1", "major2", "major3")) == 10**6
+    assert results["residual"] <= 1e-5
+
+
+def test_check_inversion(capsys):
+    code, out, _ = run_cli(capsys, "fourier-stats", "--b", "10", "--a0", "7", "--r", "3",
+                           "--k", "4", "--check-inversion")
+    assert code == 0
+    assert json.loads(out)["results"]["inversion_max_error"] <= 1e-9

@@ -49,6 +49,13 @@ def test_spectrum_matches_eval_hat():
         assert spec[t] == pytest.approx(eval_hat(ds, 3, t / X), rel=1e-9, abs=1e-9)
 
 
+def test_spectrum_cache_is_read_only():
+    ds = DigitSystem(10, 7, 3)
+    with pytest.raises(ValueError):
+        spectrum(ds, 3)[0] = 12345
+    assert spectrum(ds, 3)[0] == pytest.approx(81, rel=1e-12)
+
+
 def test_trivial_bound_random_thetas():
     ds = DigitSystem(10, 7, 3)
     bound = 9**3 + 1e-9
