@@ -27,7 +27,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from ._budget import check_budget
-from .digitset import DigitSystem, contains, contains_array, count
+from .digitset import DigitSystem, _phi_small, contains, contains_array, count
 from .errors import InternalCheckError, PreconditionError
 from .fourier import spectrum
 from .primetables import PrimeTables
@@ -183,22 +183,7 @@ def _power_of(ds: DigitSystem, X: int) -> int:
 
 
 def _phi(tables: PrimeTables, n: int) -> int:
-    return tables.totient(n) if n <= tables.limit else _phi_slow(n)
-
-
-def _phi_slow(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return tables.totient(n) if n <= tables.limit else _phi_small(n)
 
 
 def _member_prime_powers(tables: PrimeTables, ds: DigitSystem, X: int):
@@ -210,6 +195,16 @@ def _member_prime_powers(tables: PrimeTables, ds: DigitSystem, X: int):
     ns = pp_n[:cut]
     keep = contains_array(ds, ns)
     return ns[keep], pp_log[:cut][keep]
+
+
+def _progression_terms(
+    tables: PrimeTables, ns: np.ndarray, logs: np.ndarray, b: int, cnt: int, d: int, c: int
+) -> tuple[float, float]:
+    """(Lambda side, main term) of E(X; d, c), from the member prime powers
+    (ns, logs) below X and the member count cnt."""
+    lam_side = float(logs[ns % d == c % d].sum())
+    main = b * cnt / (_phi(tables, d) * _phi(tables, b))
+    return lam_side, main
 
 
 def discrepancy_E(tables: PrimeTables, ds: DigitSystem, X: int, d: int, c: int) -> float:
@@ -224,8 +219,7 @@ def discrepancy_E(tables: PrimeTables, ds: DigitSystem, X: int, d: int, c: int) 
     if X - 1 > tables.limit:
         raise PreconditionError("X exceeds table limit")
     ns, logs = _member_prime_powers(tables, ds, X)
-    lam_side = float(logs[ns % d == c % d].sum())
-    main = b * count(ds, k) / (_phi(tables, d) * _phi(tables, b))
+    lam_side, main = _progression_terms(tables, ns, logs, b, count(ds, k), d, c)
     return lam_side - main
 
 
@@ -293,6 +287,10 @@ def weighted_discrepancy(
     def lam_sums_mod(d: int) -> np.ndarray:
         return np.bincount(ns % d, weights=logs, minlength=d)
 
+    def progression_row(d: int, weight: float) -> Row:
+        lam_side, main = _progression_terms(tables, ns, logs, b, cnt, d, c)
+        return Row(d, c % d, lam_side - main, weight)
+
     if weight_kind == "abs_max_c":
         if D is None:
             raise PreconditionError("abs_max_c needs D")
@@ -319,7 +317,7 @@ def weighted_discrepancy(
         for d in range(1, D + 1):
             if math.gcd(d, b * c) != 1 or math.gcd(c, d) != 1:
                 continue
-            rows.append(Row(d, c % d, discrepancy_E(tables, ds, X, d, c), 1.0))
+            rows.append(progression_row(d, 1.0))
         aggregate = sum(abs(row.E) for row in rows)
 
     elif weight_kind == "factorable_pair":
@@ -331,7 +329,7 @@ def weighted_discrepancy(
                 d = d1 * d2
                 if math.gcd(d1, d2) != 1 or math.gcd(d, b) != 1 or math.gcd(d, c) != 1:
                     continue
-                rows.append(Row(d, c % d, discrepancy_E(tables, ds, X, d, c), 1.0))
+                rows.append(progression_row(d, 1.0))
         aggregate = sum(abs(row.E) for row in rows)
 
     elif weight_kind == "well_factorable":
@@ -342,7 +340,7 @@ def weighted_discrepancy(
             w = xi[d]
             if w == 0 or math.gcd(d, b * c) != 1:
                 continue
-            rows.append(Row(d, c % d, discrepancy_E(tables, ds, X, d, c), float(w)))
+            rows.append(progression_row(d, float(w)))
         aggregate = sum(row.weight * row.E for row in rows)
 
     elif weight_kind == "sieve_semi":
@@ -366,28 +364,34 @@ def weighted_discrepancy(
             h = lambda _l: 1.0
         params.update(L=L, level=weights.spec.D)
         pp_n, pp_log = tables.prime_powers
-        ells = [l for l in range(L + 1, 2 * L + 1) if math.gcd(l, 2 * b) == 1]
+        # Per ell: the values 2 ell n + 1 over prime powers n with ell n = 1
+        # (mod 4) that are members, with the log p of n; each d below sums a
+        # subset of them in the same order.
+        terms = []
+        for ell in range(L + 1, 2 * L + 1):
+            if math.gcd(ell, 2 * b) != 1:
+                continue
+            h_ell = h(ell)
+            if h_ell == 0:
+                continue
+            cut = np.searchsorted(pp_n, (X - 1) // (2 * ell), side="right")
+            nn = pp_n[:cut]
+            mod4 = (ell * nn) % 4 == 1
+            vals = 2 * ell * nn[mod4] + 1
+            member = contains_array(ds, vals)
+            terms.append((ell, h_ell, vals[member], pp_log[:cut][mod4][member]))
         for d in weights.support:
             w = weights(d)
             if w == 0 or math.gcd(d, 2 * b) != 1:
                 continue
             inner = 0.0
             main_sum = 0.0
-            for ell in ells:
-                h_ell = h(ell)
-                if h_ell == 0:
-                    continue
+            for ell, h_ell, vals, val_logs in terms:
                 if math.gcd(ell, d) == 1:
                     main_sum += h_ell / ell
-                n_cap = (X - 1) // (2 * ell)
-                cut = np.searchsorted(pp_n, n_cap, side="right")
-                nn = pp_n[:cut]
-                keep = ((2 * ell * nn + 1) % d == 0) & ((ell * nn) % 4 == 1)
-                if not keep.any():
-                    continue
-                vals = 2 * ell * nn[keep] + 1
-                member = contains_array(ds, vals)
-                inner += h_ell * float(pp_log[:cut][keep][member].sum())
+                keep = vals % d == 0
+                if keep.any():
+                    inner += h_ell * float(val_logs[keep].sum())
             main = b * cnt * main_sum / (4.0 * _phi(tables, d) * phi_b)
             rows.append(Row(d, -1 % d, inner - main, float(w)))
         aggregate = sum(row.weight * row.E for row in rows)
@@ -445,8 +449,7 @@ def arc_split(
     codes = arc_codes(X, C)
     sums = [complex(terms[codes == code].sum()) for code in (1, 2, 3, 0)]
     ns, logs = _member_prime_powers(tables, ds, X)
-    direct = float(logs[ns % d == c % d].sum())
-    main_term = b * count(ds, k) / (_phi(tables, d) * _phi(tables, b))
+    direct, main_term = _progression_terms(tables, ns, logs, b, count(ds, k), d, c)
     recombined = sum(sums).real
     residual = abs(recombined - direct) / max(1.0, abs(direct))
     if residual > 1e-5:
@@ -505,30 +508,22 @@ def buchstab_and_app(
         raise PreconditionError("alpha must exceed 2")
     z = X ** (1.0 / alpha)
     primes = tables.primes_upto(X - 1)
-    member = contains_array(ds, primes)
-    app_count = 0
-    S = T = total = 0
-    for p in primes[member]:
-        p = int(p)
-        qc = tables.quadratic_class(p - 1)
-        if qc.in_B:
-            app_count += 1
-        if p % 8 != 3:
-            continue
-        least = None
-        for f, _ in tables.factor(p - 1):
-            if f % 4 == 3 and b % f != 0:
-                least = f
-                break
-        if least is None or least > z:
-            S += 1
-        if least is not None and least > z and least * least <= X:
-            T += 1
-        if least is None or least * least > X:
-            total += 1
-            if not qc.in_B:
-                raise InternalCheckError(
-                    f"sifted prime p={p} has p-1 outside the primitive class"
-                )
+    shifted = primes[contains_array(ds, primes)] - 1
+    in_b = tables.quadratic_class_array(shifted).in_B
+    app_count = int(in_b.sum())
+    # p = 3 (mod 8): the least sieve prime of p - 1, or 0 if none is <= sqrt X
+    mod8 = shifted % 8 == 2
+    least = tables.least_factor_array(
+        shifted[mod8], lambda f: (f % 4 == 3) & (b % f != 0), upto=math.isqrt(X)
+    )
+    S = int(((least == 0) | (least > z)).sum())
+    T = int((least > z).sum())
+    sifted = least == 0
+    total = int(sifted.sum())
+    outside = shifted[mod8][sifted & ~in_b[mod8]]
+    if outside.size:
+        raise InternalCheckError(
+            f"sifted prime p={int(outside[0]) + 1} has p-1 outside the primitive class"
+        )
     predicted = X**ds.zeta / math.log(X) ** 1.5
     return BuchstabResult(S, T, total, app_count, predicted, z)

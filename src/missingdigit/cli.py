@@ -15,7 +15,10 @@ import math
 import random
 import sys
 
+import numpy as np
+
 from . import circle, digitset, expsums, fourier, sievenumerics, sieveweights
+from ._budget import check_budget
 from .digitset import DigitSystem
 from .errors import BudgetError, InternalCheckError, PreconditionError
 from .primetables import PrimeTables
@@ -58,6 +61,7 @@ def run_count(args):
         "kappa": ds.kappa,
     }
     if args.check:
+        check_budget(args.b**args.k, f"enumerating [0, {args.b}^{args.k})")
         brute = sum(
             1 for n in range(args.b**args.k) if digitset.contains(ds, n)
         )
@@ -417,19 +421,12 @@ def run_two_squares(args):
         qc = tables.quadratic_class(args.n)
         return {"n": args.n, "in_B": qc.in_B, "in_Bcal": qc.in_Bcal}, None
     tables = PrimeTables(args.limit)
-    count_b = count_bcal = 0
-    mismatches = 0
-    brute = None
+    qc = tables.quadratic_class_array(np.arange(1, args.limit + 1))
+    results = {"limit": args.limit, "count_B": int(qc.in_B.sum()),
+               "count_Bcal": int(qc.in_Bcal.sum())}
     if args.check_brute:
-        brute = _brute_primitive_marks(args.limit)
-    for n in range(1, args.limit + 1):
-        qc = tables.quadratic_class(n)
-        count_b += qc.in_B
-        count_bcal += qc.in_Bcal
-        if brute is not None and qc.in_B != brute[n]:
-            mismatches += 1
-    results = {"limit": args.limit, "count_B": count_b, "count_Bcal": count_bcal}
-    if args.check_brute:
+        brute = np.array(_brute_primitive_marks(args.limit)[1:])
+        mismatches = int((qc.in_B != brute).sum())
         results["brute_mismatches"] = mismatches
         if mismatches:
             raise InternalCheckError(f"{mismatches} classifier mismatches")

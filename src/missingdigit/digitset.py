@@ -112,7 +112,10 @@ def contains_array(ds: DigitSystem, values: np.ndarray) -> np.ndarray:
     rest = arr.copy()
     while True:
         rest, digit = np.divmod(rest, b)
-        ok &= digit != a0
+        if a0:
+            ok &= digit != a0
+        else:  # a 0 with nothing left above it is past the leading digit
+            ok &= (digit != 0) | (rest == 0)
         if not rest.any():
             break
     return ok

@@ -15,11 +15,17 @@ The table is read-only after construction and safe to share.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._budget import check_budget
 from .errors import PreconditionError
+
+
+# Values per step of the array smallest-prime-factor walk: about 60 bytes of
+# scratch each.
+_WALK_BLOCK = 1 << 17
 
 
 class QuadClass(NamedTuple):
@@ -34,17 +40,21 @@ class PrimeTables:
         if limit < 2:
             raise PreconditionError("limit must be >= 2")
         self.limit = int(limit)
+        check_budget(self.limit, f"prime tables up to {self.limit}")
         try:
-            spf = np.zeros(self.limit + 1, dtype=np.uint32)
+            spf = np.arange(self.limit + 1, dtype=np.uint32)
         except MemoryError as exc:
             raise MemoryError(f"spf table for limit {limit} does not fit in memory") from exc
-        for p in range(2, math.isqrt(self.limit) + 1):
-            if spf[p] == 0:
-                spf[p] = p
-                block = spf[p * p :: p]
-                block[block == 0] = p
-        unmarked = np.nonzero(spf[2:] == 0)[0] + 2
-        spf[unmarked] = unmarked
+        # Every composite n has a prime factor p with p*p <= n; writing the
+        # primes up to sqrt(limit) in descending order leaves the least one.
+        root = math.isqrt(self.limit)
+        sieve = np.ones(root + 1, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, math.isqrt(root) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        for p in np.nonzero(sieve)[0][::-1].tolist():
+            spf[p * p :: p] = p
         spf[0] = spf[1] = 1
         self.spf = spf
         self._primes = None
@@ -57,6 +67,12 @@ class PrimeTables:
         if not 1 <= n <= self.limit:
             raise PreconditionError(f"{n} outside table range [1, {self.limit}]")
         return n
+
+    def _check_array(self, ns) -> np.ndarray:
+        ns = np.asarray(ns, dtype=np.int64)
+        if ns.size and (ns.min() < 1 or ns.max() > self.limit):
+            raise PreconditionError(f"values outside table range [1, {self.limit}]")
+        return ns
 
     def factor(self, n: int) -> list[tuple[int, int]]:
         """(prime, exponent) pairs of n in increasing prime order."""
@@ -231,6 +247,53 @@ class PrimeTables:
                 mm //= p
         in_b = good_odd and e2 <= 1
         in_bcal = good_odd and e2 == 0
+        return QuadClass(in_b, in_bcal)
+
+    def least_factor_array(
+        self,
+        ns: np.ndarray,
+        wanted: Callable[[np.ndarray], np.ndarray],
+        upto: int | None = None,
+    ) -> np.ndarray:
+        """For each n of a 1-D array, its least prime factor p with wanted(p)
+        true (and p <= upto; the walk stops at the first prime above upto),
+        else 0.
+
+        One smallest-prime-factor walk over the whole array: each step
+        divides one prime out of every n still open, so the primes of n come
+        in increasing order and the walk ends after at most log2(max n) steps.
+        """
+        ns = self._check_array(ns)
+        least = np.zeros(ns.shape, dtype=np.int64)
+        idx = np.nonzero(ns > 1)[0]
+        rest = ns[idx]
+        while idx.size:
+            p = self.spf[rest].astype(np.int64)
+            if upto is not None:
+                inside = p <= upto
+                idx, rest, p = idx[inside], rest[inside], p[inside]
+            hit = wanted(p)
+            least[idx[hit]] = p[hit]
+            rest //= p
+            keep = ~hit & (rest > 1)
+            idx, rest = idx[keep], rest[keep]
+        return least
+
+    def quadratic_class_array(self, ns: np.ndarray) -> QuadClass:
+        """quadratic_class over a 1-D array: (in_B, in_Bcal) as bool arrays.
+
+        The walk runs on blocks of _WALK_BLOCK values, so its scratch memory
+        stays bounded however long ns is.
+        """
+        ns = self._check_array(ns)
+        in_b = np.empty(ns.shape, dtype=bool)
+        in_bcal = np.empty(ns.shape, dtype=bool)
+        for lo in range(0, ns.size, _WALK_BLOCK):
+            block = ns[lo : lo + _WALK_BLOCK]
+            twos = block & -block  # the power of 2 dividing n exactly
+            good_odd = self.least_factor_array(block // twos, lambda p: p % 4 != 1) == 0
+            in_b[lo : lo + block.size] = good_odd & (twos <= 2)
+            in_bcal[lo : lo + block.size] = good_odd & (twos == 1)
         return QuadClass(in_b, in_bcal)
 
     def in_bcal_array(self, size: int) -> np.ndarray:

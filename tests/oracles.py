@@ -102,3 +102,11 @@ def brute_psi(y: int, d: int, c: int, q: int = 1, m: int = 0) -> float:
         if n % d == c % d and n % q == m % q:
             total += mangoldt(n)
     return total
+
+
+def least_prime_factor(n: int) -> int:
+    """Smallest prime factor of n >= 2 by trial division."""
+    for p in range(2, math.isqrt(n) + 1):
+        if n % p == 0:
+            return p
+    return n

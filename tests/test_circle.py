@@ -266,6 +266,14 @@ def test_count_missing_digit_primes(tables):
     assert predicted > 0
 
 
+def test_count_missing_digit_primes_without_zero_digit(tables):
+    # a0 = 0: numbers shorter than the longest one must not fail on a leading 0
+    ds = DigitSystem(3, 0)
+    cnt, _ = count_missing_digit_primes(tables, ds, 3**5)
+    assert cnt == sum(1 for n in range(2, 3**5) if oracles.is_prime(n) and oracles.digits_avoid(n, 3, 0))
+    assert cnt == 21
+
+
 def test_buchstab_identity_and_checks(tables):
     ds = DigitSystem(7, 4, 3)
     res = buchstab_and_app(tables, ds, 7**5, 3.0)

@@ -156,3 +156,22 @@ def test_check_inversion(capsys):
                            "--k", "4", "--check-inversion")
     assert code == 0
     assert json.loads(out)["results"]["inversion_max_error"] <= 1e-9
+
+
+def test_prime_tables_claim_the_budget(capsys, monkeypatch):
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000")
+    code, out, err = run_cli(capsys, "two-squares", "--limit", "100000")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["kind"] == "BudgetError"
+
+
+def test_count_check_claims_the_budget(capsys, monkeypatch):
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", "10")
+    code, out, err = run_cli(capsys, "count", "--b", "10", "--a0", "7", "--r", "3", "--k", "2",
+                             "--check")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["kind"] == "BudgetError"
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", "100")
+    code, out, _ = run_cli(capsys, "count", "--b", "10", "--a0", "7", "--r", "3", "--k", "2",
+                           "--check")
+    assert code == 0 and json.loads(out)["results"]["brute_count"] == 9

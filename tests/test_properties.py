@@ -1,6 +1,12 @@
-"""Property tests: the array kernels on the frequency grid against per-point
-references (classify_arc, the defining Fourier sum, membership and the
-per-point hybrid loop)."""
+"""Property tests: the array kernels against per-element references.
+
+Frequency grid: painted arc codes against classify_arc, the tiled spectrum
+against the defining Fourier sum, the FFT inversion against membership and
+the batched hybrid sum against the per-point loop.  Progression layer: the
+smallest-prime-factor table against trial division, the quadratic classes
+against the scalar classifier, the weighted discrepancy rows against
+discrepancy_E, and the linear-sieve rows and the Buchstab split against the
+per-(d, ell) and per-prime loops they replace."""
 
 import math
 import random
@@ -11,8 +17,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
-from missingdigit import DigitSystem, classify_arc, contains, fourier, hybrid_sum
+from missingdigit import (
+    DigitSystem, PrimeTables, buchstab_and_app, build_weights, classify_arc, contains,
+    discrepancy_E, fourier, hybrid_sum, linear_upper, primetables, weighted_discrepancy,
+)
 from missingdigit.circle import _KIND_CODE, arc_codes
+from missingdigit.digitset import contains_array
 from missingdigit.fourier import inversion_max_error, spectrum
 
 
@@ -97,3 +107,144 @@ def test_batched_hybrid_matches_per_point_loop(system, Q, B, chunk):
     value, points = per_point_hybrid(ds, k, Q, B)
     assert got["points"] == points
     assert got["value"] == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
+# -- progression layer -------------------------------------------------------------
+
+@given(st.sampled_from((3, 4, 5, 7, 10)), st.data())
+def test_contains_array_matches_contains(b, data):
+    a0 = data.draw(st.integers(0, b - 1))  # a0 = 0: a leading zero is not a digit
+    r = data.draw(st.one_of(st.none(), st.sampled_from([d for d in range(b) if d != a0])))
+    ds = DigitSystem(b, a0, r)
+    ns = data.draw(st.lists(st.integers(0, 10**7), max_size=200)) + list(range(2 * b * b))
+    got = contains_array(ds, np.array(ns, dtype=np.int64))
+    assert got.tolist() == [contains(ds, n) for n in ns]
+
+
+SQUARES_OF_PRIMES = [p * p + e for p in (2, 3, 5, 7, 11, 13, 31, 53, 67) for e in (-1, 0, 1)]
+
+
+@given(st.one_of(st.integers(2, 5000), st.sampled_from(SQUARES_OF_PRIMES)))
+@example(2)
+@example(4)
+@example(5000)
+def test_spf_table_matches_trial_division(limit):
+    spf = PrimeTables(limit).spf
+    assert spf[0] == spf[1] == 1
+    assert spf[2:].tolist() == [oracles.least_prime_factor(n) for n in range(2, limit + 1)]
+
+
+@given(st.lists(st.integers(1, 200_000), max_size=300), st.sampled_from([1, 7, 1 << 17]))
+@example([1, 2, 4, 5, 9, 10, 25, 50, 65, 100, 2 * 3 * 5, 2 * 13 * 13, 200_000], 3)
+def test_quadratic_class_array_matches_scalar(tables, ns, block):
+    with mock.patch.object(primetables, "_WALK_BLOCK", block):
+        got = tables.quadratic_class_array(np.array(ns, dtype=np.int64))
+    for n, in_b, in_bcal in zip(ns, got.in_B, got.in_Bcal):
+        assert (bool(in_b), bool(in_bcal)) == tables.quadratic_class(n), n
+
+
+@given(st.lists(st.integers(1, 200_000), max_size=300), st.integers(1, 4),
+       st.one_of(st.none(), st.integers(1, 500)))
+@example([7 * 11, 7, 11, 2 * 7 * 7], 3, 7)  # the least wanted prime equals upto
+def test_least_factor_array_matches_factor_loop(tables, ns, mod, upto):
+    def wanted(p):
+        return p % 4 == mod % 4
+
+    got = tables.least_factor_array(np.array(ns, dtype=np.int64), wanted, upto=upto)
+    for n, least in zip(ns, got):
+        want = next((p for p, _ in tables.factor(n) if wanted(p)), 0)
+        assert least == (want if upto is None or want <= upto else 0), n
+
+
+@st.composite
+def progression_systems(draw, max_X):
+    """(ds, k): residue coprime to the base, b^k <= max_X."""
+    b, k = draw(grid_sizes((3, 5, 7, 10), max_X))
+    r = draw(st.sampled_from([r for r in range(1, b) if math.gcd(r, b) == 1]))
+    a0 = draw(st.sampled_from([a for a in range(b) if a != r]))
+    return DigitSystem(b, a0, r), k
+
+
+@given(progression_systems(10**5), st.integers(1, 40), st.integers(1, 60), st.integers(1, 6),
+       st.integers(1, 6), st.dictionaries(st.integers(1, 60), st.floats(-2, 2), max_size=12))
+def test_weighted_rows_equal_discrepancy_E(tables, system, D, c, D1, D2, xi):
+    ds, k = system
+    X = ds.base**k
+    reports = [
+        weighted_discrepancy(tables, ds, X, "fixed_c", D=D, c=c),
+        weighted_discrepancy(tables, ds, X, "factorable_pair", D1=D1, D2=D2, c=c),
+        weighted_discrepancy(tables, ds, X, "well_factorable", xi=xi, c=c),
+    ]
+    for rep in reports:
+        for row in rep.rows:
+            assert row.c == c % row.d
+            assert row.E == discrepancy_E(tables, ds, X, row.d, c), (rep.weight_kind, row)
+
+
+def per_pair_sieve_lin_rows(tables, ds, k, weights, L, h):
+    """(d, E) rows of sieve_lin by one membership test per (d, ell)."""
+    b, X = ds.base, ds.base**k
+    pp_n, pp_log = tables.prime_powers
+    cnt = len(oracles.brute_members(b, ds.excluded, k, ds.residue))
+    phi_b = sum(1 for x in range(1, b + 1) if math.gcd(x, b) == 1)
+    rows = []
+    for d in weights.support:
+        if weights(d) == 0 or math.gcd(d, 2 * b) != 1:
+            continue
+        inner = main_sum = 0.0
+        for ell in range(L + 1, 2 * L + 1):
+            if math.gcd(ell, 2 * b) != 1 or h(ell) == 0:
+                continue
+            if math.gcd(ell, d) == 1:
+                main_sum += h(ell) / ell
+            cut = np.searchsorted(pp_n, (X - 1) // (2 * ell), side="right")
+            nn = pp_n[:cut]
+            keep = ((2 * ell * nn + 1) % d == 0) & ((ell * nn) % 4 == 1)
+            if keep.any():
+                member = contains_array(ds, 2 * ell * nn[keep] + 1)
+                inner += h(ell) * float(pp_log[:cut][keep][member].sum())
+        phi_d = tables.totient(d)
+        rows.append((d, inner - b * cnt * main_sum / (4.0 * phi_d * phi_b)))
+    return rows
+
+
+@given(progression_systems(5 * 10**4).filter(lambda s: s[0].base**s[1] >= 50),
+       st.integers(2, 25), st.sampled_from(["one", "log", "gaps"]))
+# larger X: subsets long enough that another summation order changes the last bits
+@example((DigitSystem(10, 7, 3), 5), 10, "log")
+@example((DigitSystem(7, 4, 3), 6), 40, "one")
+def test_sieve_lin_rows_match_per_pair_loop(tables, system, L, h_kind):
+    ds, k = system
+    X = ds.base**k
+    h = {"one": lambda ell: 1.0, "log": lambda ell: 1.0 / math.log(X / ell),
+         "gaps": lambda ell: float(ell % 3)}[h_kind]
+    w = build_weights(linear_upper(X, prime_set=lambda p: (2 * ds.base) % p != 0), tables)
+    rep = weighted_discrepancy(tables, ds, X, "sieve_lin", weights=w, L=L, h=h)
+    assert [(row.d, row.E) for row in rep.rows] == per_pair_sieve_lin_rows(tables, ds, k, w, L, h)
+
+
+def per_prime_buchstab(tables, ds, X, alpha):
+    """(S, T, total, app_count) by one scalar classification per prime."""
+    z = X ** (1.0 / alpha)
+    S = T = total = app_count = 0
+    for p in tables.primes_upto(X - 1).tolist():
+        if not contains(ds, p):
+            continue
+        app_count += tables.quadratic_class(p - 1).in_B
+        if p % 8 != 3:
+            continue
+        least = next((f for f, _ in tables.factor(p - 1) if f % 4 == 3 and ds.base % f), None)
+        S += least is None or least > z
+        T += least is not None and z < least and least * least <= X
+        total += least is None or least * least > X
+    return S, T, total, app_count
+
+
+@given(st.sampled_from([(3, 2, 11), (5, 2, 7), (7, 3, 6), (9, 5, 5)]), st.data(),
+       st.floats(2.05, 6.0))
+def test_buchstab_matches_per_prime_loop(tables, size, data, alpha):
+    b, r, k = size
+    a0 = data.draw(st.sampled_from([a for a in range(b) if a != r]))
+    ds, X = DigitSystem(b, a0, r), b**k
+    res = buchstab_and_app(tables, ds, X, alpha)
+    assert (res.S, res.T, res.total, res.app_count) == per_prime_buchstab(tables, ds, X, alpha)
