@@ -12,6 +12,11 @@ from .errors import BudgetError
 
 DEFAULT_BUDGET = 200_000_000
 
+# Values per numpy pass of the blocked scans (array factor walks, sequential
+# sums, membership counts): bounds the scratch memory of one pass however
+# long the scan is.
+SCAN_BLOCK = 1 << 17
+
 
 def budget_limit() -> float:
     """The step limit; MISSINGDIGIT_BUDGET=inf means no limit."""

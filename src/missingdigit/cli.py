@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import circle, digitset, expsums, fourier, sievenumerics, sieveweights
-from ._budget import check_budget
+from ._budget import SCAN_BLOCK, check_budget
 from .digitset import DigitSystem
 from .errors import BudgetError, InternalCheckError, PreconditionError
 from .primetables import PrimeTables
@@ -61,9 +61,11 @@ def run_count(args):
         "kappa": ds.kappa,
     }
     if args.check:
-        check_budget(args.b**args.k, f"enumerating [0, {args.b}^{args.k})")
+        top = args.b**args.k
+        check_budget(top, f"enumerating [0, {args.b}^{args.k})")
         brute = sum(
-            1 for n in range(args.b**args.k) if digitset.contains(ds, n)
+            int(digitset.contains_array(ds, np.arange(lo, min(lo + SCAN_BLOCK, top))).sum())
+            for lo in range(0, top, SCAN_BLOCK)
         )
         results["brute_count"] = brute
         if brute != results["count"]:
@@ -425,7 +427,7 @@ def run_two_squares(args):
     results = {"limit": args.limit, "count_B": int(qc.in_B.sum()),
                "count_Bcal": int(qc.in_Bcal.sum())}
     if args.check_brute:
-        brute = np.array(_brute_primitive_marks(args.limit)[1:])
+        brute = _brute_primitive_marks(args.limit)[1:]
         mismatches = int((qc.in_B != brute).sum())
         results["brute_mismatches"] = mismatches
         if mismatches:
@@ -433,16 +435,15 @@ def run_two_squares(args):
     return results, None
 
 
-def _brute_primitive_marks(limit: int) -> list[bool]:
-    marks = [False] * (limit + 1)
+def _brute_primitive_marks(limit: int) -> np.ndarray:
+    """marks[s] = True iff s = n1^2 + n2^2 with gcd(n1, n2) = 1, 0 < s <= limit;
+    one row of n2 >= n1 per n1."""
     top = math.isqrt(limit)
+    check_budget(limit + (top + 1) * (top + 2) // 2, f"two-squares brute force to {limit}")
+    marks = np.zeros(limit + 1, dtype=bool)
     for n1 in range(top + 1):
-        for n2 in range(n1, top + 1):
-            s = n1 * n1 + n2 * n2
-            if s > limit:
-                break
-            if 1 <= s and math.gcd(n1, n2) == 1:
-                marks[s] = True
+        n2 = np.arange(n1, math.isqrt(limit - n1 * n1) + 1)
+        marks[(n1 * n1 + n2 * n2)[np.gcd(n1, n2) == 1]] = True
     return marks
 
 

@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,19 +26,28 @@ from ._budget import check_budget
 from .errors import PreconditionError
 
 
-def _phi_small(n: int) -> int:
-    """Euler phi by trial division; fine for desk-scale bases."""
-    result = n
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, increasing, by trial division;
+    fine for desk-scale bases and moduli."""
+    primes = []
     m = n
     p = 2
     while p * p <= m:
         if m % p == 0:
-            result -= result // p
+            primes.append(p)
             while m % p == 0:
                 m //= p
         p += 1
     if m > 1:
-        result -= result // m
+        primes.append(m)
+    return primes
+
+
+def _phi_small(n: int) -> int:
+    """Euler phi from the prime divisors of n."""
+    result = n
+    for p in _prime_divisors(n):
+        result -= result // p
     return result
 
 
@@ -157,42 +165,35 @@ def count_positive(ds: DigitSystem, k: int) -> int:
     return count(ds, k) - (1 if contains(ds, 0) else 0)
 
 
-def _iter_a0_nonzero(ds: DigitSystem, k: int) -> Iterator[int]:
-    b = ds.base
-    allowed = ds.allowed
-    if ds.residue is None:
-        weights = [b**j for j in range(k - 1, -1, -1)]
-        for tup in product(allowed, repeat=k):
-            yield sum(d * w for d, w in zip(tup, weights))
-    else:
-        weights = [b**j for j in range(k - 1, 0, -1)]
-        r = ds.residue
-        for tup in product(allowed, repeat=k - 1):
-            yield sum(d * w for d, w in zip(tup, weights)) + r
-
-
-def _iter_a0_zero(ds: DigitSystem, k: int) -> Iterator[int]:
-    b = ds.base
-    nonzero = tuple(range(1, b))
-    for j, _ in _lengths_blocks(ds, k):
-        if ds.residue is None:
-            weights = [b**i for i in range(j - 1, -1, -1)]
-            for tup in product(nonzero, repeat=j):
-                yield sum(d * w for d, w in zip(tup, weights))
-        elif j == 1:
-            yield ds.residue
-        else:
-            weights = [b**i for i in range(j - 1, 0, -1)]
-            for tup in product(nonzero, repeat=j - 1):
-                yield sum(d * w for d, w in zip(tup, weights)) + ds.residue
+def _place_sums(b: int, digits, tail: int, first: int, last: int) -> np.ndarray:
+    """tail + sum of d_i b^i over first <= i < last with every d_i in the
+    increasing digits, in increasing order: one outer sum per place, from the
+    low digit up, with the new (higher) digit as the outer index."""
+    out = np.array([tail], dtype=np.int64)
+    column = np.array(digits, dtype=np.int64)[:, None]
+    for i in range(first, last):
+        out = (column * b**i + out).ravel()
+    return out
 
 
 def members(ds: DigitSystem, k: int) -> list[int]:
-    """All members of the set in [0, b^k), strictly increasing."""
+    """All members of the set in [0, b^k), strictly increasing.
+
+    Same layout as unrank: one block of k free places (k - 1 above a pinned
+    last digit r) when a0 != 0; with a0 = 0 one block per length j = 1..k
+    whose digits are all nonzero.
+    """
     total = count(ds, k)
     check_budget(total, f"enumerating {total} members")
-    it = _iter_a0_nonzero(ds, k) if ds.excluded != 0 else _iter_a0_zero(ds, k)
-    return list(it)
+    b = ds.base
+    if ds.excluded != 0:
+        lengths, digits = [k], ds.allowed
+    else:
+        lengths, digits = range(1, k + 1), range(1, b)
+    tail, first = (0, 0) if ds.residue is None else (ds.residue, 1)
+    return np.concatenate(
+        [_place_sums(b, digits, tail, first, j) for j in lengths]
+    ).tolist()
 
 
 def unrank(ds: DigitSystem, k: int, i: int) -> int:

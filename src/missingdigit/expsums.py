@@ -19,11 +19,15 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from ._budget import check_budget
+from ._budget import SCAN_BLOCK, check_budget
 from .errors import InternalCheckError, PreconditionError
 from .primetables import PrimeTables
 
 TWO_PI = 2.0 * math.pi
+_INT64_MAX = np.iinfo(np.int64).max
+# The array sums convert their integer inputs to float64, which equals the
+# exact int/int division of a loop while every integer stays below 2^53.
+_EXACT_FLOAT_INT = 2**53
 
 
 @dataclass(frozen=True)
@@ -54,17 +58,37 @@ class ThetaApprox:
     def qH(self) -> float:
         return self.q * self.H
 
-    def unit_norm(self, m: int) -> float:
-        """||m theta|| = distance of m*theta to the nearest integer.
+    def unit_norms(self, ms: np.ndarray) -> np.ndarray:
+        """||m theta|| = distance of m*theta to the nearest integer, for an
+        int64 array of m.
 
-        Exact modular arithmetic when beta = 0 (theta truly rational); the
-        floating path otherwise.
+        Exact modular arithmetic when beta = 0 (theta truly rational; m is
+        reduced mod q before the product with a, which stays below 2^63 while
+        (q - 1)^2 does, and Python ints take over past that); the floating
+        path otherwise.
         """
         if self.beta == 0.0:
-            s = (m * self.a) % self.q
-            return min(s, self.q - s) / self.q
-        x = m * self.theta
-        return abs(x - round(x))
+            ms = ms if (self.q - 1) ** 2 <= _INT64_MAX else ms.astype(object)
+            s = (ms % self.q) * (self.a % self.q) % self.q
+            return (np.minimum(s, self.q - s) / self.q).astype(np.float64)
+        x = ms * self.theta
+        return np.abs(x - np.rint(x))
+
+
+def _min_terms(first: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """min(first, 1/norm), or first where norm = 0."""
+    with np.errstate(divide="ignore", over="ignore"):  # inf, like the loop's 1.0 / norm
+        inverse = 1.0 / norm
+    return np.where(norm == 0.0, first, np.minimum(first, inverse))
+
+
+def _add_in_order(total: float, terms: np.ndarray) -> float:
+    """total + terms[0] + terms[1] + ..., added left to right like a loop.
+
+    cumsum adds sequentially (a plain sum would add pairwise), so the result
+    is the loop's to the last bit.
+    """
+    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
 
 
 def _convergents(theta: float, max_q: int):
@@ -147,12 +171,14 @@ def min_sum(mode: str, M: int, cap: float, ta: ThetaApprox) -> MinSum:
         raise PreconditionError("M must be >= 1")
     if mode not in ("linear", "hyperbola"):
         raise PreconditionError(f"unknown mode {mode!r}")
+    if M >= _EXACT_FLOAT_INT or abs(cap) >= _EXACT_FLOAT_INT:
+        raise PreconditionError("M and |cap| must be below 2^53")
     check_budget(M, f"min_sum over M={M}")
     total = 0.0
-    for m in range(1, M + 1):
-        first = cap if mode == "linear" else cap / m + 1.0
-        norm = ta.unit_norm(m)
-        total += first if norm == 0.0 else min(first, 1.0 / norm)
+    for lo in range(1, M + 1, SCAN_BLOCK):
+        ms = np.arange(lo, min(lo + SCAN_BLOCK, M + 1), dtype=np.int64)
+        first = np.full(ms.size, float(cap)) if mode == "linear" else float(cap) / ms + 1.0
+        total = _add_in_order(total, _min_terms(first, ta.unit_norms(ms)))
     log_factor = math.log(2 * ta.q * M)
     if mode == "linear":
         if ta.beta == 0.0:
@@ -234,6 +260,21 @@ class VaughanSums(NamedTuple):
 _VAUGHAN_CACHE: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
 
+def _add_by_cofactor(out: np.ndarray, ms: np.ndarray, values: np.ndarray, cofactors,
+                     factor: np.ndarray | None = None) -> None:
+    """out[m j] += values[i] (times factor[j] if given) for every m = ms[i] of
+    the sorted ms with m j < len(out), taking the cofactors j in the order given.
+
+    For a fixed n = m j, descending cofactors mean ascending m, so each entry
+    receives its terms in the order of a loop over m; one fancy-indexed add
+    per cofactor touches each entry at most once.
+    """
+    last = len(out) - 1
+    for j in cofactors:
+        cut = np.searchsorted(ms, last // j, side="right")
+        out[ms[:cut] * j] += values[:cut] if factor is None else values[:cut] * factor[j]
+
+
 def _vaughan_arrays(tables: PrimeTables, X: int, U: int):
     """Pointwise component arrays of the split, cached per (X, U).
 
@@ -241,6 +282,7 @@ def _vaughan_arrays(tables: PrimeTables, X: int, U: int):
     a3 = (f 1_{<=U}) * 1;   a4 = (f 1_{>U}) * 1   with f = mu_{<=U} * Lambda_{<=U};
     a5 = mu_{>U} * Lambda_{>U} * 1.
     Identity: a1 + a2 - a3 - a4 + a5 = Lambda pointwise on [1, X).
+    The arrays are read-only: callers share the cached copies.
     """
     key = (X, U)
     hit = _VAUGHAN_CACHE.get(key)
@@ -280,18 +322,19 @@ def _vaughan_arrays(tables: PrimeTables, X: int, U: int):
         if f[m] != 0:
             a4[m::m] += f[m]
 
-    g = np.zeros(X)
-    big = (pp_n > U) & (pp_n < X)
-    for pp, lg in zip(pp_n[big], pp_log[big]):
-        g[pp::pp] += lg
+    # a5[m j] sums mu(m) g(j) over squarefree m > U, where g = Lambda_{>U} * 1
+    # vanishes for j <= U; so j runs over (U, J] with J the largest cofactor.
+    J = (X - 1) // (U + 1)
+    g = np.zeros(J + 1)
+    big = pp_n[cut : np.searchsorted(pp_n, J, side="right")]
+    _add_by_cofactor(g, big, pp_log[cut:], range(J // (U + 1), 0, -1))
     a5 = np.zeros(X)
-    for m in range(U + 1, X):
-        if mu[m] == 0:
-            continue
-        js = np.arange(1, (X - 1) // m + 1)
-        a5[m * js] += mu[m] * g[js]
+    sqfree = np.flatnonzero(mu[U + 1 :]) + (U + 1)
+    _add_by_cofactor(a5, sqfree, mu[sqfree], (j for j in range(J, U, -1) if g[j] != 0.0), g)
 
     arrays = (a1, a2, a3, a4, a5)
+    for arr in arrays:
+        arr.flags.writeable = False
     if len(_VAUGHAN_CACHE) >= 4:
         _VAUGHAN_CACHE.pop(next(iter(_VAUGHAN_CACHE)))
     _VAUGHAN_CACHE[key] = arrays
@@ -308,14 +351,16 @@ def vaughan_decompose(
     """
     if U < 2:
         raise PreconditionError("U must be >= 2")
+    if U >= X:
+        raise PreconditionError("U must be below X")
+    if d < 1:
+        raise PreconditionError("d must be >= 1")
     if X - 1 > tables.limit:
         raise PreconditionError("X exceeds table limit")
-    arrays = _vaughan_arrays(tables, X, U)
-    ns = np.arange(X, dtype=np.int64)
-    mask = ns % d == c % d
-    ns = ns[mask]
+    arrays = [arr[c % d :: d] for arr in _vaughan_arrays(tables, X, U)]
+    ns = np.arange(c % d, X, d, dtype=np.int64)
     phases = np.exp(2j * np.pi * ((ns * theta) % 1.0))
-    sums = [complex((arr[ns] * phases).sum()) for arr in arrays]
+    sums = [complex((arr * phases).sum()) for arr in arrays]
     return VaughanSums(*sums)
 
 
@@ -337,16 +382,18 @@ def mikawa_w(tables: PrimeTables, M: int, N: int, X: int, ta: ThetaApprox) -> We
         raise PreconditionError("M and N must be >= 1")
     if 2 * N > tables.limit:
         raise PreconditionError("tau_3 range exceeds table limit")
+    if X >= _EXACT_FLOAT_INT or 8 * M * M * N >= _EXACT_FLOAT_INT:
+        raise PreconditionError("X and 8 M^2 N must be below 2^53")
     check_budget(M * N * 4, f"weyl double sum M={M} N={N}")
-    tau3 = {n: tables.tau(n, 3) for n in range(N + 1, 2 * N + 1)}
+    ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
+    tau3 = np.array([tables.tau(n, 3) for n in ns.tolist()], dtype=np.float64)
     total = 0.0
-    for m in range(M + 1, 2 * M + 1):
-        m2 = m * m
-        for n in range(N + 1, 2 * N + 1):
-            first = X / (m2 * n) + 1.0
-            norm = ta.unit_norm(m2 * n)
-            term = first if norm == 0.0 else min(first, 1.0 / norm)
-            total += tau3[n] * term
+    for lo in range(0, M * N, SCAN_BLOCK):  # the pairs (m, n) in loop order
+        m, i = np.divmod(np.arange(lo, min(lo + SCAN_BLOCK, M * N), dtype=np.int64), N)
+        m += M + 1
+        m2n = m * m * ns[i]
+        terms = tau3[i] * _min_terms(float(X) / m2n + 1.0, ta.unit_norms(m2n))
+        total = _add_in_order(total, terms)
     value = M * total
     lx = math.log(X)
     bound = M * M * N * lx**3 + X * (1.0 / M + ta.qH / X + 1.0 / ta.qH) ** 0.25 * lx**8

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._budget import check_budget
-from .digitset import DigitSystem, contains_array, count
+from .digitset import DigitSystem, _prime_divisors, contains_array, count
 from .errors import PreconditionError
 
 TWO_PI = 2.0 * math.pi
@@ -245,10 +245,9 @@ def linf_probe(ds: DigitSystem, k: int, q: int, a: int, eps: float) -> tuple[flo
     if abs(eps) >= 0.5 * b ** (-2 * k / 3):
         raise PreconditionError("eps too large for the probe regime")
     q1 = q
-    for p in range(2, b + 1):
-        if b % p == 0:
-            while q1 % p == 0:
-                q1 //= p
+    for p in _prime_divisors(b):
+        while q1 % p == 0:
+            q1 //= p
     if q1 == 1:
         raise PreconditionError("q has no divisor > 1 coprime to b")
     value = abs(eval_hat(ds, k, (a / q + eps) % 1.0))

@@ -19,13 +19,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._budget import check_budget
+from ._budget import SCAN_BLOCK, check_budget
 from .errors import PreconditionError
-
-
-# Values per step of the array smallest-prime-factor walk: about 60 bytes of
-# scratch each.
-_WALK_BLOCK = 1 << 17
 
 
 class QuadClass(NamedTuple):
@@ -94,9 +89,10 @@ class PrimeTables:
     @property
     def primes(self) -> np.ndarray:
         if self._primes is None:
-            idx = np.arange(self.limit + 1, dtype=np.uint32)
-            self._primes = np.nonzero(self.spf == idx)[0][1:].astype(np.int64)
-            # idx 1 has spf 1; strip it, keep primes >= 2
+            # 2 is the one even prime; an odd n >= 3 is prime iff spf[n] = n.
+            odd = np.arange(3, self.limit + 1, 2, dtype=np.uint32)
+            odd_primes = 2 * np.flatnonzero(self.spf[3::2] == odd) + 3
+            self._primes = np.concatenate(([2], odd_primes)).astype(np.int64)
         return self._primes
 
     def primes_upto(self, y: int) -> np.ndarray:
@@ -175,12 +171,19 @@ class PrimeTables:
             raise PreconditionError("range exceeds table limit")
         mu = np.ones(size, dtype=np.int8)
         mu[0] = 0
-        for p in self.primes_upto(size - 1):
-            p = int(p)
+        last = size - 1
+        root = math.isqrt(last)
+        primes = self.primes_upto(last)
+        split = np.searchsorted(primes, root, side="right")
+        for p in primes[:split].tolist():
             mu[p::p] *= -1
-            sq = p * p
-            if sq < size:
-                mu[sq::sq] = 0
+            mu[p * p :: p * p] = 0
+        # A prime p > sqrt(last) divides each n < size at most once, as n = p j
+        # with j < sqrt(last): one sign flip per cofactor j covers all of them.
+        big = primes[split:]
+        for j in range(1, last // (root + 1) + 1):
+            idx = big[: np.searchsorted(big, last // j, side="right")] * j
+            mu[idx] = -mu[idx]
         return mu
 
     def mangoldt_range(self, size: int) -> np.ndarray:
@@ -282,14 +285,14 @@ class PrimeTables:
     def quadratic_class_array(self, ns: np.ndarray) -> QuadClass:
         """quadratic_class over a 1-D array: (in_B, in_Bcal) as bool arrays.
 
-        The walk runs on blocks of _WALK_BLOCK values, so its scratch memory
-        stays bounded however long ns is.
+        The walk runs on blocks of SCAN_BLOCK values (about 60 bytes of
+        scratch each), so its scratch memory stays bounded however long ns is.
         """
         ns = self._check_array(ns)
         in_b = np.empty(ns.shape, dtype=bool)
         in_bcal = np.empty(ns.shape, dtype=bool)
-        for lo in range(0, ns.size, _WALK_BLOCK):
-            block = ns[lo : lo + _WALK_BLOCK]
+        for lo in range(0, ns.size, SCAN_BLOCK):
+            block = ns[lo : lo + SCAN_BLOCK]
             twos = block & -block  # the power of 2 dividing n exactly
             good_odd = self.least_factor_array(block // twos, lambda p: p % 4 != 1) == 0
             in_b[lo : lo + block.size] = good_odd & (twos <= 2)

@@ -31,6 +31,7 @@ from fractions import Fraction
 from typing import Callable
 
 from ._budget import check_budget
+from .digitset import _prime_divisors
 from .errors import PreconditionError
 from .primetables import PrimeTables
 
@@ -246,8 +247,8 @@ def t_weight_sum(tables: PrimeTables, X: int, alpha: float, b: int,
         constants = euler_constants(tables, min(tables.limit, 10**5))
     integral = I_lin(1.0, alpha)  # rho = 1 leaves the bare integral
     bfactor = 1.0
-    for p in range(2, b + 1):
-        if b % p == 0 and tables.is_prime(p) and p % 4 == 1:
+    for p in _prime_divisors(b):
+        if p % 4 == 1:
             bfactor *= 1.0 / (1.0 + 1.0 / (p - 2.0))
     predicted = (
         constants.C2 / (2.0 * constants.C1) * bfactor * integral / math.sqrt(math.log(X))
@@ -263,17 +264,7 @@ def b_over_phi(b: int) -> Fraction:
     """
     if b < 2:
         raise PreconditionError("b must be >= 2")
-    primes = []
-    m = b
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
+    primes = _prime_divisors(b)
     lhs = Fraction(1)
     for p in primes:
         lhs *= 1 + Fraction(1, p - 1)  # sum over q | b squarefree of 1/phi(q)

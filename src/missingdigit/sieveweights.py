@@ -186,12 +186,12 @@ def sandwich_check(
         p = int(p)
         if prime_set(p):
             coprime[p::p] = 0
-    bad = []
-    for n in range(1, n_max + 1):
-        lo, mid, hi = int(conv_minus[n]), int(coprime[n]), int(conv_plus[n])
-        if not lo <= mid <= hi:
-            bad.append((n, lo, mid, hi))
-    return bad
+    violated = (conv_minus > coprime) | (coprime > conv_plus)
+    violated[0] = False
+    return [
+        (n, int(conv_minus[n]), int(coprime[n]), int(conv_plus[n]))
+        for n in np.flatnonzero(violated).tolist()
+    ]
 
 
 def sift_direct(

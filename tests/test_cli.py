@@ -175,3 +175,13 @@ def test_count_check_claims_the_budget(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "count", "--b", "10", "--a0", "7", "--r", "3", "--k", "2",
                            "--check")
     assert code == 0 and json.loads(out)["results"]["brute_count"] == 9
+
+
+def test_two_squares_brute_force_claims_the_budget(capsys, monkeypatch):
+    # the prime tables (10^4 steps) fit, the brute force's ~1.5 * 10^4 do not
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", "10001")
+    code, out, err = run_cli(capsys, "two-squares", "--limit", "10000", "--check-brute")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["kind"] == "BudgetError"
+    code, out, _ = run_cli(capsys, "two-squares", "--limit", "10000")
+    assert code == 0 and json.loads(out)["results"]["limit"] == 10000

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from missingdigit import (
+    BudgetError,
     PreconditionError,
     ThetaApprox,
     bilinear_sum,
@@ -15,6 +16,7 @@ from missingdigit import (
     min_sum,
     vaughan_decompose,
 )
+from missingdigit import expsums
 from missingdigit.expsums import type_one_inner, type_one_max, type_one_sum
 
 
@@ -133,6 +135,26 @@ def test_vaughan_identity_seeded_trials(tables):
     assert worst <= 1e-6
 
 
+def test_vaughan_cached_arrays_are_read_only(tables):
+    parts = vaughan_decompose(tables, 500, 8, 1, 0, 0.3)  # fills the cache
+    for arr in expsums._vaughan_arrays(tables, 500, 8):
+        with pytest.raises(ValueError):
+            arr[1] = 1.0
+    assert vaughan_decompose(tables, 500, 8, 1, 0, 0.3) == parts
+
+
+def test_vaughan_rejects_U_past_X_and_d_below_1(tables):
+    with pytest.raises(PreconditionError):
+        vaughan_decompose(tables, 30, 50, 1, 0, 0.3)
+    with pytest.raises(PreconditionError):
+        vaughan_decompose(tables, 30, 30, 1, 0, 0.3)
+    with pytest.raises(PreconditionError):
+        vaughan_decompose(tables, 30, 5, 0, 0, 0.3)
+    assert vaughan_decompose(tables, 30, 29, 1, 0, 0.3).total == pytest.approx(
+        lambda_hat(tables, 30, 1, 0, 0.3), abs=1e-12
+    )
+
+
 def test_vaughan_components_real_at_theta_zero(tables):
     parts = vaughan_decompose(tables, 10**3, 10, 1, 0, 0.0)
     for s in parts[:5]:
@@ -192,6 +214,35 @@ def test_mikawa_examples(tables):
     assert res.value == pytest.approx(expect, rel=1e-12)
     ta = dirichlet_approx(0.31, 20, 500)
     assert mikawa_w(tables, 2, 3, 500, ta).value >= 0.0
+
+
+def test_min_sum_and_mikawa_inputs_below_2_53(tables):
+    # float64 holds every integer below 2^53, so the array sums equal the
+    # loop's exact int/int divisions up to there and refuse larger inputs
+    ta = dirichlet_approx(0.31, 20, 10**6)
+    top = 2**53 - 1
+    for mode in ("linear", "hyperbola"):
+        assert min_sum(mode, 50, top, ta).value == oracles.min_sum_value(mode, 50, top, ta)
+        with pytest.raises(PreconditionError):
+            min_sum(mode, 50, top + 1, ta)
+    assert mikawa_w(tables, 3, 4, top, ta).value == oracles.mikawa_value(tables, 3, 4, top, ta)
+    with pytest.raises(PreconditionError):
+        mikawa_w(tables, 3, 4, top + 1, ta)
+    M, N = 2**20, 2**10  # 8 M^2 N = 2^53
+    with pytest.raises(PreconditionError):
+        mikawa_w(tables, M, N, 10**6, ta)
+    with pytest.raises(BudgetError):  # just below 2^53: on to the budget
+        mikawa_w(tables, M, N - 1, 10**6, ta)
+
+
+def test_mikawa_exact_where_q_squared_overflows_int64(tables):
+    q = 2**40 + 1
+    a = q - 2
+    X = 10**15  # X/(m^2 n) + 1 above 1/||m^2 n theta||, so the norms count
+    ta = ThetaApprox(theta=a / q, a=a, q=q, beta=0.0, X=X)
+    M, N = 200, 100  # m^2 n up to 3.2e7, so (m^2 n mod q) a passes 2^63
+    assert (2 * M) ** 2 * (2 * N) * a > 2**63
+    assert mikawa_w(tables, M, N, X, ta).value == oracles.mikawa_value(tables, M, N, X, ta)
 
 
 def test_type_one_aggregates(tables):

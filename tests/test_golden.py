@@ -1,6 +1,6 @@
 """Frozen CLI output: the exact stdout bytes of small configs of the
-progression subcommands, so a change that should leave reports untouched
-can show that it does.
+progression and kernel subcommands, so a change that should leave reports
+untouched can show that it does.
 
 Re-record (only when a report is meant to change) with
 
@@ -33,6 +33,17 @@ CONFIGS = (
     "two-squares --limit 100000 --check-brute",
     "two-squares --n 65",
     f"count {DS} --primes",
+    "vaughan-check --X 20000 --trials 4 --seed 3",
+    "vaughan-check --X 30011 --trials 3 --dmax 1 --seed 5 --U 40",
+    "mikawa --M 40 --N 40 --X 200000 --theta 0.4142135623730951 --Q 100",
+    "mikawa --M 40 --N 40 --X 200000 --theta 0.3333333333333333 --Q 100",
+    "sieve-fns --sandwich-nmax 30000 --umax 2.0",
+    "count --b 10 --a0 7 --k 4 --check",
+    "count --b 7 --a0 2 --r 5 --k 5 --check",
+    "count --b 3 --a0 0 --k 8 --check",
+    "count --b 5 --a0 0 --r 3 --k 6 --check",
+    "constants --plimit 20000 --b 10 --tweight-X 300000",
+    "constants --plimit 20000 --b 65 --tweight-X 300000",
 )
 
 

@@ -19,6 +19,13 @@ def test_prime_count_to_100(tables):
     assert len(tables.primes_upto(100)) == sum(oracles.is_prime(n) for n in range(101))
 
 
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 9, 10_000])
+def test_primes_at_small_limits(limit):
+    primes = PrimeTables(limit).primes
+    assert primes.dtype == np.int64
+    assert primes.tolist() == [n for n in range(limit + 1) if oracles.is_prime(n)]
+
+
 def test_factor_multiplies_back(tables):
     for n in range(1, 10_001):
         prod = 1

@@ -6,7 +6,10 @@ the batched hybrid sum against the per-point loop.  Progression layer: the
 smallest-prime-factor table against trial division, the quadratic classes
 against the scalar classifier, the weighted discrepancy rows against
 discrepancy_E, and the linear-sieve rows and the Buchstab split against the
-per-(d, ell) and per-prime loops they replace."""
+per-(d, ell) and per-prime loops they replace.  Kernels: the Vaughan arrays
+and strided sums, the min-function and Weyl sums, the sandwich rows, the member enumeration
+and the two-squares brute force against the per-element loops in oracles.py,
+compared exactly; rank/unrank round trips."""
 
 import math
 import random
@@ -18,11 +21,14 @@ from hypothesis import example, given, strategies as st
 
 import oracles
 from missingdigit import (
-    DigitSystem, PrimeTables, buchstab_and_app, build_weights, classify_arc, contains,
-    discrepancy_E, fourier, hybrid_sum, linear_upper, primetables, weighted_discrepancy,
+    DigitSystem, PrimeTables, SieveSpec, SieveWeight, ThetaApprox, buchstab_and_app,
+    build_weights, classify_arc, contains, dirichlet_approx, discrepancy_E, expsums, fourier,
+    hybrid_sum, linear_upper, members, mikawa_w, min_sum, primetables, rank, sandwich_check,
+    unrank, vaughan_decompose, weighted_discrepancy,
 )
 from missingdigit.circle import _KIND_CODE, arc_codes
-from missingdigit.digitset import contains_array
+from missingdigit.cli import _brute_primitive_marks
+from missingdigit.digitset import _prime_divisors, contains_array
 from missingdigit.fourier import inversion_max_error, spectrum
 
 
@@ -137,7 +143,7 @@ def test_spf_table_matches_trial_division(limit):
 @given(st.lists(st.integers(1, 200_000), max_size=300), st.sampled_from([1, 7, 1 << 17]))
 @example([1, 2, 4, 5, 9, 10, 25, 50, 65, 100, 2 * 3 * 5, 2 * 13 * 13, 200_000], 3)
 def test_quadratic_class_array_matches_scalar(tables, ns, block):
-    with mock.patch.object(primetables, "_WALK_BLOCK", block):
+    with mock.patch.object(primetables, "SCAN_BLOCK", block):
         got = tables.quadratic_class_array(np.array(ns, dtype=np.int64))
     for n, in_b, in_bcal in zip(ns, got.in_B, got.in_Bcal):
         assert (bool(in_b), bool(in_bcal)) == tables.quadratic_class(n), n
@@ -248,3 +254,128 @@ def test_buchstab_matches_per_prime_loop(tables, size, data, alpha):
     ds, X = DigitSystem(b, a0, r), b**k
     res = buchstab_and_app(tables, ds, X, alpha)
     assert (res.S, res.T, res.total, res.app_count) == per_prime_buchstab(tables, ds, X, alpha)
+
+
+# -- kernels -------------------------------------------------------------------------
+
+@given(st.integers(3, 3000), st.data())
+@example(10, None)  # U = 2: the cofactor loops run over most of [1, X)
+@example(2197, None)  # X = 13^3
+def test_vaughan_arrays_equal_per_divisor_loops(tables, X, data):
+    U = data.draw(st.integers(2, min(X - 1, 60))) if data else 2
+    got = expsums._vaughan_arrays(tables, X, U)
+    want = oracles.vaughan_arrays(tables, X, U)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (X, U)
+
+
+@given(st.integers(3, 3000), st.integers(1, 60), st.integers(-100, 100), st.floats(0.0, 1.0))
+@example(3000, 1, 0, 0.3)
+@example(3000, 7, -3, 0.7)
+def test_vaughan_strided_sums_equal_masked_gather(tables, X, d, c, theta):
+    U = max(2, math.ceil(X ** (1 / 3)))
+    got = vaughan_decompose(tables, X, U, d, c, theta)
+    assert list(got) == oracles.vaughan_sums(expsums._vaughan_arrays(tables, X, U), X, d, c, theta)
+
+
+@given(st.one_of(st.integers(1, 3000), st.sampled_from(SQUARES_OF_PRIMES)))
+@example(1)
+@example(2)
+def test_mobius_range_matches_trial_division(tables, size):
+    got = tables.mobius_range(size)
+    assert got.dtype == np.int8
+    assert got.tolist() == [0] + [oracles.mobius(n) for n in range(1, size)]
+
+
+# theta drawn as a float or as a fraction a/q; the latter has beta = 0 exactly
+thetas = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.builds(lambda a, q: a / q, st.integers(-50, 50), st.integers(1, 60)),
+)
+blocks = st.sampled_from([1, 7, 1 << 17])
+
+
+@given(thetas, st.sampled_from(["linear", "hyperbola"]), st.integers(1, 3000),
+       st.floats(1.0, 1e7), st.integers(1, 300), blocks)
+@example(1 / 3, "linear", 100, 50.0, 10, 7)
+@example(1 / 3, "hyperbola", 100, 1e4, 10, 1)
+@example(0.0, "hyperbola", 10, 1e4, 10, 1)
+def test_min_sum_equals_loop(theta, mode, M, cap, Q, block):
+    ta = dirichlet_approx(theta, Q, 10**6)
+    with mock.patch.object(expsums, "SCAN_BLOCK", block):
+        got = min_sum(mode, M, cap, ta).value
+    assert got == oracles.min_sum_value(mode, M, cap, ta), (ta, mode, M, cap)
+
+
+def test_min_sum_exact_where_m_times_a_overflows_int64():
+    a, q = 3 * 2**50 + 1, 3
+    ta = ThetaApprox(theta=a / q, a=a, q=q, beta=0.0, X=10**6)
+    M = 5000
+    assert M * a > 2**63
+    assert min_sum("linear", M, 50.0, ta).value == oracles.min_sum_value("linear", M, 50.0, ta)
+
+
+@given(thetas, st.integers(1, 30), st.integers(1, 30), st.integers(100, 10**8), blocks)
+@example(1 / 3, 12, 20, 10**6, 7)
+@example(0.4142135623730951, 12, 20, 10**6, 1)
+def test_mikawa_w_equals_loop(tables, theta, M, N, X, block):
+    ta = dirichlet_approx(theta, 100, X)
+    with mock.patch.object(expsums, "SCAN_BLOCK", block):
+        got = mikawa_w(tables, M, N, X, ta).value
+    assert got == oracles.mikawa_value(tables, M, N, X, ta), (ta, M, N, X)
+
+
+@given(st.sampled_from([1, 2]), st.integers(100, 2000),
+       st.dictionaries(st.integers(1, 60), st.integers(-2, 2), max_size=6),
+       st.dictionaries(st.integers(1, 60), st.integers(-2, 2), max_size=6))
+def test_sandwich_rows_equal_divisor_sums(tables, degree, n_max, bump_minus, bump_plus):
+    z, D = 13.0, 200.0
+    odd = lambda p: p != 2  # noqa: E731
+    weights = []
+    for side, bump in (("lower", {1: 1, **bump_minus}), ("upper", bump_plus)):
+        w = build_weights(SieveSpec(degree, side, D, z, odd), tables)
+        values = dict(w.values)
+        for d, v in bump.items():  # deliberately bad weights
+            values[d] = values.get(d, 0) + v
+        weights.append(SieveWeight(w.spec, values))
+    got = sandwich_check(*weights, tables, z, odd, n_max)
+    assert got  # lower(1) = 2 > 1 at least
+    assert got == oracles.sandwich_rows(*weights, z, odd, n_max)
+
+
+@given(st.sampled_from((3, 4, 5, 7, 10)), st.data())
+@example(3, None)
+def test_members_equal_digit_tuples(b, data):
+    if data is None:
+        ds, k = DigitSystem(3, 0, 2), 6
+    else:
+        a0 = data.draw(st.integers(0, b - 1))  # a0 = 0: one block per length
+        r = data.draw(st.one_of(st.none(), st.sampled_from([d for d in range(b) if d != a0])))
+        ds = DigitSystem(b, a0, r)
+        k = data.draw(st.integers(1, int(math.log(2 * 10**4) / math.log(b))))
+    got = members(ds, k)
+    assert all(type(n) is int for n in got)
+    assert got == oracles.product_members(b, ds.excluded, k, ds.residue), (ds, k)
+
+
+@given(digit_systems(10**5), st.sampled_from([0, 1, 2]), st.randoms())
+def test_rank_unrank_round_trip(system, a0_zero, rng):
+    ds, k = system
+    if a0_zero:  # a0 = 0, with or without the residue
+        ds = DigitSystem(ds.base, 0, ds.residue if a0_zero == 1 and ds.residue else None)
+    listed = members(ds, k)
+    for i in {0, len(listed) - 1, *rng.sample(range(len(listed)), min(len(listed), 50))}:
+        n = unrank(ds, k, i)
+        assert n == listed[i]
+        assert rank(ds, k, n) == i
+
+
+@given(st.integers(1, 3000))
+@example(1)
+@example(2)
+def test_brute_primitive_marks_equal_pair_loop(limit):
+    assert _brute_primitive_marks(limit).tolist() == oracles.primitive_marks(limit)
+
+
+@given(st.integers(1, 3000))
+def test_prime_divisors_by_trial_division(n):
+    assert _prime_divisors(n) == [p for p in range(2, n + 1) if n % p == 0 and oracles.is_prime(p)]
