@@ -3,9 +3,9 @@ set combinatorics, digit-set Fourier analysis, circle-method arc dissection,
 exponential-sum kernels, combinatorial sieve weights, sieve integrals and the
 two-squares shifted-prime application."""
 
-from .digitset import DigitSystem, contains, count, count_positive, density_constants, members, rank, unrank
+from .digitset import DigitSystem, contains, count, count_positive, members, rank, unrank
 from .errors import BudgetError, InternalCheckError, PreconditionError
-from .primetables import PrimeTables, build
+from .primetables import PrimeTables
 from .expsums import ThetaApprox, dirichlet_approx, lambda_hat, min_sum, bilinear_sum, vaughan_decompose, mikawa_w
 from .fourier import FourierStats, eval_hat, hybrid_sum, inversion_indicator, l1_and_cb, linf_probe
 from .sieveweights import SieveSpec, SieveWeight, build_weights, sandwich_check, semi_linear_lower, linear_upper, sift_direct, support_member, well_factor
@@ -15,9 +15,8 @@ from .circle import ArcLabel, ArcSplit, BuchstabResult, DiscrepancyReport, arc_s
 __version__ = "0.1.0"
 
 __all__ = [
-    "DigitSystem", "contains", "count", "count_positive", "density_constants",
-    "members", "rank", "unrank",
-    "PrimeTables", "build",
+    "DigitSystem", "contains", "count", "count_positive", "members", "rank", "unrank",
+    "PrimeTables",
     "ThetaApprox", "dirichlet_approx", "lambda_hat", "min_sum", "bilinear_sum",
     "vaughan_decompose", "mikawa_w",
     "FourierStats", "eval_hat", "hybrid_sum", "inversion_indicator", "l1_and_cb",

@@ -92,8 +92,7 @@ SCHEMAS["count"] = {
 
 def run_density(args):
     ds = _digit_system(args)
-    zeta, kappa = digitset.density_constants(ds)
-    return {"zeta": zeta, "kappa": kappa, "kappa_float": float(kappa)}, None
+    return {"zeta": ds.zeta, "kappa": ds.kappa, "kappa_float": float(ds.kappa)}, None
 
 
 SCHEMAS["density"] = {

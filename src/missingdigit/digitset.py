@@ -276,8 +276,3 @@ def _digits(n: int, b: int) -> list[int]:
         n, d = divmod(n, b)
         out.append(d)
     return out or [0]
-
-
-def density_constants(ds: DigitSystem) -> tuple[float, Fraction]:
-    """(zeta, kappa) for the system; kappa is exact."""
-    return ds.zeta, ds.kappa

@@ -199,10 +199,26 @@ class BilinearResult(NamedTuple):
     bound: float
 
 
-def _phase(mn: int, ta: ThetaApprox) -> complex:
-    frac = ((mn % ta.q) * (ta.a % ta.q) % ta.q) / ta.q + (mn * ta.beta) % 1.0
-    ang = TWO_PI * (frac % 1.0)
-    return complex(math.cos(ang), math.sin(ang))
+def _pair_phases(mn: np.ndarray, ta: ThetaApprox) -> np.ndarray:
+    """e(mn theta) for an int64 array of mn, with the rational part exact.
+
+    The fraction is ((mn mod q)(a mod q) mod q)/q + (mn beta mod 1); the
+    product of residues stays below 2^63 while (q - 1)^2 does, and Python
+    ints take over past that.
+    """
+    if (ta.q - 1) ** 2 > _INT64_MAX:
+        mn = mn.astype(object)
+    rational = np.asarray((mn % ta.q) * (ta.a % ta.q) % ta.q / ta.q, dtype=np.float64)
+    drift = np.asarray(mn * ta.beta, dtype=np.float64) % 1.0
+    ang = TWO_PI * ((rational + drift) % 1.0)
+    return np.cos(ang) + 1j * np.sin(ang)
+
+
+def _support(alpha: Mapping[int, complex], below: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and weights of the nonzero entries with key < below, in mapping order."""
+    items = [(m, w) for m, w in alpha.items() if w != 0 and m < below]
+    keys = np.array([m for m, _ in items], dtype=np.int64)
+    return keys, np.array([w for _, w in items], dtype=np.complex128)
 
 
 def bilinear_sum(
@@ -217,22 +233,37 @@ def bilinear_sum(
 
     Returns the exact double sum, both l2 norms, and the bilinear bound
     sqrt(X) ||a1|| ||a2|| (M/X + N/X + qH/X + 1/(qH))^(1/2) log(2qX), where
-    M, N are the largest supported indices.
+    M, N are the largest supported indices (keys must be >= 1).
+
+    The pairs are formed in blocks of at most SCAN_BLOCK: row m takes the
+    sorted n <= (X - 1) // m, so every product m n is below X and fits int64.
     """
+    if X < 1:
+        raise PreconditionError("X must be >= 1")
+    if X - 1 > _INT64_MAX:
+        raise PreconditionError("X - 1 must fit in int64")
     if d < 1:
         raise PreconditionError("d must be >= 1")
+    if min(alpha1, default=1) < 1 or min(alpha2, default=1) < 1:
+        raise PreconditionError("alpha1 and alpha2 keys must be >= 1")
     check_budget(len(alpha1) * len(alpha2), "bilinear double sum")
+    ms, w1 = _support(alpha1, X)
+    ns, w2 = _support(alpha2, X)
+    order = np.argsort(ns, kind="stable")
+    ns, w2 = ns[order], w2[order]
+    # row i holds the pairs (ms[i], ns[:cuts[i]]), at flat indices from starts[i]
+    cuts = np.searchsorted(ns, (X - 1) // ms, side="right")
+    starts = np.concatenate(([0], np.cumsum(cuts)))
+    pairs = int(starts[-1])
     total = 0.0 + 0.0j
-    for m, w1 in alpha1.items():
-        if w1 == 0:
-            continue
-        for n, w2 in alpha2.items():
-            if w2 == 0:
-                continue
-            mn = m * n
-            if mn >= X or mn % d != c % d:
-                continue
-            total += w1 * w2 * _phase(mn, ta)
+    for lo in range(0, pairs, SCAN_BLOCK):
+        pair = np.arange(lo, min(lo + SCAN_BLOCK, pairs), dtype=np.int64)
+        row = np.searchsorted(starts, pair, side="right") - 1
+        col = pair - starts[row]
+        mn = ms[row] * ns[col]
+        keep = mn % d == c % d
+        row, col, mn = row[keep], col[keep], mn[keep]
+        total += complex((w1[row] * w2[col] * _pair_phases(mn, ta)).sum())
     norm1 = math.sqrt(sum(abs(w) ** 2 for w in alpha1.values()))
     norm2 = math.sqrt(sum(abs(w) ** 2 for w in alpha2.values()))
     M = max(alpha1, default=1)
@@ -407,12 +438,20 @@ def _modinv(x: int, m: int) -> int:
     return pow(x % m, -1, m)
 
 
+def _check_type_one(j: int, X: int, moduli) -> None:
+    if j not in (0, 1):
+        raise PreconditionError("j must be 0 or 1")
+    if X < 1:
+        raise PreconditionError("X must be >= 1")
+    if any(d < 1 for d in moduli):
+        raise PreconditionError("d must be >= 1")
+
+
 def type_one_inner(
     d: int, c: int, M: int, alpha: Mapping[int, complex], j: int, X: int, theta: float
 ) -> complex:
     """sum_{mn < X, m <= M, mn = c (mod d)} alpha(m) (log n)^j e(mn theta)."""
-    if j not in (0, 1):
-        raise PreconditionError("j must be 0 or 1")
+    _check_type_one(j, X, (d,))
     total = 0.0 + 0.0j
     for m, w in alpha.items():
         if w == 0 or m > M or m < 1:
@@ -443,7 +482,8 @@ def type_one_sum(
     theta: float,
 ) -> complex:
     """Weighted aggregate sum_d sigma_d * inner(d, c_d); weights maps d -> (sigma_d, c_d)."""
-    check_budget(sum(X // max(d, 1) for d in weights) * max(len(alpha), 1), "type I aggregate")
+    _check_type_one(j, X, weights)
+    check_budget(sum(X // d for d in weights) * max(len(alpha), 1), "type I aggregate")
     total = 0.0 + 0.0j
     for d, (sigma, c_d) in weights.items():
         if sigma == 0:
@@ -464,15 +504,25 @@ def type_one_max(
 ) -> float:
     """sum_{d <= D} tau_{h3}(d) max over reduced c of |inner(d, c)|.
 
-    The max enumerates every reduced residue; no shortcuts.
+    The max enumerates every reduced residue; no shortcuts.  The n-terms of
+    each m are computed once and split into every residue class mod d by one
+    bincount per d <= D: about X H_M D steps, H_M the harmonic number.
     """
-    check_budget(X * math.log(D + 1) * max(len(alpha), 1), "type I max aggregate")
+    _check_type_one(j, X, ())
+    support = [(m, w) for m, w in alpha.items() if w != 0 and 1 <= m <= M]
+    check_budget(D * (sum((X - 1) // m for m, _ in support) + D), "type I max aggregate")
+    inner = [np.zeros(d, dtype=np.complex128) for d in range(1, D + 1)]  # inner[d - 1][c]
+    for m, w in support:
+        ns = np.arange(1, (X - 1) // m + 1, dtype=np.int64)
+        mn = ns * m
+        terms = np.exp(2j * np.pi * ((mn * theta) % 1.0))
+        if j == 1:
+            terms *= np.log(ns.astype(np.float64))
+        for d, sums in enumerate(inner, start=1):
+            c = mn % d
+            sums += w * (np.bincount(c, terms.real, d) + 1j * np.bincount(c, terms.imag, d))
     total = 0.0
-    for d in range(1, D + 1):
-        best = 0.0
-        for c in range(1, d + 1):
-            if math.gcd(c, d) != 1:
-                continue
-            best = max(best, abs(type_one_inner(d, c % d, M, alpha, j, X, theta)))
-        total += tables.tau(d, h3) * best
+    for d, sums in enumerate(inner, start=1):
+        reduced = np.gcd(np.arange(d), d) == 1
+        total += tables.tau(d, h3) * float(np.abs(sums[reduced]).max())
     return total

@@ -21,7 +21,7 @@ expansions re-enter the set), so these transforms refuse a0 = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class FourierStats:
     l1_total: float
     c_b_estimate: float
     alpha_b_estimate: float
-    hybrid_totals: dict = field(default_factory=dict)
 
 
 def _require_product_form(ds: DigitSystem, k: int) -> None:
@@ -79,13 +78,14 @@ def eval_hat(ds: DigitSystem, k: int, theta: float) -> complex:
         start = 0
     # phase of b^j * theta mod 1, advanced one digit position at a time
     pj = (phase * b**start) % 1.0 if start else phase
+    positions = []
     for _ in range(start, k):
-        s = 0.0 + 0.0j
-        for d in ds.allowed:
-            ang = TWO_PI * ((d * pj) % 1.0)
-            s += complex(math.cos(ang), math.sin(ang))
-        value *= s
+        positions.append(pj)
         pj = (pj * b) % 1.0
+    # one row of digit phases per position; the value is the product of the row sums
+    ang = TWO_PI * ((np.array(ds.allowed, dtype=np.float64) * np.array(positions)[:, None]) % 1.0)
+    for s in (np.cos(ang).sum(axis=1) + 1j * np.sin(ang).sum(axis=1)).tolist():
+        value *= s
     return value
 
 
@@ -184,7 +184,7 @@ def hybrid_sum(ds: DigitSystem, k: int, Q: int, B: int,
     integers t = X a/q + eta with |eta| < B (only such theta are grid points).
     Also reports the bound shape (b-1)^k (Q^2 B)^alpha_b + Q^2 B (c_b log b)^k
     evaluated with the measured constants, and the LHS/RHS ratio.  Passing a
-    FourierStats records the total in its (Q, B) table.
+    FourierStats reuses its constants instead of scanning the spectrum again.
 
     The t near each a/q that pass the exact integer test |t q - X a| < B q
     form one run of consecutive integers, summed as a difference of the
@@ -221,7 +221,6 @@ def hybrid_sum(ds: DigitSystem, k: int, Q: int, B: int,
     rhs = (b - 1) ** k * (Q * Q * B) ** stats.alpha_b_estimate + Q * Q * B * (
         stats.c_b_estimate * math.log(b)
     ) ** k
-    stats.hybrid_totals[(Q, B)] = total
     return {
         "value": total,
         "points": points,

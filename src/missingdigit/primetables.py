@@ -161,10 +161,6 @@ class PrimeTables:
             t *= math.comb(e + h - 1, h - 1)
         return t
 
-    def arith(self, n: int, h: int = 2) -> tuple[int, int, int]:
-        """(mu(n), phi(n), tau_h(n)) from one factorization."""
-        return self.mobius(n), self.totient(n), self.tau(n, h)
-
     def mobius_range(self, size: int) -> np.ndarray:
         """mu(n) for 0 <= n < size as int8 (mu(0) set to 0)."""
         if size - 1 > self.limit:
@@ -310,8 +306,3 @@ class PrimeTables:
             if p % 4 != 1:
                 ok[p::p] = False
         return ok
-
-
-def build(limit: int) -> PrimeTables:
-    """Construct the table; kept as a free function mirroring the module API."""
-    return PrimeTables(limit)

@@ -246,3 +246,64 @@ def primitive_marks(limit: int) -> list[bool]:
             if 1 <= s and math.gcd(n1, n2) == 1:
                 marks[s] = True
     return marks
+
+
+def bilinear_value(alpha1, alpha2, X: int, ta, d: int = 1, c: int = 0) -> complex:
+    """sum_{mn < X, mn = c (mod d)} alpha1(m) alpha2(n) e(mn theta), one pair at
+    a time in Python ints, with the exact-residue phase
+    ((mn mod q)(a mod q) mod q)/q + (mn beta mod 1)."""
+    total = 0.0 + 0.0j
+    for m, w1 in alpha1.items():
+        if w1 == 0:
+            continue
+        for n, w2 in alpha2.items():
+            if w2 == 0:
+                continue
+            mn = m * n
+            if mn >= X or mn % d != c % d:
+                continue
+            frac = ((mn % ta.q) * (ta.a % ta.q) % ta.q) / ta.q + (mn * ta.beta) % 1.0
+            ang = 2.0 * math.pi * (frac % 1.0)
+            total += w1 * w2 * complex(math.cos(ang), math.sin(ang))
+    return total
+
+
+def type_one_max_value(tables, D: int, h3: int, M: int, alpha, j: int, X: int,
+                       theta: float) -> float:
+    """sum_{d <= D} tau_{h3}(d) max over reduced c of |inner(d, c)|, with one
+    progression walk (expsums.type_one_inner) per reduced residue."""
+    from missingdigit.expsums import type_one_inner
+
+    total = 0.0
+    for d in range(1, D + 1):
+        best = 0.0
+        for c in range(1, d + 1):
+            if math.gcd(c, d) != 1:
+                continue
+            best = max(best, abs(type_one_inner(d, c % d, M, alpha, j, X, theta)))
+        total += tables.tau(d, h3) * best
+    return total
+
+
+def digit_product_hat(b: int, a0: int, k: int, theta: float, r=None) -> complex:
+    """hat1(theta) as the product over digit positions of sum_d e(d b^j theta),
+    one math.cos/math.sin pair per (position, digit); b^j theta mod 1 is
+    advanced in floats one position at a time."""
+    phase = theta % 1.0
+    if r is not None:
+        value = complex(math.cos(2.0 * math.pi * r * phase), math.sin(2.0 * math.pi * r * phase))
+        start = 1
+    else:
+        value = 1.0 + 0.0j
+        start = 0
+    pj = (phase * b**start) % 1.0 if start else phase
+    for _ in range(start, k):
+        s = 0.0 + 0.0j
+        for d in range(b):
+            if d == a0:
+                continue
+            ang = 2.0 * math.pi * ((d * pj) % 1.0)
+            s += complex(math.cos(ang), math.sin(ang))
+        value *= s
+        pj = (pj * b) % 1.0
+    return value

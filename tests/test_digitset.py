@@ -8,7 +8,6 @@ from missingdigit import (
     contains,
     count,
     count_positive,
-    density_constants,
     members,
     rank,
     unrank,
@@ -108,10 +107,10 @@ def test_unrank_out_of_range():
 
 
 def test_density_constants():
-    zeta, kappa = density_constants(DigitSystem(10, 7))
-    assert abs(zeta - 0.9542425094393249) < 1e-15
-    assert kappa.numerator == 5 and kappa.denominator == 6
-    _, kappa5 = density_constants(DigitSystem(10, 5))
+    ds = DigitSystem(10, 7)
+    assert abs(ds.zeta - 0.9542425094393249) < 1e-15
+    assert ds.kappa.numerator == 5 and ds.kappa.denominator == 6
+    kappa5 = DigitSystem(10, 5).kappa
     assert kappa5.numerator == 10 and kappa5.denominator == 9
 
 

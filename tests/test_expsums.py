@@ -121,6 +121,28 @@ def test_bilinear_progression_and_convolution(tables):
     assert got0.value == pytest.approx(want0, abs=1e-12)
 
 
+def test_bilinear_and_type_one_reject_X_below_1_and_d_below_1(tables):
+    ta = dirichlet_approx(0.3, 10, 100)
+    one = {1: 1.0}
+    bad_calls = [
+        lambda: bilinear_sum(one, one, 0, ta),  # ZeroDivisionError before
+        lambda: bilinear_sum(one, one, -5, ta),
+        lambda: bilinear_sum(one, one, 10, ta, d=0),
+        lambda: bilinear_sum({0: 1.0}, one, 10, ta),  # keys are indices >= 1
+        lambda: type_one_sum({0: (1.0, 0)}, 5, one, 0, 50, 0.1),  # ZeroDivisionError before
+        lambda: type_one_sum({0: (0.0, 0)}, 5, one, 0, 50, 0.1),
+        lambda: type_one_sum({1: (1.0, 0)}, 5, one, 0, 0, 0.1),
+        lambda: type_one_inner(-1, 0, 5, one, 0, 50, 0.1),  # returned 0j before
+        lambda: type_one_inner(0, 0, 5, one, 0, 50, 0.1),
+        lambda: type_one_inner(3, 1, 5, one, 0, 0, 0.1),
+        lambda: type_one_max(tables, 3, 2, 5, one, 0, 0, 0.1),
+        lambda: type_one_max(tables, 3, 2, 5, one, 2, 50, 0.1),
+    ]
+    for call in bad_calls:
+        with pytest.raises(PreconditionError):
+            call()
+
+
 def test_vaughan_identity_seeded_trials(tables):
     X, U = 10**4, 22
     rng = random.Random(1)

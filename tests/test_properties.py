@@ -9,10 +9,14 @@ discrepancy_E, and the linear-sieve rows and the Buchstab split against the
 per-(d, ell) and per-prime loops they replace.  Kernels: the Vaughan arrays
 and strided sums, the min-function and Weyl sums, the sandwich rows, the member enumeration
 and the two-squares brute force against the per-element loops in oracles.py,
-compared exactly; rank/unrank round trips."""
+compared exactly; the bilinear sum, the Type I max over residues and the
+digit-product eval_hat against their loops in oracles.py to 1e-12 relative
+(numpy's cos/sin need not equal math's, and the sums run in another order),
+including products m n past 2^63 and q past 3.04e9; rank/unrank round trips."""
 
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -21,14 +25,15 @@ from hypothesis import example, given, strategies as st
 
 import oracles
 from missingdigit import (
-    DigitSystem, PrimeTables, SieveSpec, SieveWeight, ThetaApprox, buchstab_and_app,
-    build_weights, classify_arc, contains, dirichlet_approx, discrepancy_E, expsums, fourier,
-    hybrid_sum, linear_upper, members, mikawa_w, min_sum, primetables, rank, sandwich_check,
-    unrank, vaughan_decompose, weighted_discrepancy,
+    DigitSystem, PrimeTables, SieveSpec, SieveWeight, ThetaApprox, bilinear_sum,
+    buchstab_and_app, build_weights, classify_arc, contains, dirichlet_approx, discrepancy_E,
+    eval_hat, expsums, fourier, hybrid_sum, linear_upper, members, mikawa_w, min_sum,
+    primetables, rank, sandwich_check, unrank, vaughan_decompose, weighted_discrepancy,
 )
 from missingdigit.circle import _KIND_CODE, arc_codes
 from missingdigit.cli import _brute_primitive_marks
 from missingdigit.digitset import _prime_divisors, contains_array
+from missingdigit.expsums import type_one_max
 from missingdigit.fourier import inversion_max_error, spectrum
 
 
@@ -322,6 +327,93 @@ def test_mikawa_w_equals_loop(tables, theta, M, N, X, block):
     with mock.patch.object(expsums, "SCAN_BLOCK", block):
         got = mikawa_w(tables, M, N, X, ta).value
     assert got == oracles.mikawa_value(tables, M, N, X, ta), (ta, M, N, X)
+
+
+# Coefficients with zeros among them; the sums below skip a zero weight.
+coefficients = st.one_of(st.sampled_from([0, 1.0, -1.0, 0.5 + 0.25j]),
+                         st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                            allow_infinity=False))
+supports = st.dictionaries(st.integers(1, 80), coefficients, max_size=12)
+
+
+@st.composite
+def approximations(draw):
+    """A reduced a/q with beta = 0 exactly, or the Dirichlet approximation of a float."""
+    if draw(st.booleans()):
+        f = Fraction(draw(st.integers(-500, 500)), draw(st.integers(1, 400)))
+        return ThetaApprox(theta=f.numerator / f.denominator, a=f.numerator,
+                           q=f.denominator, beta=0.0, X=3000)
+    return dirichlet_approx(draw(st.floats(-2.0, 2.0)), draw(st.integers(1, 300)), 3000)
+
+
+def l1_mass(*alphas) -> float:
+    return math.prod(sum(abs(w) for w in alpha.values()) for alpha in alphas)
+
+
+@given(supports, supports, st.integers(1, 3000), approximations(), st.integers(1, 12),
+       st.integers(-30, 30), blocks)
+@example({2: 1.0, 3: 0.0, 5: -1.0}, {4: 0.5 + 0.25j, 7: 1.0}, 30, ThetaApprox(1 / 3, 1, 3, 0.0, 30),
+         4, -3, 1)
+def test_bilinear_sum_equals_pair_loop(alpha1, alpha2, X, ta, d, c, block):
+    with mock.patch.object(expsums, "SCAN_BLOCK", block):
+        got = bilinear_sum(alpha1, alpha2, X, ta, d, c).value
+    want = oracles.bilinear_value(alpha1, alpha2, X, ta, d, c)
+    assert abs(got - want) <= 1e-12 * l1_mass(alpha1, alpha2), (ta, X, d, c)
+
+
+def test_bilinear_sum_where_m_times_n_passes_2_63():
+    X = 2**62
+    alpha1 = {2**31 + 11: 1.0, 3: 0.5 - 1j, 2**40: 1j}
+    alpha2 = {2**32 + 5: 1.0, 7: -1.0, 2**33: 2.0, 2**21: 0.25}
+    # in int64 these products wrap to 2^63 + ..., 11 * 2^33 and 0, all below X
+    assert (2**31 + 11) * (2**32 + 5) > 2**63 and (2**31 + 11) * 2**33 > 2**64
+    assert 2**40 * 2**33 % 2**64 == 0
+    for ta in (dirichlet_approx(math.sqrt(2) - 1, 1000, X), ThetaApprox(2 / 7, 2, 7, 0.0, X)):
+        got = bilinear_sum(alpha1, alpha2, X, ta).value
+        want = oracles.bilinear_value(alpha1, alpha2, X, ta)
+        assert abs(got - want) <= 1e-12 * l1_mass(alpha1, alpha2), ta
+
+
+def test_bilinear_sum_exact_where_q_squared_passes_2_63():
+    q = 4_000_000_007
+    a = q - 2
+    assert (q - 1) ** 2 > 2**63
+    X = 10**12
+    ta = ThetaApprox(theta=a / q, a=a, q=q, beta=0.0, X=X)
+    alpha1 = {m: 1.0 for m in range(63_000, 63_040)}
+    alpha2 = {n: (-1.0) ** n for n in range(63_300, 63_330)}
+    # (mn mod q) a passes 2^63 for every pair
+    assert min(m * n % q for m in alpha1 for n in alpha2) * a > 2**63
+    got = bilinear_sum(alpha1, alpha2, X, ta, d=3, c=2).value
+    want = oracles.bilinear_value(alpha1, alpha2, X, ta, d=3, c=2)
+    assert abs(got - want) <= 1e-12 * l1_mass(alpha1, alpha2)
+
+
+@given(st.integers(0, 8), st.integers(1, 3), st.integers(1, 10),
+       st.dictionaries(st.integers(1, 14), coefficients, max_size=6),  # keys above M too
+       st.sampled_from([0, 1]), st.integers(1, 400), thetas)
+@example(6, 2, 5, {2: 1.0, 3: 0.0, 12: 1.0}, 0, 200, 1 / 3)
+@example(6, 2, 5, {1: 0.5 - 1j, 4: -1.0}, 1, 200, 0.0)
+def test_type_one_max_equals_per_residue_loop(tables, D, h3, M, alpha, j, X, theta):
+    got = type_one_max(tables, D, h3, M, alpha, j, X, theta)
+    want = oracles.type_one_max_value(tables, D, h3, M, alpha, j, X, theta)
+    scale = sum(tables.tau(d, h3) for d in range(1, D + 1)) * l1_mass(alpha) * X * math.log(X + 1)
+    assert abs(got - want) <= 1e-12 * scale, (D, h3, M, alpha, j, X, theta)
+
+
+@given(st.sampled_from((3, 4, 5, 7, 10, 16)), st.data(), st.floats(-3.0, 3.0))
+@example(10, None, 0.37)  # k = 1 with the last digit pinned: the prefactor alone
+def test_eval_hat_equals_digit_product_loop(b, data, theta):
+    if data is None:
+        ds, k = DigitSystem(10, 7, 3), 1
+    else:
+        a0 = data.draw(st.integers(1, b - 1))
+        r = data.draw(st.one_of(st.none(), st.sampled_from([d for d in range(b) if d != a0])))
+        ds, k = DigitSystem(b, a0, r), data.draw(st.integers(1, 20))
+    got = eval_hat(ds, k, theta)
+    assert type(got) is complex
+    want = oracles.digit_product_hat(b, ds.excluded, k, theta, ds.residue)
+    assert abs(got - want) <= 1e-12 * (b - 1) ** k, (ds, k, theta)
 
 
 @given(st.sampled_from([1, 2]), st.integers(100, 2000),
