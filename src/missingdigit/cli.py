@@ -21,7 +21,7 @@ from . import circle, digitset, expsums, fourier, sievenumerics, sieveweights
 from ._budget import SCAN_BLOCK, check_budget
 from .digitset import DigitSystem
 from .errors import BudgetError, InternalCheckError, PreconditionError
-from .primetables import PrimeTables
+from .primetables import PrimeTables, quadratic_class_of
 from .reporting import canonical_json, render
 
 SCHEMAS: dict[str, dict] = {}
@@ -382,7 +382,8 @@ def run_constants(args):
     if args.tweight_X:
         if args.b is None:
             raise PreconditionError("--tweight-X needs --b")
-        tw_tables = tables if args.tweight_X <= tables.limit else PrimeTables(args.tweight_X)
+        tw_limit = sievenumerics.t_weight_limit(args.tweight_X, args.alpha)
+        tw_tables = tables if tw_limit <= tables.limit else PrimeTables(tw_limit)
         total, predicted = sievenumerics.t_weight_sum(
             tw_tables, args.tweight_X, args.alpha, args.b, consts
         )
@@ -418,8 +419,7 @@ def run_two_squares(args):
     if args.n is None and args.limit is None:
         raise PreconditionError("need --n or --limit")
     if args.n is not None:
-        tables = PrimeTables(max(args.n, 4))
-        qc = tables.quadratic_class(args.n)
+        qc = quadratic_class_of(args.n)
         return {"n": args.n, "in_B": qc.in_B, "in_Bcal": qc.in_Bcal}, None
     tables = PrimeTables(args.limit)
     qc = tables.quadratic_class_array(np.arange(1, args.limit + 1))

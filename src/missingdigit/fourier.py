@@ -50,8 +50,9 @@ def _unit_roots(X: int) -> np.ndarray:
 
 @dataclass
 class FourierStats:
-    """Measured spectrum statistics for one digit length k."""
+    """Measured spectrum statistics for one digit system and digit length k."""
 
+    system: DigitSystem
     k: int
     l1_total: float
     c_b_estimate: float
@@ -169,7 +170,8 @@ def l1_and_cb(ds: DigitSystem, k: int) -> FourierStats:
     l1_total = float(np.abs(hat).sum())
     c_b = l1_total ** (1.0 / k) / (b * math.log(b))
     alpha_b = math.log(c_b * b * math.log(b) / (b - 1)) / math.log(b)
-    return FourierStats(k=k, l1_total=l1_total, c_b_estimate=c_b, alpha_b_estimate=alpha_b)
+    return FourierStats(system=ds, k=k, l1_total=l1_total, c_b_estimate=c_b,
+                        alpha_b_estimate=alpha_b)
 
 
 # Bound on the number of (q, a) pairs hybrid_sum holds in one block.
@@ -184,7 +186,8 @@ def hybrid_sum(ds: DigitSystem, k: int, Q: int, B: int,
     integers t = X a/q + eta with |eta| < B (only such theta are grid points).
     Also reports the bound shape (b-1)^k (Q^2 B)^alpha_b + Q^2 B (c_b log b)^k
     evaluated with the measured constants, and the LHS/RHS ratio.  Passing a
-    FourierStats reuses its constants instead of scanning the spectrum again.
+    FourierStats of the same system and k reuses its constants instead of
+    scanning the spectrum again.
 
     The t near each a/q that pass the exact integer test |t q - X a| < B q
     form one run of consecutive integers, summed as a difference of the
@@ -193,6 +196,10 @@ def hybrid_sum(ds: DigitSystem, k: int, Q: int, B: int,
     """
     if Q < 1 or B < 1:
         raise PreconditionError("Q and B must be >= 1")
+    if stats is not None and (stats.system != ds or stats.k != k):
+        raise PreconditionError(
+            f"stats of {stats.system} at k={stats.k} passed for {ds} at k={k}"
+        )
     b = ds.base
     X = b**k
     check_budget(4 * Q * Q * B + X * k * b, f"hybrid scan Q={Q} B={B}")

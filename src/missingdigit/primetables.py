@@ -1,25 +1,37 @@
-"""Sieve infrastructure: smallest-prime-factor table and derived arithmetic.
+"""Sieve infrastructure: a prime sieve, a smallest-prime-factor table built
+on demand, and derived arithmetic.
 
-One uint32 word per integer buys full factorization up to the table limit,
-which in turn serves the von Mangoldt function, Moebius mu, Euler phi, the
-h-fold divisor function tau_h, Chebyshev-type sums over double progressions,
-and the two quadratic classes
+The constructor runs an Eratosthenes sieve over the odd numbers up to the
+limit and keeps the prime array.  The primes and prime powers serve the range
+functions (Lambda and mu over 0..size-1, Bcal over a range) and the
+Chebyshev-type sums over double progressions without any factorization.
+
+Factoring one value (Lambda, mu, phi and the h-fold divisor function tau_h of
+n, the quadratic classes of values and arrays) reads a uint32
+smallest-prime-factor (SPF) table.  It is built on the first such call, to the
+largest value that call reads, and rebuilt at least twice as long (capped at
+the limit) when a later call reads past its end, so a caller that only
+factors small moduli never pays for a table to the limit.  The two quadratic
+classes are
 
     B    = {n : n = n1^2 + n2^2 with gcd(n1, n2) = 1}
          = {2^e * m : e in {0, 1}, p | m => p = 1 mod 4},
     Bcal = {n >= 1 : p | n => p = 1 mod 4}.
 
-The table is read-only after construction and safe to share.
+The arrays are read-only.  Growth replaces the SPF table whole, so the tables
+are safe to share and a caller holding an older SPF table still reads correct
+values.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from ._budget import SCAN_BLOCK, check_budget
+from .digitset import _prime_divisors
 from .errors import PreconditionError
 
 
@@ -28,8 +40,54 @@ class QuadClass(NamedTuple):
     in_Bcal: bool
 
 
+def _odd_sieve_primes(limit: int) -> np.ndarray:
+    """The primes up to limit >= 2, from an Eratosthenes sieve over the odd
+    numbers (entry i stands for 2i + 1), as a read-only int64 array."""
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    odd[0] = False
+    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    primes = np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(np.int64, copy=False)
+    primes.flags.writeable = False
+    return primes
+
+
+def _spf_table(top: int, primes: np.ndarray) -> np.ndarray:
+    """Read-only smallest-prime-factor table over 0..top (spf[0] = spf[1] = 1)
+    from the primes up to at least sqrt(top)."""
+    spf = np.arange(top + 1, dtype=np.uint32)
+    # Every composite n has a prime factor p with p*p <= n; writing the
+    # primes up to sqrt(top) in descending order leaves the least one.
+    small = primes[: np.searchsorted(primes, math.isqrt(top), side="right")]
+    for p in small[::-1].tolist():
+        spf[p * p :: p] = p
+    spf[:2] = 1
+    spf.flags.writeable = False
+    return spf
+
+
+def _classify(n: int, odd_primes: Iterable[int]) -> QuadClass:
+    """(n in B, n in Bcal) from n >= 1 and the primes of its odd part."""
+    twos = n & -n  # the power of 2 dividing n exactly
+    good_odd = all(p % 4 == 1 for p in odd_primes)
+    return QuadClass(good_odd and twos <= 2, good_odd and twos == 1)
+
+
+def quadratic_class_of(n: int) -> QuadClass:
+    """quadratic_class of one n >= 1 without a table, by trial division up to
+    sqrt(n)."""
+    n = int(n)
+    if n < 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
+    check_budget(math.isqrt(n), f"trial division of {n}")
+    return _classify(n, _prime_divisors(n // (n & -n)))
+
+
 class PrimeTables:
-    """Smallest-prime-factor table for 2..limit plus cached prime-power arrays."""
+    """The primes up to limit, their powers, and a smallest-prime-factor table
+    built as far as it is read."""
 
     def __init__(self, limit: int):
         if limit < 2:
@@ -37,23 +95,25 @@ class PrimeTables:
         self.limit = int(limit)
         check_budget(self.limit, f"prime tables up to {self.limit}")
         try:
-            spf = np.arange(self.limit + 1, dtype=np.uint32)
+            self._primes = _odd_sieve_primes(self.limit)
         except MemoryError as exc:
-            raise MemoryError(f"spf table for limit {limit} does not fit in memory") from exc
-        # Every composite n has a prime factor p with p*p <= n; writing the
-        # primes up to sqrt(limit) in descending order leaves the least one.
-        root = math.isqrt(self.limit)
-        sieve = np.ones(root + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(root) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        for p in np.nonzero(sieve)[0][::-1].tolist():
-            spf[p * p :: p] = p
-        spf[0] = spf[1] = 1
-        self.spf = spf
-        self._primes = None
+            raise MemoryError(f"prime sieve for limit {limit} does not fit in memory") from exc
+        self._spf = None
         self._pp = None
+
+    def _spf_upto(self, top: int) -> np.ndarray:
+        """The SPF table, grown if needed to cover 0..top (top <= limit)."""
+        spf = self._spf
+        if spf is None or top >= spf.size:
+            if spf is not None:
+                top = max(top, 2 * spf.size - 1)
+            spf = self._spf = _spf_table(min(top, self.limit), self._primes)
+        return spf
+
+    @property
+    def spf(self) -> np.ndarray:
+        """The smallest-prime-factor table over 0..limit (spf[0] = spf[1] = 1)."""
+        return self._spf_upto(self.limit)
 
     # -- factorization ------------------------------------------------------
 
@@ -72,9 +132,10 @@ class PrimeTables:
     def factor(self, n: int) -> list[tuple[int, int]]:
         """(prime, exponent) pairs of n in increasing prime order."""
         n = self._check(n)
+        spf = self._spf_upto(n)
         out = []
         while n > 1:
-            p = int(self.spf[n])
+            p = int(spf[n])
             e = 0
             while n % p == 0:
                 n //= p
@@ -84,27 +145,24 @@ class PrimeTables:
 
     def is_prime(self, n: int) -> bool:
         n = self._check(n)
-        return n >= 2 and int(self.spf[n]) == n
+        pr = self._primes
+        i = int(np.searchsorted(pr, n))
+        return i < pr.size and int(pr[i]) == n
 
     @property
     def primes(self) -> np.ndarray:
-        if self._primes is None:
-            # 2 is the one even prime; an odd n >= 3 is prime iff spf[n] = n.
-            odd = np.arange(3, self.limit + 1, 2, dtype=np.uint32)
-            odd_primes = 2 * np.flatnonzero(self.spf[3::2] == odd) + 3
-            self._primes = np.concatenate(([2], odd_primes)).astype(np.int64)
         return self._primes
 
     def primes_upto(self, y: int) -> np.ndarray:
         y = min(int(y), self.limit)
-        pr = self.primes
+        pr = self._primes
         return pr[: np.searchsorted(pr, y, side="right")]
 
     @property
     def prime_powers(self) -> tuple[np.ndarray, np.ndarray]:
         """(n-array, log p-array) over all prime powers n = p^m <= limit."""
         if self._pp is None:
-            pr = self.primes
+            pr = self._primes
             ns = [pr]
             logs = [np.log(pr.astype(np.float64))]
             small = pr[pr <= math.isqrt(self.limit)]
@@ -128,16 +186,17 @@ class PrimeTables:
         n = self._check(n)
         if n == 1:
             return 0.0
-        p = int(self.spf[n])
+        p = int(self._spf_upto(n)[n])
         while n % p == 0:
             n //= p
         return math.log(p) if n == 1 else 0.0
 
     def mobius(self, n: int) -> int:
         n = self._check(n)
+        spf = self._spf_upto(n)
         mu = 1
         while n > 1:
-            p = int(self.spf[n])
+            p = int(spf[n])
             n //= p
             if n % p == 0:
                 return 0
@@ -228,25 +287,7 @@ class PrimeTables:
     def quadratic_class(self, n: int) -> QuadClass:
         """(n in B, n in Bcal) via the primitive two-squares criterion."""
         n = self._check(n)
-        if n == 1:
-            return QuadClass(True, True)
-        e2 = 0
-        m = n
-        while m % 2 == 0:
-            m //= 2
-            e2 += 1
-        good_odd = True
-        mm = m
-        while mm > 1:
-            p = int(self.spf[mm])
-            if p % 4 != 1:
-                good_odd = False
-                break
-            while mm % p == 0:
-                mm //= p
-        in_b = good_odd and e2 <= 1
-        in_bcal = good_odd and e2 == 0
-        return QuadClass(in_b, in_bcal)
+        return _classify(n, (p for p, _ in self.factor(n // (n & -n))))
 
     def least_factor_array(
         self,
@@ -265,9 +306,12 @@ class PrimeTables:
         ns = self._check_array(ns)
         least = np.zeros(ns.shape, dtype=np.int64)
         idx = np.nonzero(ns > 1)[0]
+        if not idx.size:
+            return least
         rest = ns[idx]
+        spf = self._spf_upto(int(rest.max()))
         while idx.size:
-            p = self.spf[rest].astype(np.int64)
+            p = spf[rest].astype(np.int64)
             if upto is not None:
                 inside = p <= upto
                 idx, rest, p = idx[inside], rest[inside], p[inside]
@@ -283,8 +327,12 @@ class PrimeTables:
 
         The walk runs on blocks of SCAN_BLOCK values (about 60 bytes of
         scratch each), so its scratch memory stays bounded however long ns is.
+        The SPF table is sized to the whole array first, so the blocks never
+        grow it one by one.
         """
         ns = self._check_array(ns)
+        if ns.size:
+            self._spf_upto(int(ns.max()))
         in_b = np.empty(ns.shape, dtype=bool)
         in_bcal = np.empty(ns.shape, dtype=bool)
         for lo in range(0, ns.size, SCAN_BLOCK):

@@ -209,6 +209,14 @@ def t_multiplier(tables: PrimeTables, n: int) -> float:
     return value
 
 
+def t_weight_limit(X: int, alpha: float) -> int:
+    """The table limit t_weight_sum needs: its primes lie below sqrt(X) and
+    its n1 up to X^(1-2/alpha)."""
+    if not 2.0 <= alpha < 4.0:
+        raise PreconditionError("alpha must lie in [2, 4)")
+    return max(math.isqrt(X), int(X ** (1.0 - 2.0 / alpha))) + 1
+
+
 def t_weight_sum(tables: PrimeTables, X: int, alpha: float, b: int,
                  constants: SieveConstants | None = None) -> tuple[float, float]:
     """Exact sum of t(l) / (l log(X/l)) over the two-factor set
@@ -221,10 +229,9 @@ def t_weight_sum(tables: PrimeTables, X: int, alpha: float, b: int,
         (C2 / (2 C1)) prod_{p | b, p = 1 (4)} (1 + 1/(p-2))^-1
         * int_2^alpha log(y-1)/(y sqrt(1-y/alpha)) dy / sqrt(log X).
     """
-    if not 2.0 <= alpha < 4.0:
-        raise PreconditionError("alpha must lie in [2, 4)")
-    if X > tables.limit:
-        raise PreconditionError("X exceeds table limit")
+    need = t_weight_limit(X, alpha)
+    if need > tables.limit:
+        raise PreconditionError(f"X={X} needs a table up to {need}")
     n1_cap = int(X ** (1.0 - 2.0 / alpha))
     check_budget(n1_cap * 40, "two-factor set enumeration")
     p1_lo = X ** (1.0 / alpha)

@@ -102,11 +102,8 @@ def _chain_of(tables: PrimeTables, d: int, z: float) -> list[int]:
     if d < 1:
         raise PreconditionError("d must be >= 1")
     primes = []
-    m = d
-    while m > 1:
-        p = int(tables.spf[m])
-        m //= p
-        if m % p == 0:
+    for p, e in tables.factor(d):
+        if e > 1:
             raise PreconditionError(f"{d} is not squarefree")
         primes.append(p)
     primes.sort(reverse=True)

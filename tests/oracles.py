@@ -104,6 +104,11 @@ def brute_psi(y: int, d: int, c: int, q: int = 1, m: int = 0) -> float:
     return total
 
 
+def primes_upto(limit: int) -> list[int]:
+    """The primes p <= limit by trial division."""
+    return [n for n in range(2, limit + 1) if is_prime(n)]
+
+
 def least_prime_factor(n: int) -> int:
     """Smallest prime factor of n >= 2 by trial division."""
     for p in range(2, math.isqrt(n) + 1):

@@ -185,3 +185,17 @@ def test_two_squares_brute_force_claims_the_budget(capsys, monkeypatch):
     assert json.loads(err)["error"]["kind"] == "BudgetError"
     code, out, _ = run_cli(capsys, "two-squares", "--limit", "10000")
     assert code == 0 and json.loads(out)["results"]["limit"] == 10000
+
+
+def test_two_squares_n_needs_no_table(capsys, monkeypatch):
+    # 10^9 + 7 is a prime = 3 (mod 4): trial division, no table to n
+    code, out, _ = run_cli(capsys, "two-squares", "--n", "1000000007")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["in_B"] is False and results["in_Bcal"] is False
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", "31622")  # isqrt(10^9 + 7) = 31622
+    assert run_cli(capsys, "two-squares", "--n", "1000000007")[0] == 0
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", "31621")
+    code, out, err = run_cli(capsys, "two-squares", "--n", "1000000007")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["kind"] == "BudgetError"

@@ -131,6 +131,14 @@ def test_hybrid_brute_force_and_monotonicity():
     assert hybrid_sum(ds, k, 4, 4, stats=l1_and_cb(ds, k)) == got
 
 
+def test_hybrid_refuses_stats_of_another_system_or_length():
+    ds = DigitSystem(10, 7, 3)
+    with pytest.raises(PreconditionError, match="stats of"):
+        hybrid_sum(ds, 4, 4, 4, stats=l1_and_cb(DigitSystem(10, 2), 4))
+    with pytest.raises(PreconditionError, match="stats of"):
+        hybrid_sum(ds, 4, 4, 4, stats=l1_and_cb(ds, 3))
+
+
 def test_linf_probe():
     ds = DigitSystem(10, 7, 3)
     value, decay = linf_probe(ds, 6, 3, 1, 0.0)

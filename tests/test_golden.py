@@ -44,6 +44,7 @@ CONFIGS = (
     "count --b 5 --a0 0 --r 3 --k 6 --check",
     "constants --plimit 20000 --b 10 --tweight-X 300000",
     "constants --plimit 20000 --b 65 --tweight-X 300000",
+    "constants --plimit 100000 --b 10 --tweight-X 100000000",
 )
 
 

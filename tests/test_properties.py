@@ -3,8 +3,8 @@
 Frequency grid: painted arc codes against classify_arc, the tiled spectrum
 against the defining Fourier sum, the FFT inversion against membership and
 the batched hybrid sum against the per-point loop.  Progression layer: the
-smallest-prime-factor table against trial division, the quadratic classes
-against the scalar classifier, the weighted discrepancy rows against
+sieve's primes and the smallest-prime-factor table, however it was grown,
+against trial division, the quadratic classes against the scalar classifiers, the weighted discrepancy rows against
 discrepancy_E, and the linear-sieve rows and the Buchstab split against the
 per-(d, ell) and per-prime loops they replace.  Kernels: the Vaughan arrays
 and strided sums, the min-function and Weyl sums, the sandwich rows, the member enumeration
@@ -30,7 +30,7 @@ from missingdigit import (
     eval_hat, expsums, fourier, hybrid_sum, linear_upper, members, mikawa_w, min_sum,
     primetables, rank, sandwich_check, unrank, vaughan_decompose, weighted_discrepancy,
 )
-from missingdigit.circle import _KIND_CODE, arc_codes
+from missingdigit.circle import _KIND_CODE, arc_codes, count_missing_digit_primes
 from missingdigit.cli import _brute_primitive_marks
 from missingdigit.digitset import _prime_divisors, contains_array
 from missingdigit.expsums import type_one_max
@@ -137,10 +137,14 @@ SQUARES_OF_PRIMES = [p * p + e for p in (2, 3, 5, 7, 11, 13, 31, 53, 67) for e i
 
 @given(st.one_of(st.integers(2, 5000), st.sampled_from(SQUARES_OF_PRIMES)))
 @example(2)
+@example(3)
 @example(4)
 @example(5000)
 def test_spf_table_matches_trial_division(limit):
-    spf = PrimeTables(limit).spf
+    tables = PrimeTables(limit)
+    assert tables.primes.tolist() == oracles.primes_upto(limit)
+    assert tables._spf is None  # the prime sieve builds no factor table
+    spf = tables.spf
     assert spf[0] == spf[1] == 1
     assert spf[2:].tolist() == [oracles.least_prime_factor(n) for n in range(2, limit + 1)]
 
@@ -165,6 +169,75 @@ def test_least_factor_array_matches_factor_loop(tables, ns, mod, upto):
     for n, least in zip(ns, got):
         want = next((p for p, _ in tables.factor(n) if wanted(p)), 0)
         assert least == (want if upto is None or want <= upto else 0), n
+
+
+# one factor or least_factor_array call on the values drawn
+spf_reads = st.one_of(st.integers(1, 3000), st.lists(st.integers(1, 3000), min_size=1, max_size=20))
+
+
+@given(st.lists(spf_reads, min_size=1, max_size=12), st.sampled_from(["drawn", "rising", "falling"]))
+@example([1], "drawn")
+@example([2, 3, 5, 3000], "rising")
+@example([3000, [2, 3], 2], "falling")
+def test_lazy_spf_matches_trial_division(reads, order):
+    def top(read):
+        """The largest value the call looks up (an array walk skips n = 1)."""
+        return read if isinstance(read, int) else max((n for n in read if n > 1), default=0)
+
+    if order != "drawn":
+        reads = sorted(reads, key=top, reverse=order == "falling")
+    tables = PrimeTables(3000)
+    for read in reads:
+        if isinstance(read, int):
+            assert math.prod(p**e for p, e in tables.factor(read)) == read
+        else:
+            tables.least_factor_array(np.array(read, dtype=np.int64), lambda p: p > 0)
+    spf = tables._spf
+    if spf is None:
+        assert max(top(read) for read in reads) == 0
+        return
+    assert max(top(read) for read in reads) < spf.size <= tables.limit + 1
+    assert spf[0] == spf[1] == 1
+    assert spf[2:].tolist() == [oracles.least_prime_factor(n) for n in range(2, spf.size)]
+
+
+def test_progressions_build_no_large_factor_table():
+    ds = DigitSystem(10, 7, 3)
+    X = 10**6
+    tables = PrimeTables(X)
+    weighted_discrepancy(tables, ds, X, "abs_max_c", D=200)
+    count_missing_digit_primes(tables, ds, X)
+    # only the totients of the moduli d <= 200 and of b are factored
+    assert tables._spf is None or tables._spf.size <= 4096
+
+
+def test_buchstab_builds_the_factor_table_once():
+    ds = DigitSystem(7, 4, 3)
+    tables = PrimeTables(7**6)
+    # small blocks: the classification walks many of them
+    with mock.patch.object(primetables, "SCAN_BLOCK", 64), \
+            mock.patch.object(primetables, "_spf_table", wraps=primetables._spf_table) as build:
+        buchstab_and_app(tables, ds, 7**6, 3.0)
+    assert build.call_count == 1
+
+
+def test_rising_reads_grow_the_factor_table_by_doubling():
+    tables = PrimeTables(3000)
+    with mock.patch.object(primetables, "_spf_table", wraps=primetables._spf_table) as build:
+        for n in range(1, 3001):
+            tables.factor(n)
+    assert build.call_count == 12  # sizes 2, 4, ..., 2048 and then the limit
+    assert tables._spf.size == 3001
+
+
+@given(st.integers(1, 10**4))
+@example(1)
+@example(2)
+@example(4)
+@example(65)
+@example(3 * 3 * 5)
+def test_quadratic_class_of_matches_table(tables, n):
+    assert primetables.quadratic_class_of(n) == tables.quadratic_class(n)
 
 
 @st.composite

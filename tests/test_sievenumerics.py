@@ -10,6 +10,7 @@ from missingdigit import (
     I_lin,
     I_sem,
     PreconditionError,
+    PrimeTables,
     b_over_phi,
     euler_constants,
     lower_bound_margin,
@@ -17,7 +18,7 @@ from missingdigit import (
     sieve_fn,
     t_weight_sum,
 )
-from missingdigit.sievenumerics import t_multiplier
+from missingdigit.sievenumerics import t_multiplier, t_weight_limit
 
 
 def test_sieve_fn_values():
@@ -150,6 +151,19 @@ def test_t_weight_sum_against_enumeration(tables):
     # small X leaves the set empty
     empty, _ = t_weight_sum(tables, 8, 3.0, 7)
     assert empty == 0.0
+
+
+def test_t_weight_sum_reads_a_table_sized_by_need(tables):
+    X, alpha, b = 10**5, 3.0, 7
+    need = t_weight_limit(X, alpha)
+    assert need == math.isqrt(X) + 1
+    consts = euler_constants(tables, 10**4)
+    assert t_weight_sum(PrimeTables(need), X, alpha, b, consts) == t_weight_sum(
+        tables, X, alpha, b, consts)
+    with pytest.raises(PreconditionError, match="needs a table"):
+        t_weight_sum(PrimeTables(need - 1), X, alpha, b, consts)
+    with pytest.raises(PreconditionError, match="alpha"):
+        t_weight_limit(X, 4.0)
 
 
 def test_b_over_phi_examples():
