@@ -21,7 +21,7 @@ each over the ones before it, which gives the same first-witness partition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -47,15 +47,11 @@ class ArcLabel:
     C: float
 
 
-def _log_power(X: int, C: float) -> float:
-    return math.log(X) ** C
-
-
 def classify_arc(t: int, X: int, C: float) -> ArcLabel:
     """Label one frequency t/X; deterministic first-witness priority."""
     if not 0 <= t < X:
         raise PreconditionError(f"t={t} not in [0, {X})")
-    cutoff = _log_power(X, C)
+    cutoff = math.log(X) ** C
     g = math.gcd(t, X)
     q0 = X // g
     if q0 <= cutoff:
@@ -135,7 +131,7 @@ def arc_codes(X: int, C: float) -> np.ndarray:
     hit = _ARC_CODE_CACHE.get(key)
     if hit is not None:
         return hit
-    cutoff = _log_power(X, C)
+    cutoff = math.log(X) ** C
     check_budget(X * cutoff, f"arc classification at X={X}")
     qmax = int(min(cutoff, X))
     divisors = [q for q in range(1, qmax + 1) if X % q == 0]
@@ -175,52 +171,65 @@ def ramanujan_sum(q: int, a: int) -> complex:
 # -- discrepancy ----------------------------------------------------------------
 
 
-def _power_of(ds: DigitSystem, X: int) -> int:
-    k = round(math.log(X) / math.log(ds.base))
-    if ds.base**k != X:
-        raise PreconditionError(f"X={X} is not a power of the base {ds.base}")
-    return k
+def _check_limit(tables: PrimeTables, X: int) -> None:
+    if X - 1 > tables.limit:
+        raise PreconditionError("X exceeds table limit")
 
 
-def _phi(tables: PrimeTables, n: int) -> int:
-    return tables.totient(n) if n <= tables.limit else _phi_small(n)
+class ProgressionCounts:
+    """The member prime powers n < X ending in r and = a (mod q), with their
+    log p: every discrepancy E(X; d, c) = lam(d, c) - main(d) reads them.
 
+    Construction checks once that gcd(r, b) = 1, that X = b^k and that X - 1
+    is within the table limit.  ns and logs hold the members in increasing
+    order; cnt = count(ds, k) counts all members below X ending in r, not only
+    prime powers.  A modulus q > 1 must be prime to every d read.
+    """
 
-def _member_prime_powers(tables: PrimeTables, ds: DigitSystem, X: int):
-    """(n, log p) arrays over prime powers n < X that are members ending in r."""
-    if ds.residue is None:
-        raise PreconditionError("a last-digit residue is required here")
-    pp_n, pp_log = tables.prime_powers
-    cut = np.searchsorted(pp_n, X, side="left")
-    ns = pp_n[:cut]
-    keep = contains_array(ds, ns)
-    return ns[keep], pp_log[:cut][keep]
+    def __init__(self, tables: PrimeTables, ds: DigitSystem, X: int, q: int = 1, a: int = 0):
+        b, r = ds.base, ds.residue
+        if r is None or math.gcd(r, b) != 1:
+            raise PreconditionError("need a residue r with gcd(r, b) = 1")
+        self.k = round(math.log(X) / math.log(b))
+        if b**self.k != X:
+            raise PreconditionError(f"X={X} is not a power of the base {b}")
+        _check_limit(tables, X)
+        self.tables, self.ds, self.X, self.q, self.a = tables, ds, X, q, a
+        self.cnt = count(ds, self.k)
+        pp_n, pp_log = tables.prime_powers
+        cut = np.searchsorted(pp_n, X, side="left")
+        keep = np.flatnonzero(contains_array(ds, pp_n[:cut]))
+        keep = keep[pp_n[keep] % q == a]
+        self.ns, self.logs = pp_n[keep], pp_log[keep]
 
+    def phi(self, n: int) -> int:
+        return self.tables.totient(n) if n <= self.tables.limit else _phi_small(n)
 
-def _progression_terms(
-    tables: PrimeTables, ns: np.ndarray, logs: np.ndarray, b: int, cnt: int, d: int, c: int
-) -> tuple[float, float]:
-    """(Lambda side, main term) of E(X; d, c), from the member prime powers
-    (ns, logs) below X and the member count cnt."""
-    lam_side = float(logs[ns % d == c % d].sum())
-    main = b * cnt / (_phi(tables, d) * _phi(tables, b))
-    return lam_side, main
+    def lam(self, d: int, c: int) -> float:
+        """Sum of log p over the members n = c (mod d), gcd(c, d) = gcd(d, b)
+        = 1: a masked (pairwise) sum in member order."""
+        if math.gcd(c, d) != 1 or math.gcd(d, self.ds.base) != 1:
+            raise PreconditionError("need gcd(c, d) = gcd(d, b) = 1")
+        return float(self.logs[self.ns % d == c % d].sum())
+
+    def lam_mod(self, d: int) -> np.ndarray:
+        """The member log sums of every residue class mod d by one bincount,
+        which sums in another order (the last bit may differ from lam)."""
+        return np.bincount(self.ns % d, weights=self.logs, minlength=d)
+
+    def main(self, d: int, s: float = 1) -> float:
+        """The main term b cnt s / (phi(q) phi(d) phi(b))."""
+        b = self.ds.base
+        return b * self.cnt * s / (self.phi(self.q) * self.phi(d) * self.phi(b))
+
+    def E(self, d: int, c: int) -> float:
+        """E(X; d, c) = lam(d, c) - main(d)."""
+        return self.lam(d, c) - self.main(d)
 
 
 def discrepancy_E(tables: PrimeTables, ds: DigitSystem, X: int, d: int, c: int) -> float:
     """E(X; d, c) with the exact member count in the main term."""
-    b = ds.base
-    r = ds.residue
-    if r is None or math.gcd(r, b) != 1:
-        raise PreconditionError("need a residue r with gcd(r, b) = 1")
-    if math.gcd(c, d) != 1 or math.gcd(d, b) != 1:
-        raise PreconditionError("need gcd(c, d) = gcd(d, b) = 1")
-    k = _power_of(ds, X)
-    if X - 1 > tables.limit:
-        raise PreconditionError("X exceeds table limit")
-    ns, logs = _member_prime_powers(tables, ds, X)
-    lam_side, main = _progression_terms(tables, ns, logs, b, count(ds, k), d, c)
-    return lam_side - main
+    return ProgressionCounts(tables, ds, X).E(d, c)
 
 
 class Row(NamedTuple):
@@ -235,28 +244,124 @@ class DiscrepancyReport:
     weight_kind: str
     rows: list[Row]
     aggregate: float
-    params: dict = field(default_factory=dict)
 
-    def recomputed_aggregate(self) -> float:
-        if self.weight_kind in ("abs_max_c", "fixed_c", "factorable_pair"):
-            return sum(r.weight * abs(r.E) for r in self.rows)
-        return sum(r.weight * r.E for r in self.rows)
+
+def _rechecked(counts: ProgressionCounts, rows: list[Row], rel: float = 0.0) -> list[Row]:
+    """rows, once the row of largest d is recomputed by another route: the
+    prime powers below X in its progressions are taken first and tested for
+    membership after.  That sums the same terms in the same order, so a
+    masked-sum row must match exactly; rel allows a difference relative to
+    the Lambda side for rows summed in another order."""
+    if rows:
+        row = max(rows, key=lambda row: row.d)
+        pp_n, pp_log = counts.tables.prime_powers
+        ns = pp_n[: np.searchsorted(pp_n, counts.X, side="left")]
+        prog = np.flatnonzero(ns % row.d == row.c)
+        prog = prog[ns[prog] % counts.q == counts.a]
+        lam = float(pp_log[prog][contains_array(counts.ds, ns[prog])].sum())
+        E = lam - counts.main(row.d)
+        if abs(E - row.E) > rel * max(1.0, abs(lam)):
+            raise InternalCheckError(f"row d={row.d}, c={row.c} has E={row.E}, rechecked {E}")
+    return rows
+
+
+def _rows(counts: ProgressionCounts, kind: str, moduli: list[int], c: int,
+          weight: Callable[[int], float] = lambda d: 1.0) -> list[Row]:
+    size = counts.ns.size
+    check_budget(len(moduli) * size, f"{kind}: {len(moduli)} rows over {size} members")
+    return _rechecked(counts, [Row(d, c % d, counts.E(d, c), weight(d)) for d in moduli])
+
+
+def _abs_max_c(counts: ProgressionCounts, *, D: int) -> list[Row]:
+    moduli = [d for d in range(1, D + 1) if math.gcd(d, counts.ds.base) == 1]
+    size = counts.ns.size
+    steps = len(moduli) * size + sum(moduli)  # and a pass over the residues of each d
+    check_budget(steps, f"abs_max_c: {len(moduli)} rows over {size} members")
+    rows = []
+    for d in moduli:
+        e = counts.lam_mod(d) - counts.main(d)
+        reduced = np.flatnonzero(np.gcd(np.arange(d), d) == 1)
+        c = int(reduced[np.argmax(np.abs(e[reduced]))])  # the first of the largest
+        rows.append(Row(d, c, float(e[c]), 1.0))
+    return _rechecked(counts, rows, rel=1e-9)
+
+
+def _fixed_c(counts: ProgressionCounts, *, D: int, c: int) -> list[Row]:
+    moduli = [d for d in range(1, D + 1) if math.gcd(d, counts.ds.base * c) == 1]
+    return _rows(counts, "fixed_c", moduli, c)
+
+
+def _factorable_pair(counts: ProgressionCounts, *, D1: int, D2: int, c: int) -> list[Row]:
+    moduli = [d1 * d2 for d1 in range(1, D1 + 1) for d2 in range(1, D2 + 1)
+              if math.gcd(d1, d2) == 1 and math.gcd(d1 * d2, counts.ds.base * c) == 1]
+    return _rows(counts, "factorable_pair", moduli, c)
+
+
+def _well_factorable(counts: ProgressionCounts, *, xi: Mapping[int, float], c: int) -> list[Row]:
+    moduli = [d for d in sorted(xi) if xi[d] != 0 and math.gcd(d, counts.ds.base * c) == 1]
+    return _rows(counts, "well_factorable", moduli, c, lambda d: float(xi[d]))
+
+
+def _sieve_moduli(counts: ProgressionCounts, weights) -> list[int]:
+    return [d for d in weights.support if weights(d) != 0 and math.gcd(d, 2 * counts.ds.base) == 1]
+
+
+def _sieve_semi(counts: ProgressionCounts, *, weights) -> list[Row]:
+    moduli = _sieve_moduli(counts, weights)
+    return _rows(counts, "sieve_semi", moduli, 1, lambda d: float(weights(d)))
+
+
+def _sieve_lin(counts: ProgressionCounts, *, weights, L: int,
+               h: Callable[[int], float] = lambda ell: 1.0) -> list[Row]:
+    moduli = _sieve_moduli(counts, weights)
+    b, X = counts.ds.base, counts.X
+    steps = (len(moduli) + 1) * L  # each row and the term build walk every ell
+    check_budget(steps, f"sieve_lin: {len(moduli)} rows over {L} values of ell")
+    pp_n, pp_log = counts.tables.prime_powers
+    # Per ell: the values 2 ell n + 1 over prime powers n with ell n = 1
+    # (mod 4) that are members, with the log p of n; each d below sums a
+    # subset of them in the same order.
+    terms = []
+    for ell in range(L + 1, 2 * L + 1):
+        h_ell = h(ell) if math.gcd(ell, 2 * b) == 1 else 0
+        if h_ell == 0:
+            continue
+        cut = np.searchsorted(pp_n, (X - 1) // (2 * ell), side="right")
+        nn = pp_n[:cut]
+        mod4 = (ell * nn) % 4 == 1
+        vals = 2 * ell * nn[mod4] + 1
+        member = contains_array(counts.ds, vals)
+        terms.append((ell, h_ell, vals[member], pp_log[:cut][mod4][member]))
+    size = sum(term[2].size for term in terms)
+    check_budget(len(moduli) * size + steps, f"sieve_lin: {len(moduli)} rows over {size} members")
+    rows = []
+    for d in moduli:
+        inner = main_sum = 0.0
+        for ell, h_ell, vals, val_logs in terms:
+            if math.gcd(ell, d) == 1:
+                main_sum += h_ell / ell
+            keep = vals % d == 0
+            if keep.any():
+                inner += h_ell * float(val_logs[keep].sum())
+        # l n = 1 (mod 4) holds a quarter of the main term (an exact division)
+        rows.append(Row(d, -1 % d, inner - counts.main(d, main_sum / 4), float(weights(d))))
+    return rows
+
+
+# kind -> (its rows, whether the aggregate sums |E| rather than weight * E,
+# the progression n = a (mod q) that its members keep)
+_KINDS = {
+    "abs_max_c": (_abs_max_c, True, ()),
+    "fixed_c": (_fixed_c, True, ()),
+    "factorable_pair": (_factorable_pair, True, ()),
+    "well_factorable": (_well_factorable, False, ()),
+    "sieve_semi": (_sieve_semi, False, (8, 3)),
+    "sieve_lin": (_sieve_lin, False, ()),
+}
 
 
 def weighted_discrepancy(
-    tables: PrimeTables,
-    ds: DigitSystem,
-    X: int,
-    weight_kind: str,
-    D: int | None = None,
-    c: int | None = None,
-    D1: int | None = None,
-    D2: int | None = None,
-    xi: Mapping[int, float] | None = None,
-    weights=None,
-    L: int | None = None,
-    h: Callable[[int], float] | None = None,
-    delta: float = 1e-3,
+    tables: PrimeTables, ds: DigitSystem, X: int, weight_kind: str, **params
 ) -> DiscrepancyReport:
     """One equidistribution-style weighted aggregate of discrepancies.
 
@@ -269,141 +374,17 @@ def weighted_discrepancy(
                       minus (1/(4 phi(d)))(b/phi(b)) count] over (d,2b)=1
     sieve_lin:        sum_d lambda^+(d) [two-variable count over 2 l n + 1
                       minus its (1/(4 phi(d)))(b/phi(b)) main term]
+
+    The names above are keywords; the sieve kinds take `weights`, sieve_lin
+    also L and h (default 1).  Each kind claims rows x members from the
+    budget, and all but sieve_lin recheck their row of largest d.
     """
-    b = ds.base
-    r = ds.residue
-    if r is None or math.gcd(r, b) != 1:
-        raise PreconditionError("need a residue r with gcd(r, b) = 1")
-    k = _power_of(ds, X)
-    if X - 1 > tables.limit:
-        raise PreconditionError("X exceeds table limit")
-    cnt = count(ds, k)
-    phi_b = _phi(tables, b)
-    rows: list[Row] = []
-    params: dict = {"X": X, "b": b, "a0": ds.excluded, "r": r, "kind": weight_kind}
-
-    ns, logs = _member_prime_powers(tables, ds, X)
-
-    def lam_sums_mod(d: int) -> np.ndarray:
-        return np.bincount(ns % d, weights=logs, minlength=d)
-
-    def progression_row(d: int, weight: float) -> Row:
-        lam_side, main = _progression_terms(tables, ns, logs, b, cnt, d, c)
-        return Row(d, c % d, lam_side - main, weight)
-
-    if weight_kind == "abs_max_c":
-        if D is None:
-            raise PreconditionError("abs_max_c needs D")
-        params["D"] = D
-        for d in range(1, D + 1):
-            if math.gcd(d, b) != 1:
-                continue
-            sums = lam_sums_mod(d)
-            main = b * cnt / (_phi(tables, d) * phi_b)
-            best_c, best_e = 1 % d, None
-            for cc in range(1, d + 1):
-                if math.gcd(cc, d) != 1:
-                    continue
-                e_val = float(sums[cc % d]) - main
-                if best_e is None or abs(e_val) > abs(best_e):
-                    best_c, best_e = cc % d, e_val
-            rows.append(Row(d, best_c, best_e, 1.0))
-        aggregate = sum(abs(row.E) for row in rows)
-
-    elif weight_kind == "fixed_c":
-        if D is None or c is None:
-            raise PreconditionError("fixed_c needs D and c")
-        params.update(D=D, c=c)
-        for d in range(1, D + 1):
-            if math.gcd(d, b * c) != 1 or math.gcd(c, d) != 1:
-                continue
-            rows.append(progression_row(d, 1.0))
-        aggregate = sum(abs(row.E) for row in rows)
-
-    elif weight_kind == "factorable_pair":
-        if D1 is None or D2 is None or c is None:
-            raise PreconditionError("factorable_pair needs D1, D2 and c")
-        params.update(D1=D1, D2=D2, c=c)
-        for d1 in range(1, D1 + 1):
-            for d2 in range(1, D2 + 1):
-                d = d1 * d2
-                if math.gcd(d1, d2) != 1 or math.gcd(d, b) != 1 or math.gcd(d, c) != 1:
-                    continue
-                rows.append(progression_row(d, 1.0))
-        aggregate = sum(abs(row.E) for row in rows)
-
-    elif weight_kind == "well_factorable":
-        if xi is None or c is None:
-            raise PreconditionError("well_factorable needs xi and c")
-        params["c"] = c
-        for d in sorted(xi):
-            w = xi[d]
-            if w == 0 or math.gcd(d, b * c) != 1:
-                continue
-            rows.append(progression_row(d, float(w)))
-        aggregate = sum(row.weight * row.E for row in rows)
-
-    elif weight_kind == "sieve_semi":
-        if weights is None:
-            raise PreconditionError("sieve_semi needs sieve weights")
-        params["level"] = weights.spec.D
-        mask8 = ns % 8 == 3
-        for d in weights.support:
-            w = weights(d)
-            if w == 0 or math.gcd(d, 2 * b) != 1:
-                continue
-            lam_side = float(logs[mask8 & (ns % d == 1 % d)].sum())
-            main = b * cnt / (4.0 * _phi(tables, d) * phi_b)
-            rows.append(Row(d, 1 % d, lam_side - main, float(w)))
-        aggregate = sum(row.weight * row.E for row in rows)
-
-    elif weight_kind == "sieve_lin":
-        if weights is None or L is None:
-            raise PreconditionError("sieve_lin needs sieve weights and L")
-        if h is None:
-            h = lambda _l: 1.0
-        params.update(L=L, level=weights.spec.D)
-        pp_n, pp_log = tables.prime_powers
-        # Per ell: the values 2 ell n + 1 over prime powers n with ell n = 1
-        # (mod 4) that are members, with the log p of n; each d below sums a
-        # subset of them in the same order.
-        terms = []
-        for ell in range(L + 1, 2 * L + 1):
-            if math.gcd(ell, 2 * b) != 1:
-                continue
-            h_ell = h(ell)
-            if h_ell == 0:
-                continue
-            cut = np.searchsorted(pp_n, (X - 1) // (2 * ell), side="right")
-            nn = pp_n[:cut]
-            mod4 = (ell * nn) % 4 == 1
-            vals = 2 * ell * nn[mod4] + 1
-            member = contains_array(ds, vals)
-            terms.append((ell, h_ell, vals[member], pp_log[:cut][mod4][member]))
-        for d in weights.support:
-            w = weights(d)
-            if w == 0 or math.gcd(d, 2 * b) != 1:
-                continue
-            inner = 0.0
-            main_sum = 0.0
-            for ell, h_ell, vals, val_logs in terms:
-                if math.gcd(ell, d) == 1:
-                    main_sum += h_ell / ell
-                keep = vals % d == 0
-                if keep.any():
-                    inner += h_ell * float(val_logs[keep].sum())
-            main = b * cnt * main_sum / (4.0 * _phi(tables, d) * phi_b)
-            rows.append(Row(d, -1 % d, inner - main, float(w)))
-        aggregate = sum(row.weight * row.E for row in rows)
-
-    else:
+    if weight_kind not in _KINDS:
         raise PreconditionError(f"unknown weight kind {weight_kind!r}")
-
-    report = DiscrepancyReport(weight_kind, rows, float(aggregate), params)
-    recomputed = report.recomputed_aggregate()
-    if abs(recomputed - report.aggregate) > 1e-9 * max(1.0, abs(report.aggregate)):
-        raise InternalCheckError("aggregate does not match its rows")
-    return report
+    rows_of, absolute, progression = _KINDS[weight_kind]
+    rows = rows_of(ProgressionCounts(tables, ds, X, *progression), **params)
+    aggregate = sum(abs(row.E) if absolute else row.weight * row.E for row in rows)
+    return DiscrepancyReport(weight_kind, rows, float(aggregate))
 
 
 # -- conservation split over arcs ------------------------------------------------
@@ -432,30 +413,20 @@ def arc_split(
     The four partial sums must recombine to the direct progression count;
     the relative residual is checked against 1e-5 and returned.
     """
-    b = ds.base
-    if ds.residue is None or math.gcd(ds.residue, b) != 1:
-        raise PreconditionError("need a residue r with gcd(r, b) = 1")
-    if math.gcd(c, d) != 1 or math.gcd(d, b) != 1:
-        raise PreconditionError("need gcd(c, d) = gcd(d, b) = 1")
-    k = _power_of(ds, X)
-    if X - 1 > tables.limit:
-        raise PreconditionError("X exceeds table limit")
+    counts = ProgressionCounts(tables, ds, X)
+    direct, main_term = counts.lam(d, c), counts.main(d)
     check_budget(X * max(1.0, math.log2(X)), f"arc split FFT at X={X}")
-    hat = spectrum(ds, k)
+    hat = spectrum(ds, counts.k)
     lam = tables.mangoldt_range(X)
     masked = np.where(np.arange(X) % d == c % d, lam, 0.0)
     lam_hat_neg = np.fft.fft(masked)  # index t holds LambdaHat_{d,c}(-t/X)
     terms = hat * lam_hat_neg / X
     codes = arc_codes(X, C)
     sums = [complex(terms[codes == code].sum()) for code in (1, 2, 3, 0)]
-    ns, logs = _member_prime_powers(tables, ds, X)
-    direct, main_term = _progression_terms(tables, ns, logs, b, count(ds, k), d, c)
     recombined = sum(sums).real
     residual = abs(recombined - direct) / max(1.0, abs(direct))
     if residual > 1e-5:
-        raise InternalCheckError(
-            f"arc split lost mass: recombined {recombined} vs direct {direct}"
-        )
+        raise InternalCheckError(f"arc split lost mass: recombined {recombined} vs direct {direct}")
     return ArcSplit(sums[0], sums[1], sums[2], sums[3], direct, main_term, residual)
 
 
@@ -466,8 +437,7 @@ def count_missing_digit_primes(
     tables: PrimeTables, ds: DigitSystem, X: int
 ) -> tuple[int, float]:
     """(#primes p < X in the digit set, kappa X^zeta / log X)."""
-    if X - 1 > tables.limit:
-        raise PreconditionError("X exceeds table limit")
+    _check_limit(tables, X)
     primes = tables.primes_upto(X - 1)
     cnt = int(contains_array(ds, primes).sum())
     predicted = float(ds.kappa) * X**ds.zeta / math.log(X)
@@ -496,14 +466,12 @@ def buchstab_and_app(
     app_count drops the mod-8 restriction and counts p - 1 in that class
     directly; predicted_scale is X^zeta / (log X)^(3/2).
     """
-    b = ds.base
-    r = ds.residue
+    b, r = ds.base, ds.residue
     if b % 2 == 0:
         raise PreconditionError("base must be odd here")
     if r is None or math.gcd(r * (r - 1), b) != 1:
         raise PreconditionError("need a residue r with gcd(r(r-1), b) = 1")
-    if X - 1 > tables.limit:
-        raise PreconditionError("X exceeds table limit")
+    _check_limit(tables, X)
     if alpha <= 2:
         raise PreconditionError("alpha must exceed 2")
     z = X ** (1.0 / alpha)
@@ -511,10 +479,11 @@ def buchstab_and_app(
     shifted = primes[contains_array(ds, primes)] - 1
     in_b = tables.quadratic_class_array(shifted).in_B
     app_count = int(in_b.sum())
-    # p = 3 (mod 8): the least sieve prime of p - 1, or 0 if none is <= sqrt X
+    # p = 3 (mod 8): the least sieve prime of p - 1, or 0 if none is <= sqrt X;
+    # the walk reads the odd (p - 1) / 2, as 2 is never a sieve prime
     mod8 = shifted % 8 == 2
     least = tables.least_factor_array(
-        shifted[mod8], lambda f: (f % 4 == 3) & (b % f != 0), upto=math.isqrt(X)
+        shifted[mod8] // 2, lambda f: (f % 4 == 3) & (b % f != 0), upto=math.isqrt(X)
     )
     S = int(((least == 0) | (least > z)).sum())
     T = int((least > z).sum())

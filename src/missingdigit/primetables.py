@@ -68,6 +68,10 @@ def _spf_table(top: int, primes: np.ndarray) -> np.ndarray:
     return spf
 
 
+def _odd_part(ns: np.ndarray) -> np.ndarray:
+    return ns // (ns & -ns)
+
+
 def _classify(n: int, odd_primes: Iterable[int]) -> QuadClass:
     """(n in B, n in Bcal) from n >= 1 and the primes of its odd part."""
     twos = n & -n  # the power of 2 dividing n exactly
@@ -327,15 +331,16 @@ class PrimeTables:
 
         The walk runs on blocks of SCAN_BLOCK values (about 60 bytes of
         scratch each), so its scratch memory stays bounded however long ns is.
-        The SPF table is sized to the whole array first, so the blocks never
-        grow it one by one.
+        It reads only the odd parts of the values, and the SPF table is sized
+        to the largest of them first, so the blocks never grow it one by one.
         """
         ns = self._check_array(ns)
+        starts = range(0, ns.size, SCAN_BLOCK)
         if ns.size:
-            self._spf_upto(int(ns.max()))
+            self._spf_upto(max(int(_odd_part(ns[lo : lo + SCAN_BLOCK]).max()) for lo in starts))
         in_b = np.empty(ns.shape, dtype=bool)
         in_bcal = np.empty(ns.shape, dtype=bool)
-        for lo in range(0, ns.size, SCAN_BLOCK):
+        for lo in starts:
             block = ns[lo : lo + SCAN_BLOCK]
             twos = block & -block  # the power of 2 dividing n exactly
             good_odd = self.least_factor_array(block // twos, lambda p: p % 4 != 1) == 0

@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
+from missingdigit import circle
 from missingdigit.cli import SCHEMAS, main, report_schema
 from missingdigit.errors import PreconditionError
 
@@ -199,3 +201,43 @@ def test_two_squares_n_needs_no_table(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "two-squares", "--n", "1000000007")
     assert code == 3 and out == ""
     assert json.loads(err)["error"]["kind"] == "BudgetError"
+
+
+SYSTEM = ("--b", "10", "--a0", "7", "--r", "3")
+
+
+def test_weighted_rows_claim_the_budget(capsys, monkeypatch):
+    # the prime tables (10^3 steps) fit, the rows over the members do not
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", "2000")
+    for argv in (("bv-table", *SYSTEM, "--k", "3", "--D", "2000"),
+                 ("weighted-bv", *SYSTEM, "--k", "3", "--kind", "lin", "--L", "300000")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["kind"] == "BudgetError"
+    code, out, _ = run_cli(capsys, "bv-table", *SYSTEM, "--k", "3", "--D", "10")
+    assert code == 0 and json.loads(out)["results"]["rows_count"] == 4
+
+
+@pytest.mark.parametrize("argv,route,corrupt", [
+    # bincount rows are rechecked to 1e-9 relative, masked sums to the last bit
+    (("bv-table", "--D", "12"), "lam_mod", lambda sums: sums * (1 + 1e-6)),
+    (("weighted-bv", "--kind", "fixed", "--D", "12"), "lam", lambda s: math.nextafter(s, math.inf)),
+    (("weighted-bv", "--kind", "pairs"), "lam", lambda s: math.nextafter(s, math.inf)),
+    (("weighted-bv", "--kind", "wellfac"), "lam", lambda s: math.nextafter(s, math.inf)),
+    (("weighted-bv", "--kind", "semi"), "lam", lambda s: math.nextafter(s, math.inf)),
+])
+def test_a_corrupted_row_exits_4(capsys, monkeypatch, argv, route, corrupt):
+    argv = (argv[0], *SYSTEM, "--k", "4", *argv[1:])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    d_max = max(row["d"] for row in json.loads(out)["rows"])  # the row rechecked
+    real = getattr(circle.ProgressionCounts, route)
+
+    def corrupted(self, d, *c):
+        value = real(self, d, *c)
+        return corrupt(value) if d == d_max else value
+
+    monkeypatch.setattr(circle.ProgressionCounts, route, corrupted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"]["kind"] == "InternalCheckError"

@@ -5,8 +5,9 @@ against the defining Fourier sum, the FFT inversion against membership and
 the batched hybrid sum against the per-point loop.  Progression layer: the
 sieve's primes and the smallest-prime-factor table, however it was grown,
 against trial division, the quadratic classes against the scalar classifiers, the weighted discrepancy rows against
-discrepancy_E, and the linear-sieve rows and the Buchstab split against the
-per-(d, ell) and per-prime loops they replace.  Kernels: the Vaughan arrays
+discrepancy_E (the bincount rows of abs_max_c to 1e-9 relative), and the
+linear-sieve rows and the Buchstab split against the per-(d, ell) and
+per-prime loops they replace.  Kernels: the Vaughan arrays
 and strided sums, the min-function and Weyl sums, the sandwich rows, the member enumeration
 and the two-squares brute force against the per-element loops in oracles.py,
 compared exactly; the bilinear sum, the Type I max over residues and the
@@ -219,6 +220,8 @@ def test_buchstab_builds_the_factor_table_once():
             mock.patch.object(primetables, "_spf_table", wraps=primetables._spf_table) as build:
         buchstab_and_app(tables, ds, 7**6, 3.0)
     assert build.call_count == 1
+    # every value walked is an odd part, at most (X - 2) / 2
+    assert tables._spf.size <= 7**6 // 2 + 1
 
 
 def test_rising_reads_grow_the_factor_table_by_doubling():
@@ -263,6 +266,19 @@ def test_weighted_rows_equal_discrepancy_E(tables, system, D, c, D1, D2, xi):
         for row in rep.rows:
             assert row.c == c % row.d
             assert row.E == discrepancy_E(tables, ds, X, row.d, c), (rep.weight_kind, row)
+
+
+@given(progression_systems(10**5), st.integers(1, 25))
+@example((DigitSystem(10, 7, 3), 5), 25)
+def test_abs_max_c_rows_attain_the_max_over_residues(tables, system, D):
+    ds, k = system
+    X = ds.base**k
+    for row in weighted_discrepancy(tables, ds, X, "abs_max_c", D=D).rows:
+        E = {c % row.d: discrepancy_E(tables, ds, X, row.d, c)
+             for c in range(1, row.d + 1) if math.gcd(c, row.d) == 1}
+        best = max(abs(e) for e in E.values())
+        assert abs(row.E) == pytest.approx(best, rel=1e-9), row
+        assert abs(E[row.c]) == pytest.approx(best, rel=1e-9), row
 
 
 def per_pair_sieve_lin_rows(tables, ds, k, weights, L, h):
