@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -83,7 +84,6 @@ def classify_arc(t: int, X: int, C: float) -> ArcLabel:
 
 
 _KIND_CODE = {KIND_MINOR: 0, KIND_M1: 1, KIND_M2: 2, KIND_M3: 3}
-_ARC_CODE_CACHE: dict[tuple[int, float], np.ndarray] = {}
 
 
 def _add_windows(cover: np.ndarray, q: int, scale: int, mod: int,
@@ -114,6 +114,7 @@ def _add_windows(cover: np.ndarray, q: int, scale: int, mod: int,
     np.add.at(cover, t_hi[keep] + 1, -1)
 
 
+@lru_cache(maxsize=4)
 def arc_codes(X: int, C: float) -> np.ndarray:
     """Codes 0..3 (minor, M1, M2, M3) for every t < X; cached, read-only.
 
@@ -127,10 +128,6 @@ def arc_codes(X: int, C: float) -> np.ndarray:
     eta != 0 test: eta = 0 at a reduced a/q is a Major3 point, painted over
     last.
     """
-    key = (X, C)
-    hit = _ARC_CODE_CACHE.get(key)
-    if hit is not None:
-        return hit
     cutoff = math.log(X) ** C
     check_budget(X * cutoff, f"arc classification at X={X}")
     qmax = int(min(cutoff, X))
@@ -150,9 +147,6 @@ def arc_codes(X: int, C: float) -> np.ndarray:
     for q in divisors:
         codes[:: X // q] = m3
     codes.setflags(write=False)
-    if len(_ARC_CODE_CACHE) >= 4:
-        _ARC_CODE_CACHE.pop(next(iter(_ARC_CODE_CACHE)))
-    _ARC_CODE_CACHE[key] = codes
     return codes
 
 
@@ -273,6 +267,7 @@ def _rows(counts: ProgressionCounts, kind: str, moduli: list[int], c: int,
 
 
 def _abs_max_c(counts: ProgressionCounts, *, D: int) -> list[Row]:
+    check_budget(D, f"abs_max_c: listing {D} moduli")
     moduli = [d for d in range(1, D + 1) if math.gcd(d, counts.ds.base) == 1]
     size = counts.ns.size
     steps = len(moduli) * size + sum(moduli)  # and a pass over the residues of each d
@@ -287,11 +282,13 @@ def _abs_max_c(counts: ProgressionCounts, *, D: int) -> list[Row]:
 
 
 def _fixed_c(counts: ProgressionCounts, *, D: int, c: int) -> list[Row]:
+    check_budget(D, f"fixed_c: listing {D} moduli")
     moduli = [d for d in range(1, D + 1) if math.gcd(d, counts.ds.base * c) == 1]
     return _rows(counts, "fixed_c", moduli, c)
 
 
 def _factorable_pair(counts: ProgressionCounts, *, D1: int, D2: int, c: int) -> list[Row]:
+    check_budget(D1 * D2, f"factorable_pair: listing {D1} x {D2} moduli")
     moduli = [d1 * d2 for d1 in range(1, D1 + 1) for d2 in range(1, D2 + 1)
               if math.gcd(d1, d2) == 1 and math.gcd(d1 * d2, counts.ds.base * c) == 1]
     return _rows(counts, "factorable_pair", moduli, c)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -288,9 +289,6 @@ class VaughanSums(NamedTuple):
         return self.s1 + self.s2 - self.s3 - self.s4 + self.s5
 
 
-_VAUGHAN_CACHE: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-
-
 def _add_by_cofactor(out: np.ndarray, ms: np.ndarray, values: np.ndarray, cofactors,
                      factor: np.ndarray | None = None) -> None:
     """out[m j] += values[i] (times factor[j] if given) for every m = ms[i] of
@@ -306,8 +304,9 @@ def _add_by_cofactor(out: np.ndarray, ms: np.ndarray, values: np.ndarray, cofact
         out[ms[:cut] * j] += values[:cut] if factor is None else values[:cut] * factor[j]
 
 
+@lru_cache(maxsize=4)
 def _vaughan_arrays(tables: PrimeTables, X: int, U: int):
-    """Pointwise component arrays of the split, cached per (X, U).
+    """Pointwise component arrays of the split, cached per (tables, X, U).
 
     a1 = Lambda_{<=U};      a2 = mu_{<=U} * log;
     a3 = (f 1_{<=U}) * 1;   a4 = (f 1_{>U}) * 1   with f = mu_{<=U} * Lambda_{<=U};
@@ -315,10 +314,6 @@ def _vaughan_arrays(tables: PrimeTables, X: int, U: int):
     Identity: a1 + a2 - a3 - a4 + a5 = Lambda pointwise on [1, X).
     The arrays are read-only: callers share the cached copies.
     """
-    key = (X, U)
-    hit = _VAUGHAN_CACHE.get(key)
-    if hit is not None:
-        return hit
     check_budget(X * (math.log(X) + 2) * 4, f"Vaughan arrays at X={X}")
     mu = tables.mobius_range(X).astype(np.float64)
     lam = tables.mangoldt_range(X)
@@ -366,9 +361,6 @@ def _vaughan_arrays(tables: PrimeTables, X: int, U: int):
     arrays = (a1, a2, a3, a4, a5)
     for arr in arrays:
         arr.flags.writeable = False
-    if len(_VAUGHAN_CACHE) >= 4:
-        _VAUGHAN_CACHE.pop(next(iter(_VAUGHAN_CACHE)))
-    _VAUGHAN_CACHE[key] = arrays
     return arrays
 
 

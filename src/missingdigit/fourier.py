@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,23 +31,6 @@ from .digitset import DigitSystem, _prime_divisors, contains_array, count
 from .errors import PreconditionError
 
 TWO_PI = 2.0 * math.pi
-
-_SPECTRUM_CACHE: dict[tuple[int, int, int | None, int], np.ndarray] = {}
-_SPECTRUM_CACHE_MAX = 8
-
-_ROOTS_CACHE: dict[int, np.ndarray] = {}
-
-
-def _unit_roots(X: int) -> np.ndarray:
-    """e(-t/X) for t = 0..X-1; shared by repeated inversion scans."""
-    roots = _ROOTS_CACHE.get(X)
-    if roots is None:
-        roots = np.exp(-2j * np.pi * np.arange(X) / X)
-        if len(_ROOTS_CACHE) >= 4:
-            _ROOTS_CACHE.pop(next(iter(_ROOTS_CACHE)))
-        _ROOTS_CACHE[X] = roots
-    return roots
-
 
 @dataclass
 class FourierStats:
@@ -90,6 +74,7 @@ def eval_hat(ds: DigitSystem, k: int, theta: float) -> complex:
     return value
 
 
+@lru_cache(maxsize=8)
 def spectrum(ds: DigitSystem, k: int) -> np.ndarray:
     """hat1_set(t/X) for all 0 <= t < X = b^k, exact rational phases; cached.
 
@@ -99,10 +84,6 @@ def spectrum(ds: DigitSystem, k: int) -> np.ndarray:
     up in one table of the X roots.  The returned array is read-only.
     """
     _require_product_form(ds, k)
-    key = (ds.base, ds.excluded, ds.residue, k)
-    cached = _SPECTRUM_CACHE.get(key)
-    if cached is not None:
-        return cached
     b = ds.base
     X = b**k
     check_budget(X * k * b, f"spectrum scan at X={X}")
@@ -124,37 +105,36 @@ def spectrum(ds: DigitSystem, k: int) -> np.ndarray:
         rows = out.reshape(-1, period)
         rows *= factor
     out.setflags(write=False)
-    if len(_SPECTRUM_CACHE) >= _SPECTRUM_CACHE_MAX:
-        _SPECTRUM_CACHE.pop(next(iter(_SPECTRUM_CACHE)))
-    _SPECTRUM_CACHE[key] = out
+    return out
+
+
+@lru_cache(maxsize=4)
+def _inverted(ds: DigitSystem, k: int) -> np.ndarray:
+    """(1/X) sum_t hat1(t/X) e(-nt/X) for all 0 <= n < X; cached, read-only.
+
+    The inversion sum for every n at once is one FFT of the spectrum, so it
+    costs O(X log X) and goes through the scan budget.
+    """
+    _require_product_form(ds, k)
+    X = ds.base**k
+    check_budget(X * max(1.0, math.log2(X)), f"inversion FFT at X={X}")
+    out = np.fft.fft(spectrum(ds, k)).real / X
+    out.setflags(write=False)
     return out
 
 
 def inversion_indicator(ds: DigitSystem, k: int, n: int) -> float:
     """(1/X) sum_t hat1(t/X) e(-nt/X); equals the membership indicator of n."""
-    b = ds.base
-    X = b**k
+    X = ds.base**k
     if not 0 <= n < X:
         raise PreconditionError(f"n={n} not in [0, {X})")
-    if X > 10**6:
-        raise PreconditionError("inversion scan limited to X <= 10^6")
-    hat = spectrum(ds, k)
-    t = np.arange(X, dtype=np.int64)
-    phases = _unit_roots(X)[(n * t) % X]
-    return float((hat * phases).sum().real) / X
+    return float(_inverted(ds, k)[n])
 
 
 def inversion_max_error(ds: DigitSystem, k: int) -> float:
-    """max over n < X of |(1/X) sum_t hat1(t/X) e(-nt/X) - 1_set(n)|.
-
-    The inversion sum for every n at once is one FFT of the spectrum, so the
-    check costs O(X log X) and goes through the scan budget.
-    """
-    _require_product_form(ds, k)
-    X = ds.base**k
-    check_budget(X * max(1.0, math.log2(X)), f"inversion check at X={X}")
-    recovered = np.fft.fft(spectrum(ds, k)).real / X
-    member = contains_array(ds, np.arange(X, dtype=np.int64))
+    """max over n < X of |(1/X) sum_t hat1(t/X) e(-nt/X) - 1_set(n)|."""
+    recovered = _inverted(ds, k)
+    member = contains_array(ds, np.arange(recovered.size, dtype=np.int64))
     return float(np.abs(recovered - member).max())
 
 

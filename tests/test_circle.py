@@ -68,9 +68,14 @@ def test_classification_matches_witness_scan():
 
 def test_arc_codes_cache_is_read_only():
     X, C = 5**4, 2.0
+    first = arc_codes(X, C)
     with pytest.raises(ValueError):
-        arc_codes(X, C)[1] = 0
-    assert arc_codes(X, C)[1] == 2  # t = 1 is eta = 1 from 0/1
+        first[1] = 0
+    hits = arc_codes.cache_info().hits
+    assert arc_codes(X, C) is first
+    assert arc_codes.cache_info().hits == hits + 1
+    assert arc_codes.cache_info().maxsize == 4
+    assert first[1] == 2  # t = 1 is eta = 1 from 0/1
 
 
 def test_classified_label_satisfies_its_definition():

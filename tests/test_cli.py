@@ -218,6 +218,21 @@ def test_weighted_rows_claim_the_budget(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["results"]["rows_count"] == 4
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("bv-table", *SYSTEM, "--k", "3", "--D", "20000000"), "abs_max_c: listing 20000000 moduli"),
+    (("weighted-bv", *SYSTEM, "--k", "3", "--kind", "pairs", "--D1", "3000", "--D2", "3000",
+      "--c", "1"), "factorable_pair: listing 3000 x 3000 moduli"),
+])
+def test_listing_the_moduli_claims_the_budget(capsys, monkeypatch, argv, message):
+    # the moduli are claimed before they are listed, not only the rows after
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", "2000")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    record = json.loads(err)["error"]
+    assert record["kind"] == "BudgetError"
+    assert record["message"].startswith(message + " needs ~")
+
+
 @pytest.mark.parametrize("argv,route,corrupt", [
     # bincount rows are rechecked to 1e-9 relative, masked sums to the last bit
     (("bv-table", "--D", "12"), "lam_mod", lambda sums: sums * (1 + 1e-6)),

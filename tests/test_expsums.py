@@ -159,7 +159,12 @@ def test_vaughan_identity_seeded_trials(tables):
 
 def test_vaughan_cached_arrays_are_read_only(tables):
     parts = vaughan_decompose(tables, 500, 8, 1, 0, 0.3)  # fills the cache
-    for arr in expsums._vaughan_arrays(tables, 500, 8):
+    hits = expsums._vaughan_arrays.cache_info().hits
+    arrays = expsums._vaughan_arrays(tables, 500, 8)
+    assert expsums._vaughan_arrays.cache_info().hits == hits + 1
+    assert expsums._vaughan_arrays(tables, 500, 8) is arrays
+    assert expsums._vaughan_arrays.cache_info().maxsize == 4
+    for arr in arrays:
         with pytest.raises(ValueError):
             arr[1] = 1.0
     assert vaughan_decompose(tables, 500, 8, 1, 0, 0.3) == parts

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from missingdigit import (
+    BudgetError,
     DigitSystem,
     PreconditionError,
     contains,
@@ -14,6 +15,7 @@ from missingdigit import (
     l1_and_cb,
     linf_probe,
 )
+from missingdigit import fourier
 from missingdigit.fourier import spectrum
 
 
@@ -51,9 +53,21 @@ def test_spectrum_matches_eval_hat():
 
 def test_spectrum_cache_is_read_only():
     ds = DigitSystem(10, 7, 3)
+    first = spectrum(ds, 3)
     with pytest.raises(ValueError):
-        spectrum(ds, 3)[0] = 12345
-    assert spectrum(ds, 3)[0] == pytest.approx(81, rel=1e-12)
+        first[0] = 12345
+    hits = spectrum.cache_info().hits
+    assert spectrum(ds, 3) is first
+    assert spectrum.cache_info().hits == hits + 1
+    assert spectrum.cache_info().maxsize == 8
+    assert first[0] == pytest.approx(81, rel=1e-12)
+    # the inverse FFT that inversion_indicator reads is shared the same way
+    inverted = fourier._inverted(ds, 3)
+    with pytest.raises(ValueError):
+        inverted[3] = 0.0
+    assert fourier._inverted(ds, 3) is inverted
+    assert fourier._inverted.cache_info().maxsize == 4
+    assert inversion_indicator(ds, 3, 3) == inverted[3]
 
 
 def test_trivial_bound_random_thetas():
@@ -87,6 +101,27 @@ def test_inversion_identity_exhaustive_3_pow_4():
     for n in range(3**k):
         want = 1.0 if contains(ds, n) else 0.0
         assert inversion_indicator(ds, k, n) == pytest.approx(want, abs=1e-6)
+
+
+def test_inversion_past_the_old_cap():
+    # X = 3^13 > 10^6: one FFT under the scan budget, no size cap
+    ds, k = DigitSystem(3, 1, 2), 13
+    X = 3**k
+    for n in (0, 1, 2, 5, 8, 12345, 3**12 + 2, X - 2, X - 1):
+        want = 1.0 if contains(ds, n) else 0.0
+        assert inversion_indicator(ds, k, n) == pytest.approx(want, abs=1e-6), n
+
+
+def test_inversion_claims_the_budget(monkeypatch):
+    # a cached spectrum does not make the inversion free: its FFT is claimed
+    ds, k = DigitSystem(10, 9, 1), 4
+    spectrum(ds, k)
+    fourier._inverted.cache_clear()
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000")
+    with pytest.raises(BudgetError):
+        inversion_indicator(ds, k, 1)
+    monkeypatch.delenv("MISSINGDIGIT_BUDGET")
+    assert inversion_indicator(ds, k, 1) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_inversion_range_errors():
