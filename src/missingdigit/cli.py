@@ -6,11 +6,15 @@ Exit codes: 0 ok, 2 precondition violated, 3 scan budget exceeded,
 (including the seed); identical configs produce byte-identical output.
 `--schema` on any subcommand prints its machine-readable field list.
 The scan budget can be overridden with the MISSINGDIGIT_BUDGET env var.
+
+Each subcommand is declared once, by the `command` decorator on its runner:
+its flags and its report schema sit next to the code that fills the report.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -25,10 +29,27 @@ from .primetables import PrimeTables, quadratic_class_of
 from .reporting import canonical_json, render
 
 SCHEMAS: dict[str, dict] = {}
+_COMMANDS: dict[str, tuple] = {}  # subcommand -> (runner, flags)
 
 
-def _field(name, ftype, unit=""):
-    return {"name": name, "type": ftype, "unit": unit}
+def command(name, flags, scalars, rows=()):
+    """Register the decorated runner as subcommand `name`.
+
+    flags are (flag, argparse keywords) pairs; scalars and rows are the
+    report schema as (name, type[, unit]) entries.  The runner returns
+    (results dict, rows list or None).
+    """
+
+    def fields(entries):
+        return [{"name": n, "type": t, "unit": unit[0] if unit else ""}
+                for n, t, *unit in entries]
+
+    def register(runner):
+        SCHEMAS[name] = {"scalars": fields(scalars), "rows": fields(rows)}
+        _COMMANDS[name] = (runner, flags)
+        return runner
+
+    return register
 
 
 def report_schema(subcommand: str) -> dict:
@@ -38,20 +59,44 @@ def report_schema(subcommand: str) -> dict:
     return SCHEMAS[subcommand]
 
 
-def _digit_system(args, need_residue=False) -> DigitSystem:
-    r = getattr(args, "r", None)
-    if need_residue and r is None:
-        raise PreconditionError("this subcommand needs --r")
-    return DigitSystem(args.b, args.a0, r)
+# -- flag groups shared by several subcommands ----------------------------------
+
+
+def _digit_flags(residue_required):
+    return (
+        ("--b", dict(type=int, required=True, help="base")),
+        ("--a0", dict(type=int, required=True, help="excluded digit")),
+        ("--r", dict(type=int, required=residue_required, default=None,
+                     help="last-digit residue")),
+    )
+
+
+DIGITS = _digit_flags(False)
+DIGITS_R = _digit_flags(True)
+K = (("--k", dict(type=int, required=True)),)
+DELTA_EPS = (("--delta", dict(type=float, default=1e-3)),
+             ("--eps", dict(type=float, default=1e-6)))
+
+
+def _digit_system(args) -> DigitSystem:
+    return DigitSystem(args.b, args.a0, args.r)
 
 
 def _p3_set(b: int):
     return lambda p: p % 4 == 3 and b % p != 0
 
 
-# -- subcommand runners: each returns (results dict, rows list or None) -------
+# -- subcommands ------------------------------------------------------------------
 
 
+@command("count", DIGITS + K + (
+    ("--check", dict(action="store_true", help="compare with enumeration")),
+    ("--primes", dict(action="store_true", help="also count primes in the set below b^k")),
+), scalars=(
+    ("count", "int"), ("count_positive", "int"), ("zeta", "float"), ("kappa", "rational"),
+    ("brute_count", "int", "with --check"), ("prime_count", "int", "with --primes"),
+    ("prime_predicted", "float", "with --primes"), ("prime_ratio", "float", "with --primes"),
+))
 def run_count(args):
     ds = _digit_system(args)
     results = {
@@ -77,35 +122,21 @@ def run_count(args):
     return results, None
 
 
-SCHEMAS["count"] = {
-    "scalars": [
-        _field("count", "int"), _field("count_positive", "int"),
-        _field("zeta", "float"), _field("kappa", "rational"),
-        _field("brute_count", "int", "with --check"),
-        _field("prime_count", "int", "with --primes"),
-        _field("prime_predicted", "float", "with --primes"),
-        _field("prime_ratio", "float", "with --primes"),
-    ],
-    "rows": [],
-}
-
-
+@command("density", DIGITS,
+         scalars=(("zeta", "float"), ("kappa", "rational"), ("kappa_float", "float")))
 def run_density(args):
     ds = _digit_system(args)
     return {"zeta": ds.zeta, "kappa": ds.kappa, "kappa_float": float(ds.kappa)}, None
 
 
-SCHEMAS["density"] = {
-    "scalars": [
-        _field("zeta", "float"), _field("kappa", "rational"),
-        _field("kappa_float", "float"),
-    ],
-    "rows": [],
-}
-
-
+@command("fourier-stats", DIGITS_R + K + (
+    ("--check-inversion", dict(action="store_true")),
+), scalars=(
+    ("k", "int"), ("l1_total", "float"), ("c_b_estimate", "float"),
+    ("alpha_b_estimate", "float"), ("inversion_max_error", "float", "with --check-inversion"),
+))
 def run_fourier_stats(args):
-    ds = _digit_system(args, need_residue=True)
+    ds = _digit_system(args)
     stats = fourier.l1_and_cb(ds, args.k)
     results = {
         "k": stats.k,
@@ -121,34 +152,28 @@ def run_fourier_stats(args):
     return results, None
 
 
-SCHEMAS["fourier-stats"] = {
-    "scalars": [
-        _field("k", "int"), _field("l1_total", "float"),
-        _field("c_b_estimate", "float"), _field("alpha_b_estimate", "float"),
-        _field("inversion_max_error", "float", "with --check-inversion"),
-    ],
-    "rows": [],
-}
-
-
+@command("hybrid", DIGITS_R + K + (
+    ("--Q", dict(type=int, required=True)), ("--B", dict(type=int, required=True)),
+), scalars=(
+    ("value", "float"), ("points", "int"), ("bound", "float", "unit implicit constant"),
+    ("ratio", "float", "value/bound"),
+))
 def run_hybrid(args):
-    ds = _digit_system(args, need_residue=True)
+    ds = _digit_system(args)
     res = fourier.hybrid_sum(ds, args.k, args.Q, args.B)
     return dict(res), None
 
 
-SCHEMAS["hybrid"] = {
-    "scalars": [
-        _field("value", "float"), _field("points", "int"),
-        _field("bound", "float", "unit implicit constant"),
-        _field("ratio", "float", "value/bound"),
-    ],
-    "rows": [],
-}
-
-
+@command("arcs", DIGITS_R + K + (
+    ("--C", dict(type=float, default=2.0)), ("--d", dict(type=int, default=1)),
+    ("--c", dict(type=int, default=0)),
+), scalars=(
+    ("minor", "int", "frequencies"), ("major1", "int"), ("major2", "int"), ("major3", "int"),
+    ("direct", "float"), ("main_term", "float"), ("residual", "float", "relative"),
+    ("abs_major_minus_main", "float"), ("abs_minor", "float"),
+), rows=(("kind", "str"), ("re", "float"), ("im", "float"), ("abs", "float")))
 def run_arcs(args):
-    ds = _digit_system(args, need_residue=True)
+    ds = _digit_system(args)
     X = args.b**args.k
     codes = circle.arc_codes(X, args.C)
     census = {
@@ -177,23 +202,11 @@ def run_arcs(args):
     return results, rows
 
 
-SCHEMAS["arcs"] = {
-    "scalars": [
-        _field("minor", "int", "frequencies"), _field("major1", "int"),
-        _field("major2", "int"), _field("major3", "int"),
-        _field("direct", "float"), _field("main_term", "float"),
-        _field("residual", "float", "relative"),
-        _field("abs_major_minus_main", "float"), _field("abs_minor", "float"),
-    ],
-    "rows": [
-        _field("kind", "str"), _field("re", "float"), _field("im", "float"),
-        _field("abs", "float"),
-    ],
-}
-
-
+@command("bv-table", DIGITS_R + K + (("--D", dict(type=int, required=True)),),
+         scalars=(("aggregate", "float"), ("rows_count", "int")),
+         rows=(("d", "int"), ("c_star", "int"), ("E", "float"), ("abs_E", "float")))
 def run_bv_table(args):
-    ds = _digit_system(args, need_residue=True)
+    ds = _digit_system(args)
     X = args.b**args.k
     tables = PrimeTables(X)
     rep = circle.weighted_discrepancy(tables, ds, X, "abs_max_c", D=args.D)
@@ -204,17 +217,16 @@ def run_bv_table(args):
     return {"aggregate": rep.aggregate, "rows_count": len(rows)}, rows
 
 
-SCHEMAS["bv-table"] = {
-    "scalars": [_field("aggregate", "float"), _field("rows_count", "int")],
-    "rows": [
-        _field("d", "int"), _field("c_star", "int"),
-        _field("E", "float"), _field("abs_E", "float"),
-    ],
-}
-
-
+@command("weighted-bv", DIGITS_R + K + (
+    ("--kind", dict(choices=("fixed", "pairs", "wellfac", "semi", "lin"), required=True)),
+    ("--D", dict(type=int, default=10)), ("--c", dict(type=int, default=1)),
+    ("--D1", dict(type=int, default=5)), ("--D2", dict(type=int, default=3)),
+    ("--L", dict(type=int, default=None)),
+) + DELTA_EPS, scalars=(
+    ("aggregate", "float"), ("kind", "str"), ("rows_count", "int"),
+), rows=(("d", "int"), ("c", "int"), ("E", "float"), ("weight", "float")))
 def run_weighted_bv(args):
-    ds = _digit_system(args, need_residue=True)
+    ds = _digit_system(args)
     X = args.b**args.k
     tables = PrimeTables(X)
     kind = args.kind
@@ -234,7 +246,7 @@ def run_weighted_bv(args):
             rep = circle.weighted_discrepancy(
                 tables, ds, X, "well_factorable", xi=xi, c=args.c
             )
-    elif kind == "lin":
+    else:  # "lin"
         spec = sieveweights.linear_upper(
             X, args.delta, args.eps, lambda p: (2 * ds.base) % p != 0
         )
@@ -244,8 +256,6 @@ def run_weighted_bv(args):
         rep = circle.weighted_discrepancy(
             tables, ds, X, "sieve_lin", weights=w, L=L, h=h
         )
-    else:
-        raise PreconditionError(f"unknown kind {kind!r}")
     rows = [
         {"d": row.d, "c": row.c, "E": row.E, "weight": row.weight}
         for row in rep.rows
@@ -253,18 +263,18 @@ def run_weighted_bv(args):
     return {"aggregate": rep.aggregate, "kind": rep.weight_kind, "rows_count": len(rows)}, rows
 
 
-SCHEMAS["weighted-bv"] = {
-    "scalars": [
-        _field("aggregate", "float"), _field("kind", "str"),
-        _field("rows_count", "int"),
-    ],
-    "rows": [
-        _field("d", "int"), _field("c", "int"),
-        _field("E", "float"), _field("weight", "float"),
-    ],
-}
-
-
+@command("sieve-fns", (
+    ("--umin", dict(type=float, default=1.1)), ("--umax", dict(type=float, default=3.0)),
+    ("--ustep", dict(type=float, default=0.1)),
+    ("--sandwich-z", dict(type=float, default=30.0)),
+    ("--sandwich-D", dict(type=float, default=1000.0)),
+    ("--sandwich-nmax", dict(type=int, default=None)),
+    ("--wellfactor-X", dict(type=int, default=None)),
+) + DELTA_EPS, scalars=(
+    ("grid_points", "int"), ("sandwich_violations", "int", "with --sandwich-nmax"),
+    ("wellfactor_checked", "int", "with --wellfactor-X"),
+    ("wellfactor_failures", "int", "with --wellfactor-X"),
+), rows=(("kind", "str"), ("u", "float"), ("value", "float")))
 def run_sieve_fns(args):
     rows = []
     u = args.umin
@@ -316,17 +326,16 @@ def run_sieve_fns(args):
     return results, rows
 
 
-SCHEMAS["sieve-fns"] = {
-    "scalars": [
-        _field("grid_points", "int"),
-        _field("sandwich_violations", "int", "with --sandwich-nmax"),
-        _field("wellfactor_checked", "int", "with --wellfactor-X"),
-        _field("wellfactor_failures", "int", "with --wellfactor-X"),
-    ],
-    "rows": [_field("kind", "str"), _field("u", "float"), _field("value", "float")],
-}
-
-
+@command("integrals", DELTA_EPS + (
+    ("--sensitivity", dict(action="store_true")),
+), scalars=(
+    ("delta", "float"), ("eps", "float"), ("rho_sem", "float"), ("rho_lin", "float"),
+    ("alpha", "float"), ("I_sem", "float"), ("I_lin", "float"), ("ten_ninth_I_lin", "float"),
+    ("difference", "float", "must exceed 0.1"), ("reference_I_sem", "float", "informational"),
+    ("reference_ten_ninth_I_lin", "float", "informational"),
+), rows=(
+    ("eps", "float"), ("I_sem", "float"), ("ten_ninth_I_lin", "float"), ("difference", "float"),
+))
 def run_integrals(args):
     margin = sievenumerics.lower_bound_margin(args.delta, args.eps)
     margin["reference_I_sem"] = 1.60492
@@ -346,23 +355,20 @@ def run_integrals(args):
     return margin, rows
 
 
-SCHEMAS["integrals"] = {
-    "scalars": [
-        _field("delta", "float"), _field("eps", "float"),
-        _field("rho_sem", "float"), _field("rho_lin", "float"),
-        _field("alpha", "float"), _field("I_sem", "float"),
-        _field("I_lin", "float"), _field("ten_ninth_I_lin", "float"),
-        _field("difference", "float", "must exceed 0.1"),
-        _field("reference_I_sem", "float", "informational"),
-        _field("reference_ten_ninth_I_lin", "float", "informational"),
-    ],
-    "rows": [
-        _field("eps", "float"), _field("I_sem", "float"),
-        _field("ten_ninth_I_lin", "float"), _field("difference", "float"),
-    ],
-}
-
-
+@command("constants", (
+    ("--plimit", dict(type=int, default=10**5)), ("--b", dict(type=int, default=None)),
+    ("--y", dict(type=int, default=None)), ("--tweight-X", dict(type=int, default=None)),
+    ("--alpha", dict(type=float, default=3.0)),
+), scalars=(
+    ("C1", "float"), ("C2", "float"), ("C3", "float"), ("frakS", "float", "= C2*C3/2"),
+    ("C1_lo", "float"), ("C1_hi", "float"), ("C2_lo", "float"), ("C2_hi", "float"),
+    ("C3_lo", "float"), ("C3_hi", "float"), ("frakS_lo", "float"), ("frakS_hi", "float"),
+    ("p_limit", "int"), ("b_over_phi", "rational", "with --b"),
+    ("mertens_product", "float", "with --y"), ("mertens_predicted", "float", "with --y"),
+    ("mertens_ratio", "float", "with --y"), ("tweight_sum", "float", "with --tweight-X"),
+    ("tweight_predicted", "float", "with --tweight-X"),
+    ("tweight_ratio", "float", "with --tweight-X"),
+))
 def run_constants(args):
     tables = PrimeTables(max(args.plimit, args.y or 0, 10**4))
     consts = sievenumerics.euler_constants(tables, args.plimit)
@@ -394,27 +400,14 @@ def run_constants(args):
     return results, None
 
 
-SCHEMAS["constants"] = {
-    "scalars": [
-        _field("C1", "float"), _field("C2", "float"), _field("C3", "float"),
-        _field("frakS", "float", "= C2*C3/2"),
-        _field("C1_lo", "float"), _field("C1_hi", "float"),
-        _field("C2_lo", "float"), _field("C2_hi", "float"),
-        _field("C3_lo", "float"), _field("C3_hi", "float"),
-        _field("frakS_lo", "float"), _field("frakS_hi", "float"),
-        _field("p_limit", "int"),
-        _field("b_over_phi", "rational", "with --b"),
-        _field("mertens_product", "float", "with --y"),
-        _field("mertens_predicted", "float", "with --y"),
-        _field("mertens_ratio", "float", "with --y"),
-        _field("tweight_sum", "float", "with --tweight-X"),
-        _field("tweight_predicted", "float", "with --tweight-X"),
-        _field("tweight_ratio", "float", "with --tweight-X"),
-    ],
-    "rows": [],
-}
-
-
+@command("two-squares", (
+    ("--n", dict(type=int, default=None)), ("--limit", dict(type=int, default=None)),
+    ("--check-brute", dict(action="store_true")),
+), scalars=(
+    ("n", "int", "with --n"), ("in_B", "bool", "with --n"), ("in_Bcal", "bool", "with --n"),
+    ("limit", "int", "with --limit"), ("count_B", "int"), ("count_Bcal", "int"),
+    ("brute_mismatches", "int", "with --check-brute"),
+))
 def run_two_squares(args):
     if args.n is None and args.limit is None:
         raise PreconditionError("need --n or --limit")
@@ -446,18 +439,12 @@ def _brute_primitive_marks(limit: int) -> np.ndarray:
     return marks
 
 
-SCHEMAS["two-squares"] = {
-    "scalars": [
-        _field("n", "int", "with --n"), _field("in_B", "bool", "with --n"),
-        _field("in_Bcal", "bool", "with --n"),
-        _field("limit", "int", "with --limit"),
-        _field("count_B", "int"), _field("count_Bcal", "int"),
-        _field("brute_mismatches", "int", "with --check-brute"),
-    ],
-    "rows": [],
-}
-
-
+@command("vaughan-check", (
+    ("--X", dict(type=int, required=True)), ("--trials", dict(type=int, default=100)),
+    ("--U", dict(type=int, default=None)), ("--dmax", dict(type=int, default=50)),
+), scalars=(
+    ("X", "int"), ("U", "int"), ("trials", "int"), ("max_residual", "float", "absolute"),
+))
 def run_vaughan_check(args):
     X = args.X
     U = args.U if args.U else max(2, math.ceil(X ** (1 / 3)))
@@ -477,15 +464,14 @@ def run_vaughan_check(args):
     return results, None
 
 
-SCHEMAS["vaughan-check"] = {
-    "scalars": [
-        _field("X", "int"), _field("U", "int"), _field("trials", "int"),
-        _field("max_residual", "float", "absolute"),
-    ],
-    "rows": [],
-}
-
-
+@command("mikawa", (
+    ("--M", dict(type=int, required=True)), ("--N", dict(type=int, required=True)),
+    ("--X", dict(type=int, required=True)), ("--theta", dict(type=float, required=True)),
+    ("--Q", dict(type=int, default=100)),
+), scalars=(
+    ("W", "float"), ("bound", "float", "unit implicit constant"), ("ratio", "float"),
+    ("a", "int"), ("q", "int"), ("beta", "float"), ("H", "float"),
+))
 def run_mikawa(args):
     tables = PrimeTables(max(2 * args.N, 100))
     ta = expsums.dirichlet_approx(args.theta, args.Q, args.X)
@@ -497,18 +483,14 @@ def run_mikawa(args):
     }, None
 
 
-SCHEMAS["mikawa"] = {
-    "scalars": [
-        _field("W", "float"), _field("bound", "float", "unit implicit constant"),
-        _field("ratio", "float"), _field("a", "int"), _field("q", "int"),
-        _field("beta", "float"), _field("H", "float"),
-    ],
-    "rows": [],
-}
-
-
+@command("buchstab-app", DIGITS_R + K + (
+    ("--alpha", dict(type=float, default=3.0)),
+), scalars=(
+    ("S", "int"), ("T", "int"), ("total", "int"), ("identity_ok", "bool"),
+    ("app_count", "int"), ("predicted_scale", "float"), ("ratio", "float"), ("z", "float"),
+))
 def run_buchstab_app(args):
-    ds = _digit_system(args, need_residue=True)
+    ds = _digit_system(args)
     X = args.b**args.k
     tables = PrimeTables(X)
     res = circle.buchstab_and_app(tables, ds, X, args.alpha)
@@ -522,28 +504,13 @@ def run_buchstab_app(args):
     }, None
 
 
-SCHEMAS["buchstab-app"] = {
-    "scalars": [
-        _field("S", "int"), _field("T", "int"), _field("total", "int"),
-        _field("identity_ok", "bool"), _field("app_count", "int"),
-        _field("predicted_scale", "float"), _field("ratio", "float"),
-        _field("z", "float"),
-    ],
-    "rows": [],
-}
-
-
 # -- wiring --------------------------------------------------------------------
 
 
-def _add_ds_flags(p, residue_required=False):
-    p.add_argument("--b", type=int, required=True, help="base")
-    p.add_argument("--a0", type=int, required=True, help="excluded digit")
-    p.add_argument("--r", type=int, required=residue_required, default=None,
-                   help="last-digit residue")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every registered subcommand, built on first use and
+    shared by every later call in the process."""
     parser = argparse.ArgumentParser(
         prog="missingdigit",
         description="Exact desk-scale computations on integers with a missing digit.",
@@ -555,119 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--schema", action="store_true",
                         help="print this subcommand's report schema and exit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, runner, configure):
+    for name, (runner, flags) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
-        configure(p)
+        for flag, keywords in flags:
+            p.add_argument(flag, **keywords)
         p.set_defaults(func=runner)
-        return p
-
-    def c_count(p):
-        _add_ds_flags(p)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--check", action="store_true", help="compare with enumeration")
-        p.add_argument("--primes", action="store_true",
-                       help="also count primes in the set below b^k")
-
-    def c_density(p):
-        _add_ds_flags(p)
-
-    def c_fourier(p):
-        _add_ds_flags(p, residue_required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--check-inversion", action="store_true")
-
-    def c_hybrid(p):
-        _add_ds_flags(p, residue_required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--Q", type=int, required=True)
-        p.add_argument("--B", type=int, required=True)
-
-    def c_arcs(p):
-        _add_ds_flags(p, residue_required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--C", type=float, default=2.0)
-        p.add_argument("--d", type=int, default=1)
-        p.add_argument("--c", type=int, default=0)
-
-    def c_bv(p):
-        _add_ds_flags(p, residue_required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--D", type=int, required=True)
-
-    def c_weighted(p):
-        _add_ds_flags(p, residue_required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--kind", choices=("fixed", "pairs", "wellfac", "semi", "lin"),
-                       required=True)
-        p.add_argument("--D", type=int, default=10)
-        p.add_argument("--c", type=int, default=1)
-        p.add_argument("--D1", type=int, default=5)
-        p.add_argument("--D2", type=int, default=3)
-        p.add_argument("--L", type=int, default=None)
-        p.add_argument("--delta", type=float, default=1e-3)
-        p.add_argument("--eps", type=float, default=1e-6)
-
-    def c_sievefns(p):
-        p.add_argument("--umin", type=float, default=1.1)
-        p.add_argument("--umax", type=float, default=3.0)
-        p.add_argument("--ustep", type=float, default=0.1)
-        p.add_argument("--sandwich-z", type=float, default=30.0)
-        p.add_argument("--sandwich-D", type=float, default=1000.0)
-        p.add_argument("--sandwich-nmax", type=int, default=None)
-        p.add_argument("--wellfactor-X", type=int, default=None)
-        p.add_argument("--delta", type=float, default=1e-3)
-        p.add_argument("--eps", type=float, default=1e-6)
-
-    def c_integrals(p):
-        p.add_argument("--delta", type=float, default=1e-3)
-        p.add_argument("--eps", type=float, default=1e-6)
-        p.add_argument("--sensitivity", action="store_true")
-
-    def c_constants(p):
-        p.add_argument("--plimit", type=int, default=10**5)
-        p.add_argument("--b", type=int, default=None)
-        p.add_argument("--y", type=int, default=None)
-        p.add_argument("--tweight-X", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=3.0)
-
-    def c_twosq(p):
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--limit", type=int, default=None)
-        p.add_argument("--check-brute", action="store_true")
-
-    def c_vaughan(p):
-        p.add_argument("--X", type=int, required=True)
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--U", type=int, default=None)
-        p.add_argument("--dmax", type=int, default=50)
-
-    def c_mikawa(p):
-        p.add_argument("--M", type=int, required=True)
-        p.add_argument("--N", type=int, required=True)
-        p.add_argument("--X", type=int, required=True)
-        p.add_argument("--theta", type=float, required=True)
-        p.add_argument("--Q", type=int, default=100)
-
-    def c_buchstab(p):
-        _add_ds_flags(p, residue_required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--alpha", type=float, default=3.0)
-
-    add("count", run_count, c_count)
-    add("density", run_density, c_density)
-    add("fourier-stats", run_fourier_stats, c_fourier)
-    add("hybrid", run_hybrid, c_hybrid)
-    add("arcs", run_arcs, c_arcs)
-    add("bv-table", run_bv_table, c_bv)
-    add("weighted-bv", run_weighted_bv, c_weighted)
-    add("sieve-fns", run_sieve_fns, c_sievefns)
-    add("integrals", run_integrals, c_integrals)
-    add("constants", run_constants, c_constants)
-    add("two-squares", run_two_squares, c_twosq)
-    add("vaughan-check", run_vaughan_check, c_vaughan)
-    add("mikawa", run_mikawa, c_mikawa)
-    add("buchstab-app", run_buchstab_app, c_buchstab)
     return parser
 
 
@@ -677,8 +536,7 @@ def _config_dict(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.schema:
         sys.stdout.write(canonical_json(
             {"subcommand": args.subcommand, **report_schema(args.subcommand)}

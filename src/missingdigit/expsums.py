@@ -59,18 +59,25 @@ class ThetaApprox:
     def qH(self) -> float:
         return self.q * self.H
 
+    def residues(self, ms: np.ndarray) -> np.ndarray:
+        """(m mod q)(a mod q) mod q, exactly, for an int64 array of m.
+
+        The product of residues stays below 2^63 while (q - 1)^2 does, and
+        Python ints (an object array) take over past that.
+        """
+        if (self.q - 1) ** 2 > _INT64_MAX:
+            ms = ms.astype(object)
+        return (ms % self.q) * (self.a % self.q) % self.q
+
     def unit_norms(self, ms: np.ndarray) -> np.ndarray:
         """||m theta|| = distance of m*theta to the nearest integer, for an
         int64 array of m.
 
-        Exact modular arithmetic when beta = 0 (theta truly rational; m is
-        reduced mod q before the product with a, which stays below 2^63 while
-        (q - 1)^2 does, and Python ints take over past that); the floating
-        path otherwise.
+        Exact modular arithmetic (`residues`) when beta = 0, i.e. theta truly
+        rational; the floating path otherwise.
         """
         if self.beta == 0.0:
-            ms = ms if (self.q - 1) ** 2 <= _INT64_MAX else ms.astype(object)
-            s = (ms % self.q) * (self.a % self.q) % self.q
+            s = self.residues(ms)
             return (np.minimum(s, self.q - s) / self.q).astype(np.float64)
         x = ms * self.theta
         return np.abs(x - np.rint(x))
@@ -203,13 +210,9 @@ class BilinearResult(NamedTuple):
 def _pair_phases(mn: np.ndarray, ta: ThetaApprox) -> np.ndarray:
     """e(mn theta) for an int64 array of mn, with the rational part exact.
 
-    The fraction is ((mn mod q)(a mod q) mod q)/q + (mn beta mod 1); the
-    product of residues stays below 2^63 while (q - 1)^2 does, and Python
-    ints take over past that.
+    The fraction is ((mn mod q)(a mod q) mod q)/q + (mn beta mod 1).
     """
-    if (ta.q - 1) ** 2 > _INT64_MAX:
-        mn = mn.astype(object)
-    rational = np.asarray((mn % ta.q) * (ta.a % ta.q) % ta.q / ta.q, dtype=np.float64)
+    rational = np.asarray(ta.residues(mn) / ta.q, dtype=np.float64)
     drift = np.asarray(mn * ta.beta, dtype=np.float64) % 1.0
     ang = TWO_PI * ((rational + drift) % 1.0)
     return np.cos(ang) + 1j * np.sin(ang)
@@ -305,16 +308,18 @@ def _add_by_cofactor(out: np.ndarray, ms: np.ndarray, values: np.ndarray, cofact
 
 
 @lru_cache(maxsize=4)
-def _vaughan_arrays(tables: PrimeTables, X: int, U: int):
-    """Pointwise component arrays of the split, cached per (tables, X, U).
+def _vaughan_arrays(X: int, U: int):
+    """Pointwise component arrays of the split, cached per (X, U).
 
     a1 = Lambda_{<=U};      a2 = mu_{<=U} * log;
     a3 = (f 1_{<=U}) * 1;   a4 = (f 1_{>U}) * 1   with f = mu_{<=U} * Lambda_{<=U};
     a5 = mu_{>U} * Lambda_{>U} * 1.
     Identity: a1 + a2 - a3 - a4 + a5 = Lambda pointwise on [1, X).
-    The arrays are read-only: callers share the cached copies.
+    The arrays are read-only: callers share the cached copies.  mu and Lambda
+    come from a prime table made here, so the cache holds no caller's table.
     """
     check_budget(X * (math.log(X) + 2) * 4, f"Vaughan arrays at X={X}")
+    tables = PrimeTables(X)
     mu = tables.mobius_range(X).astype(np.float64)
     lam = tables.mangoldt_range(X)
     a1 = lam.copy()
@@ -380,7 +385,7 @@ def vaughan_decompose(
         raise PreconditionError("d must be >= 1")
     if X - 1 > tables.limit:
         raise PreconditionError("X exceeds table limit")
-    arrays = [arr[c % d :: d] for arr in _vaughan_arrays(tables, X, U)]
+    arrays = [arr[c % d :: d] for arr in _vaughan_arrays(X, U)]
     ns = np.arange(c % d, X, d, dtype=np.int64)
     phases = np.exp(2j * np.pi * ((ns * theta) % 1.0))
     sums = [complex((arr * phases).sum()) for arr in arrays]

@@ -2,12 +2,18 @@ import csv
 import io
 import json
 import math
+import pathlib
+import re
+from contextlib import redirect_stdout
 
 import pytest
 
 from missingdigit import circle
-from missingdigit.cli import SCHEMAS, main, report_schema
+from missingdigit.cli import SCHEMAS, build_parser, main, report_schema
 from missingdigit.errors import PreconditionError
+from test_golden import CONFIGS as GOLDEN_CONFIGS
+
+README = pathlib.Path(__file__).parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +83,65 @@ def test_unknown_schema():
         "weighted-bv", "sieve-fns", "integrals", "constants", "two-squares",
         "vaughan-check", "mikawa", "buchstab-app",
     }
+
+
+def _readme_invocations():
+    return [line.split("#")[0].split()[1:] for line in README.read_text().splitlines()
+            if line.startswith("missingdigit ")]
+
+
+def _json_argvs():
+    """Every README invocation and golden config, as JSON reports, once each."""
+    argvs = _readme_invocations() + [line.split() for line in GOLDEN_CONFIGS]
+    seen = {}
+    for argv in argvs:
+        if argv[-2:] == ["--format", "csv"]:
+            argv = argv[:-2]
+        seen.setdefault(" ".join(argv), argv)
+    return list(seen.values())
+
+
+_JSON_TYPES = {
+    "int": lambda v: type(v) is int,
+    # a float prints with 12 significant digits, so one >= 1e11 may read back as a JSON int
+    "float": lambda v: type(v) in (int, float) or v in ("nan", "inf", "-inf"),
+    "rational": lambda v: isinstance(v, str) and re.fullmatch(r"-?\d+/\d+", v) is not None,
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+}
+
+
+def test_every_report_matches_its_schema():
+    argvs = _json_argvs()
+    assert len(_readme_invocations()) == len(SCHEMAS)
+    assert {argv[0] for argv in argvs} == set(SCHEMAS)
+    for argv in argvs:
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert main(argv) == 0, argv
+        report = json.loads(buf.getvalue())
+        schema = report_schema(argv[0])
+        types = {f["name"]: f["type"] for f in schema["scalars"]}
+        for key, value in report["results"].items():
+            assert key in types, (argv, key)
+            assert _JSON_TYPES[types[key]](value), (argv, key, value)
+        row_fields = {f["name"] for f in schema["rows"]}
+        for row in report.get("rows", []):
+            assert set(row) == row_fields, argv
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    assert build_parser() is build_parser()
+    argv = ("count", "--b", "10", "--a0", "7", "--k", "3")
+    _, out, _ = run_cli(capsys, *argv, "--check")
+    assert "brute_count" in json.loads(out)["results"]
+    _, out, _ = run_cli(capsys, *argv)
+    report = json.loads(out)
+    assert "brute_count" not in report["results"] and report["config"]["check"] is False
+    _, as_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert as_csv.startswith("# ")
+    _, again, _ = run_cli(capsys, *argv)
+    assert again == out
 
 
 def test_schema_flag(capsys):

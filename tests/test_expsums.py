@@ -1,6 +1,8 @@
 import cmath
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -8,6 +10,7 @@ import oracles
 from missingdigit import (
     BudgetError,
     PreconditionError,
+    PrimeTables,
     ThetaApprox,
     bilinear_sum,
     dirichlet_approx,
@@ -160,14 +163,26 @@ def test_vaughan_identity_seeded_trials(tables):
 def test_vaughan_cached_arrays_are_read_only(tables):
     parts = vaughan_decompose(tables, 500, 8, 1, 0, 0.3)  # fills the cache
     hits = expsums._vaughan_arrays.cache_info().hits
-    arrays = expsums._vaughan_arrays(tables, 500, 8)
+    arrays = expsums._vaughan_arrays(500, 8)
     assert expsums._vaughan_arrays.cache_info().hits == hits + 1
-    assert expsums._vaughan_arrays(tables, 500, 8) is arrays
+    assert expsums._vaughan_arrays(500, 8) is arrays
     assert expsums._vaughan_arrays.cache_info().maxsize == 4
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[1] = 1.0
     assert vaughan_decompose(tables, 500, 8, 1, 0, 0.3) == parts
+
+
+def test_vaughan_cache_keeps_no_table():
+    table = PrimeTables(1000)
+    alive = weakref.ref(table)
+    parts = vaughan_decompose(table, 777, 9, 1, 0, 0.3)
+    del table
+    gc.collect()
+    assert alive() is None
+    hits = expsums._vaughan_arrays.cache_info().hits
+    assert vaughan_decompose(PrimeTables(1000), 777, 9, 1, 0, 0.3) == parts
+    assert expsums._vaughan_arrays.cache_info().hits == hits + 1
 
 
 def test_vaughan_rejects_U_past_X_and_d_below_1(tables):

@@ -1,6 +1,6 @@
-"""Frozen CLI output: the exact stdout bytes of small configs of the
-progression and kernel subcommands, so a change that should leave reports
-untouched can show that it does.
+"""Frozen CLI output: the exact stdout bytes of small configs of every
+subcommand (the README invocations among them), so a change that should
+leave reports untouched can show that it does.
 
 Re-record (only when a report is meant to change) with
 
@@ -45,6 +45,14 @@ CONFIGS = (
     "constants --plimit 20000 --b 10 --tweight-X 300000",
     "constants --plimit 20000 --b 65 --tweight-X 300000",
     "constants --plimit 100000 --b 10 --tweight-X 100000000",
+    "density --b 10 --a0 7",
+    "fourier-stats --b 10 --a0 7 --r 3 --k 4 --check-inversion",
+    "hybrid --b 10 --a0 7 --r 3 --k 4 --Q 4 --B 4",
+    "arcs --b 10 --a0 7 --r 3 --k 4 --C 2 --d 3 --c 1",
+    "integrals --delta 1e-3 --eps 1e-6 --sensitivity",
+    "sieve-fns --sandwich-nmax 100000 --wellfactor-X 1000000",
+    "constants --plimit 100000 --b 10 --y 100000",
+    "mikawa --M 8 --N 8 --X 5000 --theta 0.333333 --Q 100",
 )
 
 

@@ -357,7 +357,7 @@ def test_buchstab_matches_per_prime_loop(tables, size, data, alpha):
 @example(2197, None)  # X = 13^3
 def test_vaughan_arrays_equal_per_divisor_loops(tables, X, data):
     U = data.draw(st.integers(2, min(X - 1, 60))) if data else 2
-    got = expsums._vaughan_arrays(tables, X, U)
+    got = expsums._vaughan_arrays(X, U)
     want = oracles.vaughan_arrays(tables, X, U)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (X, U)
 
@@ -368,7 +368,7 @@ def test_vaughan_arrays_equal_per_divisor_loops(tables, X, data):
 def test_vaughan_strided_sums_equal_masked_gather(tables, X, d, c, theta):
     U = max(2, math.ceil(X ** (1 / 3)))
     got = vaughan_decompose(tables, X, U, d, c, theta)
-    assert list(got) == oracles.vaughan_sums(expsums._vaughan_arrays(tables, X, U), X, d, c, theta)
+    assert list(got) == oracles.vaughan_sums(expsums._vaughan_arrays(X, U), X, d, c, theta)
 
 
 @given(st.one_of(st.integers(1, 3000), st.sampled_from(SQUARES_OF_PRIMES)))
