@@ -12,9 +12,9 @@ from .errors import BudgetError
 
 DEFAULT_BUDGET = 200_000_000
 
-# Values per numpy pass of the blocked scans (array factor walks, sequential
-# sums, membership counts): bounds the scratch memory of one pass however
-# long the scan is.
+# Values per numpy pass of the blocked scans (sequential sums, pair blocks,
+# membership counts): bounds the scratch memory of one pass however long the
+# scan is.
 SCAN_BLOCK = 1 << 17
 
 

@@ -31,7 +31,7 @@ from ._budget import check_budget
 from .digitset import DigitSystem, _phi_small, contains, contains_array, count
 from .errors import InternalCheckError, PreconditionError
 from .fourier import spectrum
-from .primetables import PrimeTables
+from .primetables import PrimeTables, _sift_1mod4
 
 KIND_MINOR = "Minor"
 KIND_M1 = "Major1"
@@ -457,11 +457,13 @@ def buchstab_and_app(
 
     Over primes p < X with p = 3 (mod 8) ending in r and avoiding the digit:
     S counts p - 1 free of sieve primes (= 3 mod 4, not dividing b) up to
-    z = X^(1/alpha), total the same up to sqrt(X), and T classifies by the
-    least sieve factor in (z, sqrt X]; total = S - T exactly.  Every p in
-    total is verified to have p - 1 primitively two-square representable.
-    app_count drops the mod-8 restriction and counts p - 1 in that class
-    directly; predicted_scale is X^zeta / (log X)^(3/2).
+    z = X^(1/alpha), total the same up to sqrt(X), and T = S - total those
+    whose least sieve factor lies in (z, sqrt X].  Both come from one sift of
+    m = (p - 1) / 2 < X / 2 by the sieve primes, read after the primes up to z
+    and again after those up to sqrt(X).  app_count drops the mod-8
+    restriction and counts p - 1 in B, read off in_bcal_array at (p - 1) / 2,
+    a sift by all primes = 3 (mod 4); every p in total is checked to be
+    counted there too.  predicted_scale is X^zeta / (log X)^(3/2).
     """
     b, r = ds.base, ds.residue
     if b % 2 == 0:
@@ -473,23 +475,22 @@ def buchstab_and_app(
         raise PreconditionError("alpha must exceed 2")
     z = X ** (1.0 / alpha)
     primes = tables.primes_upto(X - 1)
-    shifted = primes[contains_array(ds, primes)] - 1
-    in_b = tables.quadratic_class_array(shifted).in_B
-    app_count = int(in_b.sum())
-    # p = 3 (mod 8): the least sieve prime of p - 1, or 0 if none is <= sqrt X;
-    # the walk reads the odd (p - 1) / 2, as 2 is never a sieve prime
-    mod8 = shifted % 8 == 2
-    least = tables.least_factor_array(
-        shifted[mod8] // 2, lambda f: (f % 4 == 3) & (b % f != 0), upto=math.isqrt(X)
-    )
-    S = int(((least == 0) | (least > z)).sum())
-    T = int((least > z).sum())
-    sifted = least == 0
-    total = int(sifted.sum())
-    outside = shifted[mod8][sifted & ~in_b[mod8]]
+    members = primes[contains_array(ds, primes)]
+    half = members[members > 2] // 2  # m = (p - 1) / 2; p - 1 is in B iff m is in Bcal
+    in_bcal = tables.in_bcal_array(X // 2)
+    app_count = int(in_bcal[half].sum()) + members.size - half.size  # p = 2: 1 is in B
+    m = half[half % 4 == 1]  # p = 3 (mod 8)
+    sieve = tables.primes_upto(math.isqrt(X))
+    sieve = sieve[(sieve % 4 == 3) & (b % sieve != 0)]
+    free = np.ones(X // 2, dtype=bool)  # read only at the m = 1 (mod 4)
+    _sift_1mod4(free, sieve[sieve <= z])
+    S = int(free[m].sum())
+    _sift_1mod4(free, sieve[sieve > z])
+    total = int(free[m].sum())
+    outside = m[free[m] & ~in_bcal[m]]
     if outside.size:
         raise InternalCheckError(
-            f"sifted prime p={int(outside[0]) + 1} has p-1 outside the primitive class"
+            f"sifted prime p={2 * int(outside[0]) + 1} has p-1 outside the primitive class"
         )
     predicted = X**ds.zeta / math.log(X) ** 1.5
-    return BuchstabResult(S, T, total, app_count, predicted, z)
+    return BuchstabResult(S, S - total, total, app_count, predicted, z)

@@ -174,6 +174,8 @@ def run_hybrid(args):
 ), rows=(("kind", "str"), ("re", "float"), ("im", "float"), ("abs", "float")))
 def run_arcs(args):
     ds = _digit_system(args)
+    if args.k < 1:
+        raise PreconditionError("k must be >= 1")
     X = args.b**args.k
     codes = circle.arc_codes(X, args.C)
     census = {
@@ -276,6 +278,9 @@ def run_weighted_bv(args):
     ("wellfactor_failures", "int", "with --wellfactor-X"),
 ), rows=(("kind", "str"), ("u", "float"), ("value", "float")))
 def run_sieve_fns(args):
+    if not args.ustep > 0:
+        raise PreconditionError(f"--ustep must be > 0, got {args.ustep}")
+    check_budget(4 * ((args.umax - args.umin) / args.ustep + 1), "sieve function grid")
     rows = []
     u = args.umin
     while u <= args.umax + 1e-12:
@@ -305,12 +310,11 @@ def run_sieve_fns(args):
             raise InternalCheckError(f"{total_bad} sandwich violations")
     if args.wellfactor_X:
         X = args.wellfactor_X
+        specs = (sieveweights.semi_linear_lower(X, args.delta, args.eps),
+                 sieveweights.linear_upper(X, args.delta, args.eps))
         tables = PrimeTables(max(int(X**0.5) + 10, 1000))  # covers d <= X^rho
         checked = 0
-        for spec in (
-            sieveweights.semi_linear_lower(X, args.delta, args.eps),
-            sieveweights.linear_upper(X, args.delta, args.eps),
-        ):
+        for spec in specs:
             w = sieveweights.build_weights(spec, tables)
             D0 = (
                 X ** (1 / 3 - 2 * args.delta - 2 * args.eps**2)
@@ -415,12 +419,11 @@ def run_two_squares(args):
         qc = quadratic_class_of(args.n)
         return {"n": args.n, "in_B": qc.in_B, "in_Bcal": qc.in_Bcal}, None
     tables = PrimeTables(args.limit)
-    qc = tables.quadratic_class_array(np.arange(1, args.limit + 1))
+    qc = tables.quadratic_class_range(args.limit + 1)
     results = {"limit": args.limit, "count_B": int(qc.in_B.sum()),
                "count_Bcal": int(qc.in_Bcal.sum())}
     if args.check_brute:
-        brute = _brute_primitive_marks(args.limit)[1:]
-        mismatches = int((qc.in_B != brute).sum())
+        mismatches = int((qc.in_B != _brute_primitive_marks(args.limit)).sum())
         results["brute_mismatches"] = mismatches
         if mismatches:
             raise InternalCheckError(f"{mismatches} classifier mismatches")
@@ -446,9 +449,11 @@ def _brute_primitive_marks(limit: int) -> np.ndarray:
     ("X", "int"), ("U", "int"), ("trials", "int"), ("max_residual", "float", "absolute"),
 ))
 def run_vaughan_check(args):
+    if args.dmax < 1:
+        raise PreconditionError("--dmax must be >= 1")
     X = args.X
+    tables = PrimeTables(X)  # checks X >= 2 before X^(1/3) is taken
     U = args.U if args.U else max(2, math.ceil(X ** (1 / 3)))
-    tables = PrimeTables(X)
     rng = random.Random(args.seed)
     worst = 0.0
     for _ in range(args.trials):

@@ -408,6 +408,8 @@ def mikawa_w(tables: PrimeTables, M: int, N: int, X: int, ta: ThetaApprox) -> We
     """
     if M < 1 or N < 1:
         raise PreconditionError("M and N must be >= 1")
+    if X < 1:
+        raise PreconditionError("X must be >= 1")
     if 2 * N > tables.limit:
         raise PreconditionError("tau_3 range exceeds table limit")
     if X >= _EXACT_FLOAT_INT or 8 * M * M * N >= _EXACT_FLOAT_INT:

@@ -7,16 +7,19 @@ functions (Lambda and mu over 0..size-1, Bcal over a range) and the
 Chebyshev-type sums over double progressions without any factorization.
 
 Factoring one value (Lambda, mu, phi and the h-fold divisor function tau_h of
-n, the quadratic classes of values and arrays) reads a uint32
-smallest-prime-factor (SPF) table.  It is built on the first such call, to the
-largest value that call reads, and rebuilt at least twice as long (capped at
-the limit) when a later call reads past its end, so a caller that only
-factors small moduli never pays for a table to the limit.  The two quadratic
-classes are
+n, its quadratic class) reads a uint32 smallest-prime-factor (SPF) table.  It
+is built on the first such call, to the largest value that call reads, and
+rebuilt at least twice as long (capped at the limit) when a later call reads
+past its end, so a caller that only factors small moduli never pays for a
+table to the limit.  The two quadratic classes are
 
     B    = {n : n = n1^2 + n2^2 with gcd(n1, n2) = 1}
          = {2^e * m : e in {0, 1}, p | m => p = 1 mod 4},
     Bcal = {n >= 1 : p | n => p = 1 mod 4}.
+
+Over a range they need no factoring: one sift by the primes = 3 (mod 4) up
+to the square root of its end gives Bcal (in_bcal_array), and B is Bcal plus
+twice Bcal.
 
 The arrays are read-only.  Growth replaces the SPF table whole, so the tables
 are safe to share and a caller holding an older SPF table still reads correct
@@ -26,11 +29,11 @@ values.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from ._budget import SCAN_BLOCK, check_budget
+from ._budget import check_budget
 from .digitset import _prime_divisors
 from .errors import PreconditionError
 
@@ -68,8 +71,11 @@ def _spf_table(top: int, primes: np.ndarray) -> np.ndarray:
     return spf
 
 
-def _odd_part(ns: np.ndarray) -> np.ndarray:
-    return ns // (ns & -ns)
+def _sift_1mod4(ok: np.ndarray, primes: np.ndarray) -> None:
+    """Clear ok at the multiples = 1 (mod 4) of each prime p = 3 (mod 4) given:
+    3p, 7p, 11p, ..."""
+    for p in primes.tolist():
+        ok[3 * p :: 4 * p] = False
 
 
 def _classify(n: int, odd_primes: Iterable[int]) -> QuadClass:
@@ -126,12 +132,6 @@ class PrimeTables:
         if not 1 <= n <= self.limit:
             raise PreconditionError(f"{n} outside table range [1, {self.limit}]")
         return n
-
-    def _check_array(self, ns) -> np.ndarray:
-        ns = np.asarray(ns, dtype=np.int64)
-        if ns.size and (ns.min() < 1 or ns.max() > self.limit):
-            raise PreconditionError(f"values outside table range [1, {self.limit}]")
-        return ns
 
     def factor(self, n: int) -> list[tuple[int, int]]:
         """(prime, exponent) pairs of n in increasing prime order."""
@@ -293,69 +293,27 @@ class PrimeTables:
         n = self._check(n)
         return _classify(n, (p for p, _ in self.factor(n // (n & -n))))
 
-    def least_factor_array(
-        self,
-        ns: np.ndarray,
-        wanted: Callable[[np.ndarray], np.ndarray],
-        upto: int | None = None,
-    ) -> np.ndarray:
-        """For each n of a 1-D array, its least prime factor p with wanted(p)
-        true (and p <= upto; the walk stops at the first prime above upto),
-        else 0.
-
-        One smallest-prime-factor walk over the whole array: each step
-        divides one prime out of every n still open, so the primes of n come
-        in increasing order and the walk ends after at most log2(max n) steps.
-        """
-        ns = self._check_array(ns)
-        least = np.zeros(ns.shape, dtype=np.int64)
-        idx = np.nonzero(ns > 1)[0]
-        if not idx.size:
-            return least
-        rest = ns[idx]
-        spf = self._spf_upto(int(rest.max()))
-        while idx.size:
-            p = spf[rest].astype(np.int64)
-            if upto is not None:
-                inside = p <= upto
-                idx, rest, p = idx[inside], rest[inside], p[inside]
-            hit = wanted(p)
-            least[idx[hit]] = p[hit]
-            rest //= p
-            keep = ~hit & (rest > 1)
-            idx, rest = idx[keep], rest[keep]
-        return least
-
-    def quadratic_class_array(self, ns: np.ndarray) -> QuadClass:
-        """quadratic_class over a 1-D array: (in_B, in_Bcal) as bool arrays.
-
-        The walk runs on blocks of SCAN_BLOCK values (about 60 bytes of
-        scratch each), so its scratch memory stays bounded however long ns is.
-        It reads only the odd parts of the values, and the SPF table is sized
-        to the largest of them first, so the blocks never grow it one by one.
-        """
-        ns = self._check_array(ns)
-        starts = range(0, ns.size, SCAN_BLOCK)
-        if ns.size:
-            self._spf_upto(max(int(_odd_part(ns[lo : lo + SCAN_BLOCK]).max()) for lo in starts))
-        in_b = np.empty(ns.shape, dtype=bool)
-        in_bcal = np.empty(ns.shape, dtype=bool)
-        for lo in starts:
-            block = ns[lo : lo + SCAN_BLOCK]
-            twos = block & -block  # the power of 2 dividing n exactly
-            good_odd = self.least_factor_array(block // twos, lambda p: p % 4 != 1) == 0
-            in_b[lo : lo + block.size] = good_odd & (twos <= 2)
-            in_bcal[lo : lo + block.size] = good_odd & (twos == 1)
-        return QuadClass(in_b, in_bcal)
-
     def in_bcal_array(self, size: int) -> np.ndarray:
-        """Boolean array: n in Bcal for 0 <= n < size (sieve-accumulated)."""
+        """Boolean array: n in Bcal for 0 <= n < size.
+
+        One sift by the primes p = 3 (mod 4) up to sqrt(size - 1).  An n < size
+        that none of them divides has at most one prime factor = 3 (mod 4),
+        as two would exceed size - 1; if n is odd, it is = 3 (mod 4) with that
+        factor and = 1 (mod 4) without.  So n lies in Bcal exactly when it
+        survives the sift and n = 1 (mod 4).
+        """
         if size - 1 > self.limit:
             raise PreconditionError("range exceeds table limit")
-        ok = np.ones(size, dtype=bool)
-        ok[0] = False
-        for p in self.primes_upto(size - 1):
-            p = int(p)
-            if p % 4 != 1:
-                ok[p::p] = False
+        ok = np.zeros(size, dtype=bool)
+        ok[1::4] = True
+        small = self.primes_upto(math.isqrt(max(size - 1, 0)))
+        _sift_1mod4(ok, small[small % 4 == 3])
         return ok
+
+    def quadratic_class_range(self, size: int) -> QuadClass:
+        """quadratic_class for 0 <= n < size as bool arrays (0 is in neither):
+        Bcal from in_bcal_array, and B is Bcal plus twice Bcal."""
+        in_bcal = self.in_bcal_array(size)
+        in_b = in_bcal.copy()
+        in_b[2::2] = in_bcal[1 : (size + 1) // 2]
+        return QuadClass(in_b, in_bcal)

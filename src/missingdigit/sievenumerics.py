@@ -187,6 +187,8 @@ def mertens_3mod4(tables: PrimeTables, y: int,
     asymptote 2 C2 C3 sqrt(pi e^-gamma / log y))."""
     if y > tables.limit:
         raise PreconditionError("y exceeds table limit")
+    if y < 2:
+        raise PreconditionError("y must be >= 2")
     product = 1.0
     for p in tables.primes_upto(y):
         p = int(p)
@@ -214,6 +216,8 @@ def t_weight_limit(X: int, alpha: float) -> int:
     its n1 up to X^(1-2/alpha)."""
     if not 2.0 <= alpha < 4.0:
         raise PreconditionError("alpha must lie in [2, 4)")
+    if X < 2:
+        raise PreconditionError("X must be >= 2")
     return max(math.isqrt(X), int(X ** (1.0 - 2.0 / alpha))) + 1
 
 

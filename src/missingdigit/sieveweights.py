@@ -67,9 +67,15 @@ class SieveSpec:
         return index % 2 == (1 if self.side == "upper" else 0)
 
 
+def _check_level(X: float) -> None:
+    if not X > 0:  # X^rho of a negative X is complex
+        raise PreconditionError(f"X must be > 0, got {X}")
+
+
 def semi_linear_lower(X: float, delta: float = 1e-3, eps: float = 1e-6,
                       prime_set: Callable[[int], bool] = _all_primes) -> SieveSpec:
     """Lower-bound semi-linear spec at level X^rho, rho = 3(1-4 delta)/7 - eps."""
+    _check_level(X)
     rho = 3.0 * (1.0 - 4.0 * delta) / 7.0 - eps
     z = X ** (1.0 / 3.0 - 2.0 * delta - 2.0 * eps * eps)
     return SieveSpec(1, "lower", X**rho, z, prime_set, rho=rho, delta=delta, eps=eps)
@@ -78,6 +84,7 @@ def semi_linear_lower(X: float, delta: float = 1e-3, eps: float = 1e-6,
 def linear_upper(X: float, delta: float = 1e-3, eps: float = 1e-6,
                  prime_set: Callable[[int], bool] = _all_primes) -> SieveSpec:
     """Upper-bound linear spec at level X^rho, rho = 1/2 - 2 delta - eps."""
+    _check_level(X)
     rho = 0.5 - 2.0 * delta - eps
     return SieveSpec(2, "upper", X**rho, X**0.2, prime_set, rho=rho, delta=delta, eps=eps)
 

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -18,6 +19,7 @@ from missingdigit import (
     weighted_discrepancy,
 )
 from missingdigit.circle import KIND_M1, KIND_M2, KIND_M3, KIND_MINOR, arc_codes
+from missingdigit.errors import InternalCheckError
 
 
 def brute_major_witness(t, X, C):
@@ -292,6 +294,16 @@ def test_buchstab_identity_and_checks(tables):
         if not oracles.digits_avoid(p, 7, 4):
             continue
         assert tables.quadratic_class(p - 1).in_B == oracles.brute_primitive_two_squares(p - 1)
+
+
+def test_buchstab_checks_the_sifted_primes_against_bcal(tables, monkeypatch):
+    # the Bcal sift and the sieve-prime sift are two routes: if the first loses
+    # the sifted p - 1, the split exits with an internal check error
+    res = buchstab_and_app(tables, DigitSystem(7, 4, 3), 7**5, 3.0)
+    assert res.total > 0
+    monkeypatch.setattr(type(tables), "in_bcal_array", lambda self, size: np.zeros(size, dtype=bool))
+    with pytest.raises(InternalCheckError, match="outside the primitive class"):
+        buchstab_and_app(tables, DigitSystem(7, 4, 3), 7**5, 3.0)
 
 
 def test_buchstab_preconditions(tables):

@@ -321,3 +321,69 @@ def test_a_corrupted_row_exits_4(capsys, monkeypatch, argv, route, corrupt):
     code, out, err = run_cli(capsys, *argv)
     assert code == 4 and out == ""
     assert json.loads(err)["error"]["kind"] == "InternalCheckError"
+
+
+# README lines do not pass these valued flags; the sweep below adds them
+SWEEP_EXTRA = (
+    "vaughan-check --X 10000 --trials 3 --U 30 --dmax 10 --seed 1",
+    "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind lin --L 20",
+    "sieve-fns --umin 1.5 --umax 2.0 --ustep 0.1",
+    "constants --plimit 20000 --b 10 --tweight-X 300000",
+)
+
+
+def _flag_sweep():
+    """Every README invocation and SWEEP_EXTRA line with one valued flag set to
+    0, -1 or 1."""
+    for argv in _readme_invocations() + [line.split() for line in SWEEP_EXTRA]:
+        for i in range(len(argv) - 1):
+            if argv[i].startswith("--") and not argv[i + 1].startswith("--"):
+                for value in ("0", "-1", "1"):
+                    yield argv[: i + 1] + [value] + argv[i + 2:]
+
+
+def test_no_flag_value_ends_in_a_traceback(capsys, monkeypatch):
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000000")
+    failures = []
+    for argv in _flag_sweep():
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the value itself
+            code = exc.code
+        except Exception as exc:
+            code = repr(exc)
+        if code not in (0, 2, 3, 4):
+            failures.append((" ".join(argv), code))
+    capsys.readouterr()
+    assert not failures
+
+
+@pytest.mark.parametrize("line", [
+    "arcs --b 10 --a0 7 --r 3 --k -1",
+    "sieve-fns --wellfactor-X -1",
+    "constants --y -1",
+    "constants --y 1",
+    "constants --b 10 --tweight-X -1",
+    "constants --b 10 --tweight-X 1",
+    "vaughan-check --X -1",
+    "vaughan-check --X 100 --dmax 0",
+    "vaughan-check --X 100 --dmax -1",
+    "mikawa --M 8 --N 8 --X 0 --theta 0.3",
+    "mikawa --M 8 --N 8 --X -1 --theta 0.3",
+    "sieve-fns --ustep 0",
+    "sieve-fns --ustep -1",
+])
+def test_values_outside_a_formula_exit_2(capsys, line):
+    code, out, err = run_cli(capsys, *line.split())
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["kind"] == "PreconditionError"
+
+
+def test_sieve_fns_claims_its_grid(capsys, monkeypatch):
+    # 4 kinds at each of the (3.0 - 1.1) / ustep + 1 grid points
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000")
+    code, out, err = run_cli(capsys, "sieve-fns", "--ustep", "0.001")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["kind"] == "BudgetError"
+    code, out, _ = run_cli(capsys, "sieve-fns", "--ustep", "0.01")
+    assert code == 0 and json.loads(out)["results"]["grid_points"] == 564

@@ -27,7 +27,7 @@ from hypothesis import example, given, strategies as st
 import oracles
 from missingdigit import (
     DigitSystem, PrimeTables, SieveSpec, SieveWeight, ThetaApprox, bilinear_sum,
-    buchstab_and_app, build_weights, classify_arc, contains, dirichlet_approx, discrepancy_E,
+    buchstab_and_app, build_weights, classify_arc, cli, contains, dirichlet_approx, discrepancy_E,
     eval_hat, expsums, fourier, hybrid_sum, linear_upper, members, mikawa_w, min_sum,
     primetables, rank, sandwich_check, unrank, vaughan_decompose, weighted_discrepancy,
 )
@@ -150,54 +150,35 @@ def test_spf_table_matches_trial_division(limit):
     assert spf[2:].tolist() == [oracles.least_prime_factor(n) for n in range(2, limit + 1)]
 
 
-@given(st.lists(st.integers(1, 200_000), max_size=300), st.sampled_from([1, 7, 1 << 17]))
-@example([1, 2, 4, 5, 9, 10, 25, 50, 65, 100, 2 * 3 * 5, 2 * 13 * 13, 200_000], 3)
-def test_quadratic_class_array_matches_scalar(tables, ns, block):
-    with mock.patch.object(primetables, "SCAN_BLOCK", block):
-        got = tables.quadratic_class_array(np.array(ns, dtype=np.int64))
-    for n, in_b, in_bcal in zip(ns, got.in_B, got.in_Bcal):
-        assert (bool(in_b), bool(in_bcal)) == tables.quadratic_class(n), n
+# sizes where the sqrt cutoff of the sift bites: p^2 and 2 p^2, each +- 1, for p = 3 (mod 4)
+SIFT_EDGES = [m * p * p + e for p in (3, 7, 11, 19, 23, 31, 43, 47, 103) for m in (1, 2)
+              for e in (-1, 0, 1)]
 
 
-@given(st.lists(st.integers(1, 200_000), max_size=300), st.integers(1, 4),
-       st.one_of(st.none(), st.integers(1, 500)))
-@example([7 * 11, 7, 11, 2 * 7 * 7], 3, 7)  # the least wanted prime equals upto
-def test_least_factor_array_matches_factor_loop(tables, ns, mod, upto):
-    def wanted(p):
-        return p % 4 == mod % 4
-
-    got = tables.least_factor_array(np.array(ns, dtype=np.int64), wanted, upto=upto)
-    for n, least in zip(ns, got):
-        want = next((p for p, _ in tables.factor(n) if wanted(p)), 0)
-        assert least == (want if upto is None or want <= upto else 0), n
+@given(st.one_of(st.integers(1, 5), st.sampled_from(SIFT_EDGES)))
+@example(1)
+@example(2 * 103 * 103 + 1)
+def test_quadratic_class_range_matches_scalar(tables, N):
+    got = tables.quadratic_class_range(N + 1)
+    assert not got.in_B[0] and not got.in_Bcal[0]
+    want = [tables.quadratic_class(n) for n in range(1, N + 1)]
+    assert got.in_B[1:].tolist() == [qc.in_B for qc in want]
+    assert got.in_Bcal[1:].tolist() == [qc.in_Bcal for qc in want]
 
 
-# one factor or least_factor_array call on the values drawn
-spf_reads = st.one_of(st.integers(1, 3000), st.lists(st.integers(1, 3000), min_size=1, max_size=20))
-
-
-@given(st.lists(spf_reads, min_size=1, max_size=12), st.sampled_from(["drawn", "rising", "falling"]))
+@given(st.lists(st.integers(1, 3000), min_size=1, max_size=12),
+       st.sampled_from(["drawn", "rising", "falling"]))
 @example([1], "drawn")
 @example([2, 3, 5, 3000], "rising")
-@example([3000, [2, 3], 2], "falling")
+@example([3000, 3, 2], "falling")
 def test_lazy_spf_matches_trial_division(reads, order):
-    def top(read):
-        """The largest value the call looks up (an array walk skips n = 1)."""
-        return read if isinstance(read, int) else max((n for n in read if n > 1), default=0)
-
     if order != "drawn":
-        reads = sorted(reads, key=top, reverse=order == "falling")
+        reads = sorted(reads, reverse=order == "falling")
     tables = PrimeTables(3000)
-    for read in reads:
-        if isinstance(read, int):
-            assert math.prod(p**e for p, e in tables.factor(read)) == read
-        else:
-            tables.least_factor_array(np.array(read, dtype=np.int64), lambda p: p > 0)
+    for n in reads:
+        assert math.prod(p**e for p, e in tables.factor(n)) == n
     spf = tables._spf
-    if spf is None:
-        assert max(top(read) for read in reads) == 0
-        return
-    assert max(top(read) for read in reads) < spf.size <= tables.limit + 1
+    assert max(reads) < spf.size <= tables.limit + 1
     assert spf[0] == spf[1] == 1
     assert spf[2:].tolist() == [oracles.least_prime_factor(n) for n in range(2, spf.size)]
 
@@ -212,16 +193,19 @@ def test_progressions_build_no_large_factor_table():
     assert tables._spf is None or tables._spf.size <= 4096
 
 
-def test_buchstab_builds_the_factor_table_once():
-    ds = DigitSystem(7, 4, 3)
-    tables = PrimeTables(7**6)
-    # small blocks: the classification walks many of them
-    with mock.patch.object(primetables, "SCAN_BLOCK", 64), \
-            mock.patch.object(primetables, "_spf_table", wraps=primetables._spf_table) as build:
-        buchstab_and_app(tables, ds, 7**6, 3.0)
-    assert build.call_count == 1
-    # every value walked is an odd part, at most (X - 2) / 2
-    assert tables._spf.size <= 7**6 // 2 + 1
+def test_buchstab_and_two_squares_build_no_factor_table(capsys):
+    made = []
+
+    def new_tables(limit):
+        made.append(PrimeTables(limit))
+        return made[-1]
+
+    with mock.patch.object(cli, "PrimeTables", new_tables):
+        assert cli.main(["two-squares", "--limit", "100000", "--check-brute"]) == 0
+        assert cli.main(["buchstab-app", "--b", "7", "--a0", "4", "--r", "3", "--k", "6"]) == 0
+    capsys.readouterr()
+    assert [t.limit for t in made] == [100000, 7**6]
+    assert all(t._spf is None for t in made)
 
 
 def test_rising_reads_grow_the_factor_table_by_doubling():
@@ -340,11 +324,17 @@ def per_prime_buchstab(tables, ds, X, alpha):
     return S, T, total, app_count
 
 
-@given(st.sampled_from([(3, 2, 11), (5, 2, 7), (7, 3, 6), (9, 5, 5)]), st.data(),
-       st.floats(2.05, 6.0))
-def test_buchstab_matches_per_prime_loop(tables, size, data, alpha):
-    b, r, k = size
-    a0 = data.draw(st.sampled_from([a for a in range(b) if a != r]))
+# (b, r, k); 3 divides 15 and 3, 7 divide 21, so the sieve primes leave them out
+BUCHSTAB_SIZES = [(3, 2, 11), (5, 2, 7), (7, 3, 6), (9, 5, 5), (15, 2, 4), (21, 2, 4)]
+
+
+@given(st.sampled_from(BUCHSTAB_SIZES).flatmap(lambda s: st.tuples(
+    st.just(s), st.sampled_from([a for a in range(s[0]) if a != s[1]]))), st.floats(2.05, 6.0))
+@example(((15, 2, 4), 7), 3.0)
+@example(((21, 2, 4), 5), 3.0)
+@example(((5, 2, 7), 0), 3.0)  # a0 = 0: a leading zero is not a digit
+def test_buchstab_matches_per_prime_loop(tables, system, alpha):
+    (b, r, k), a0 = system
     ds, X = DigitSystem(b, a0, r), b**k
     res = buchstab_and_app(tables, ds, X, alpha)
     assert (res.S, res.T, res.total, res.app_count) == per_prime_buchstab(tables, ds, X, alpha)
