@@ -28,7 +28,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from ._budget import check_budget
-from .digitset import DigitSystem, _phi_small, contains, contains_array, count
+from .digitset import DigitSystem, _phi_small, contains, contains_array, count, member_mask
 from .errors import InternalCheckError, PreconditionError
 from .fourier import spectrum
 from .primetables import PrimeTables, _sift_1mod4
@@ -170,6 +170,14 @@ def _check_limit(tables: PrimeTables, X: int) -> None:
         raise PreconditionError("X exceeds table limit")
 
 
+def _mask_below(ds: DigitSystem, X: int) -> np.ndarray:
+    """The membership mask of the least k with b^k >= X: it covers every n < X."""
+    k = 1
+    while ds.base**k < X:
+        k += 1
+    return member_mask(ds, k)
+
+
 class ProgressionCounts:
     """The member prime powers n < X ending in r and = a (mod q), with their
     log p: every discrepancy E(X; d, c) = lam(d, c) - main(d) reads them.
@@ -192,7 +200,7 @@ class ProgressionCounts:
         self.cnt = count(ds, self.k)
         pp_n, pp_log = tables.prime_powers
         cut = np.searchsorted(pp_n, X, side="left")
-        keep = np.flatnonzero(contains_array(ds, pp_n[:cut]))
+        keep = np.flatnonzero(member_mask(ds, self.k)[pp_n[:cut]])
         keep = keep[pp_n[keep] % q == a]
         self.ns, self.logs = pp_n[keep], pp_log[keep]
 
@@ -243,9 +251,10 @@ class DiscrepancyReport:
 def _rechecked(counts: ProgressionCounts, rows: list[Row], rel: float = 0.0) -> list[Row]:
     """rows, once the row of largest d is recomputed by another route: the
     prime powers below X in its progressions are taken first and tested for
-    membership after.  That sums the same terms in the same order, so a
-    masked-sum row must match exactly; rel allows a difference relative to
-    the Lambda side for rows summed in another order."""
+    membership after, digit by digit rather than from the mask.  That sums
+    the same terms in the same order, so a masked-sum row must match
+    exactly; rel allows a difference relative to the Lambda side for rows
+    summed in another order."""
     if rows:
         row = max(rows, key=lambda row: row.d)
         pp_n, pp_log = counts.tables.prime_powers
@@ -310,11 +319,14 @@ def _sieve_semi(counts: ProgressionCounts, *, weights) -> list[Row]:
 
 def _sieve_lin(counts: ProgressionCounts, *, weights, L: int,
                h: Callable[[int], float] = lambda ell: 1.0) -> list[Row]:
+    if L < 1:
+        raise PreconditionError(f"L must be >= 1, got {L}")
     moduli = _sieve_moduli(counts, weights)
     b, X = counts.ds.base, counts.X
     steps = (len(moduli) + 1) * L  # each row and the term build walk every ell
     check_budget(steps, f"sieve_lin: {len(moduli)} rows over {L} values of ell")
     pp_n, pp_log = counts.tables.prime_powers
+    mask = member_mask(counts.ds, counts.k)
     # Per ell: the values 2 ell n + 1 over prime powers n with ell n = 1
     # (mod 4) that are members, with the log p of n; each d below sums a
     # subset of them in the same order.
@@ -323,11 +335,11 @@ def _sieve_lin(counts: ProgressionCounts, *, weights, L: int,
         h_ell = h(ell) if math.gcd(ell, 2 * b) == 1 else 0
         if h_ell == 0:
             continue
-        cut = np.searchsorted(pp_n, (X - 1) // (2 * ell), side="right")
+        cut = _lin_cut(pp_n, X, ell)
         nn = pp_n[:cut]
         mod4 = (ell * nn) % 4 == 1
         vals = 2 * ell * nn[mod4] + 1
-        member = contains_array(counts.ds, vals)
+        member = mask[vals]
         terms.append((ell, h_ell, vals[member], pp_log[:cut][mod4][member]))
     size = sum(term[2].size for term in terms)
     check_budget(len(moduli) * size + steps, f"sieve_lin: {len(moduli)} rows over {size} members")
@@ -342,6 +354,39 @@ def _sieve_lin(counts: ProgressionCounts, *, weights, L: int,
                 inner += h_ell * float(val_logs[keep].sum())
         # l n = 1 (mod 4) holds a quarter of the main term (an exact division)
         rows.append(Row(d, -1 % d, inner - counts.main(d, main_sum / 4), float(weights(d))))
+    return _rechecked_lin(counts, rows, [(ell, h_ell) for ell, h_ell, *_ in terms])
+
+
+def _lin_cut(pp_n: np.ndarray, X: int, ell: int) -> int:
+    """The prime powers n with 2 ell n + 1 <= X - 1: the value X itself would
+    index past a mask of length X (it is never a member, as gcd(r, b) = 1)."""
+    return int(np.searchsorted(pp_n, (X - 2) // (2 * ell), side="right"))
+
+
+def _rechecked_lin(counts: ProgressionCounts, rows: list[Row],
+                   ells: list[tuple[int, float]]) -> list[Row]:
+    """sieve_lin's rows, once the row of largest d is recomputed per (d, ell)
+    pair: the values 2 ell n + 1 divisible by d are taken first and tested for
+    membership after, digit by digit rather than from the mask; the two may
+    differ by 1e-9 relative to the Lambda side."""
+    if rows:
+        row = max(rows, key=lambda row: row.d)
+        pp_n, pp_log = counts.tables.prime_powers
+        X = counts.X
+        cuts = [_lin_cut(pp_n, X, ell) for ell, _ in ells]
+        check_budget(sum(cuts), f"sieve_lin: recheck of d={row.d} over {len(ells)} values of ell")
+        inner = main_sum = 0.0
+        for (ell, h_ell), cut in zip(ells, cuts):
+            if math.gcd(ell, row.d) == 1:
+                main_sum += h_ell / ell
+            nn = pp_n[:cut]
+            keep = ((2 * ell * nn + 1) % row.d == 0) & ((ell * nn) % 4 == 1)
+            if keep.any():
+                member = contains_array(counts.ds, 2 * ell * nn[keep] + 1)
+                inner += h_ell * float(pp_log[:cut][keep][member].sum())
+        E = inner - counts.main(row.d, main_sum / 4)
+        if abs(E - row.E) > 1e-9 * max(1.0, abs(inner)):
+            raise InternalCheckError(f"row d={row.d}, c={row.c} has E={row.E}, rechecked {E}")
     return rows
 
 
@@ -373,8 +418,8 @@ def weighted_discrepancy(
                       minus its (1/(4 phi(d)))(b/phi(b)) main term]
 
     The names above are keywords; the sieve kinds take `weights`, sieve_lin
-    also L and h (default 1).  Each kind claims rows x members from the
-    budget, and all but sieve_lin recheck their row of largest d.
+    also L >= 1 and h (default 1).  Each kind claims rows x members from the
+    budget and rechecks its row of largest d by another route.
     """
     if weight_kind not in _KINDS:
         raise PreconditionError(f"unknown weight kind {weight_kind!r}")
@@ -436,7 +481,7 @@ def count_missing_digit_primes(
     """(#primes p < X in the digit set, kappa X^zeta / log X)."""
     _check_limit(tables, X)
     primes = tables.primes_upto(X - 1)
-    cnt = int(contains_array(ds, primes).sum())
+    cnt = int(_mask_below(ds, X)[primes].sum())
     predicted = float(ds.kappa) * X**ds.zeta / math.log(X)
     return cnt, predicted
 
@@ -475,7 +520,7 @@ def buchstab_and_app(
         raise PreconditionError("alpha must exceed 2")
     z = X ** (1.0 / alpha)
     primes = tables.primes_upto(X - 1)
-    members = primes[contains_array(ds, primes)]
+    members = primes[_mask_below(ds, X)[primes]]
     half = members[members > 2] // 2  # m = (p - 1) / 2; p - 1 is in B iff m is in Bcal
     in_bcal = tables.in_bcal_array(X // 2)
     app_count = int(in_bcal[half].sum()) + members.size - half.size  # p = 2: 1 is in B

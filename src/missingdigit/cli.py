@@ -82,6 +82,21 @@ def _digit_system(args) -> DigitSystem:
     return DigitSystem(args.b, args.a0, args.r)
 
 
+def _X(args) -> int:
+    """X = b^k for a checked base, refused before the power is formed unless
+    k >= 1 and X <= 2^62 (past that no int64 array can index it)."""
+    if args.k < 1:
+        raise PreconditionError("k must be >= 1")
+    if args.k * math.log2(args.b) > 62:
+        raise PreconditionError(f"{args.b}^{args.k} exceeds 2^62")
+    return args.b**args.k
+
+
+def _check_eps(args) -> None:
+    if not args.eps > 0:
+        raise PreconditionError(f"--eps must be > 0, got {args.eps}")
+
+
 def _p3_set(b: int):
     return lambda p: p % 4 == 3 and b % p != 0
 
@@ -99,6 +114,7 @@ def _p3_set(b: int):
 ))
 def run_count(args):
     ds = _digit_system(args)
+    X = _X(args)
     results = {
         "count": digitset.count(ds, args.k),
         "count_positive": digitset.count_positive(ds, args.k),
@@ -106,18 +122,17 @@ def run_count(args):
         "kappa": ds.kappa,
     }
     if args.check:
-        top = args.b**args.k
-        check_budget(top, f"enumerating [0, {args.b}^{args.k})")
+        check_budget(X, f"enumerating [0, {args.b}^{args.k})")
         brute = sum(
-            int(digitset.contains_array(ds, np.arange(lo, min(lo + SCAN_BLOCK, top))).sum())
-            for lo in range(0, top, SCAN_BLOCK)
+            int(digitset.contains_array(ds, np.arange(lo, min(lo + SCAN_BLOCK, X))).sum())
+            for lo in range(0, X, SCAN_BLOCK)
         )
         results["brute_count"] = brute
         if brute != results["count"]:
             raise InternalCheckError("count formula disagrees with enumeration")
     if args.primes:
-        tables = PrimeTables(args.b**args.k)
-        cnt, pred = circle.count_missing_digit_primes(tables, ds, args.b**args.k)
+        tables = PrimeTables(X)
+        cnt, pred = circle.count_missing_digit_primes(tables, ds, X)
         results.update(prime_count=cnt, prime_predicted=pred, prime_ratio=cnt / pred)
     return results, None
 
@@ -137,6 +152,7 @@ def run_density(args):
 ))
 def run_fourier_stats(args):
     ds = _digit_system(args)
+    _X(args)
     stats = fourier.l1_and_cb(ds, args.k)
     results = {
         "k": stats.k,
@@ -160,6 +176,7 @@ def run_fourier_stats(args):
 ))
 def run_hybrid(args):
     ds = _digit_system(args)
+    _X(args)
     res = fourier.hybrid_sum(ds, args.k, args.Q, args.B)
     return dict(res), None
 
@@ -174,9 +191,7 @@ def run_hybrid(args):
 ), rows=(("kind", "str"), ("re", "float"), ("im", "float"), ("abs", "float")))
 def run_arcs(args):
     ds = _digit_system(args)
-    if args.k < 1:
-        raise PreconditionError("k must be >= 1")
-    X = args.b**args.k
+    X = _X(args)
     codes = circle.arc_codes(X, args.C)
     census = {
         "minor": int((codes == 0).sum()),
@@ -209,7 +224,7 @@ def run_arcs(args):
          rows=(("d", "int"), ("c_star", "int"), ("E", "float"), ("abs_E", "float")))
 def run_bv_table(args):
     ds = _digit_system(args)
-    X = args.b**args.k
+    X = _X(args)
     tables = PrimeTables(X)
     rep = circle.weighted_discrepancy(tables, ds, X, "abs_max_c", D=args.D)
     rows = [
@@ -229,7 +244,7 @@ def run_bv_table(args):
 ), rows=(("d", "int"), ("c", "int"), ("E", "float"), ("weight", "float")))
 def run_weighted_bv(args):
     ds = _digit_system(args)
-    X = args.b**args.k
+    X = _X(args)
     tables = PrimeTables(X)
     kind = args.kind
     if kind == "fixed":
@@ -253,7 +268,7 @@ def run_weighted_bv(args):
             X, args.delta, args.eps, lambda p: (2 * ds.base) % p != 0
         )
         w = sieveweights.build_weights(spec, tables)
-        L = args.L if args.L else max(2, int(round(X ** (1 / 3))))
+        L = args.L if args.L is not None else max(2, int(round(X ** (1 / 3))))
         h = lambda ell: 1.0 / math.log(X / ell)
         rep = circle.weighted_discrepancy(
             tables, ds, X, "sieve_lin", weights=w, L=L, h=h
@@ -278,6 +293,7 @@ def run_weighted_bv(args):
     ("wellfactor_failures", "int", "with --wellfactor-X"),
 ), rows=(("kind", "str"), ("u", "float"), ("value", "float")))
 def run_sieve_fns(args):
+    _check_eps(args)
     if not args.ustep > 0:
         raise PreconditionError(f"--ustep must be > 0, got {args.ustep}")
     check_budget(4 * ((args.umax - args.umin) / args.ustep + 1), "sieve function grid")
@@ -341,6 +357,7 @@ def run_sieve_fns(args):
     ("eps", "float"), ("I_sem", "float"), ("ten_ninth_I_lin", "float"), ("difference", "float"),
 ))
 def run_integrals(args):
+    _check_eps(args)
     margin = sievenumerics.lower_bound_margin(args.delta, args.eps)
     margin["reference_I_sem"] = 1.60492
     margin["reference_ten_ninth_I_lin"] = 1.4566
@@ -451,6 +468,8 @@ def _brute_primitive_marks(limit: int) -> np.ndarray:
 def run_vaughan_check(args):
     if args.dmax < 1:
         raise PreconditionError("--dmax must be >= 1")
+    if args.trials < 1:
+        raise PreconditionError("--trials must be >= 1")
     X = args.X
     tables = PrimeTables(X)  # checks X >= 2 before X^(1/3) is taken
     U = args.U if args.U else max(2, math.ceil(X ** (1 / 3)))
@@ -496,7 +515,7 @@ def run_mikawa(args):
 ))
 def run_buchstab_app(args):
     ds = _digit_system(args)
-    X = args.b**args.k
+    X = _X(args)
     tables = PrimeTables(X)
     res = circle.buchstab_and_app(tables, ds, X, args.alpha)
     return {

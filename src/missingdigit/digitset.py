@@ -10,6 +10,12 @@ are carried on the system.
 Membership convention: "no digit of the canonical expansion equals a0", so
 leading zeros are immaterial and the expansion of 0 is the single digit 0.
 Hence 0 is a member iff a0 != 0, which makes the [0, b^k) product counts exact.
+
+Over [0, b^k) the members form a product set, so their indicator is an outer
+product of k digit rows (member_mask, cached and read-only): the array
+callers gather membership from it with one index.  contains_array keeps a
+digit-by-digit route for values of any size, and the internal rechecks read
+membership through it, independently of the mask.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -86,9 +92,6 @@ class DigitSystem:
         """Allowed digits in increasing order."""
         return tuple(d for d in range(self.base) if d != self.excluded)
 
-    def drop_residue(self) -> "DigitSystem":
-        return DigitSystem(self.base, self.excluded)
-
 
 def contains(ds: DigitSystem, n: int) -> bool:
     """Membership test: every digit of n avoids ds.excluded (and n ends in r)."""
@@ -127,6 +130,29 @@ def contains_array(ds: DigitSystem, values: np.ndarray) -> np.ndarray:
         if not rest.any():
             break
     return ok
+
+
+@lru_cache(maxsize=1)
+def member_mask(ds: DigitSystem, k: int) -> np.ndarray:
+    """Read-only bool array of length b^k with mask[n] = contains(ds, n); one
+    cached entry, so a sweep over systems holds one mask at a time.
+
+    An outer product of digit rows, the last digit (pinned to r when there is
+    a residue) the fastest axis and each higher digit the outer index.  With
+    a0 = 0 a leading 0 is no digit: the numbers below b^j keep the mask of
+    j digits, and the step to j + 1 digits appends the product at b^j and up.
+    """
+    if k < 1:
+        raise PreconditionError("k must be >= 1")
+    b = ds.base
+    check_budget(b**k, f"membership mask of {b}^{k} values")
+    row = np.arange(b) != ds.excluded
+    full = mask = row if ds.residue is None else np.arange(b) == ds.residue
+    for j in range(1, k):
+        full = (row[:, None] & full).ravel()
+        mask = np.concatenate((mask, full[b**j :])) if ds.excluded == 0 else full
+    mask.flags.writeable = False
+    return mask
 
 
 def _lengths_blocks(ds: DigitSystem, k: int) -> list[tuple[int, int]]:

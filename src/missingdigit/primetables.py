@@ -1,10 +1,14 @@
-"""Sieve infrastructure: a prime sieve, a smallest-prime-factor table built
-on demand, and derived arithmetic.
+"""Sieve infrastructure: one shared prime sieve, a smallest-prime-factor table
+built on demand, and derived arithmetic.
 
-The constructor runs an Eratosthenes sieve over the odd numbers up to the
-limit and keeps the prime array.  The primes and prime powers serve the range
-functions (Lambda and mu over 0..size-1, Bcal over a range) and the
-Chebyshev-type sums over double progressions without any factorization.
+The process holds one record of the primes up to the largest limit asked
+for so far, with their prime powers and logs, all read-only.  The
+constructor claims its limit from the budget and keeps slices of that record
+to its own limit; a limit past the record's rebuilds it there (an
+Eratosthenes sieve over the odd numbers), and tables made earlier keep the
+slices they hold.  The primes and prime powers serve the range functions
+(Lambda and mu over 0..size-1, Bcal over a range) and the Chebyshev-type
+sums over double progressions without any factorization.
 
 Factoring one value (Lambda, mu, phi and the h-fold divisor function tau_h of
 n, its quadratic class) reads a uint32 smallest-prime-factor (SPF) table.  It
@@ -21,9 +25,9 @@ Over a range they need no factoring: one sift by the primes = 3 (mod 4) up
 to the square root of its end gives Bcal (in_bcal_array), and B is Bcal plus
 twice Bcal.
 
-The arrays are read-only.  Growth replaces the SPF table whole, so the tables
-are safe to share and a caller holding an older SPF table still reads correct
-values.
+The arrays are read-only.  Growth replaces the shared record and the SPF
+table whole, so the tables are safe to share and a caller holding an older
+array still reads correct values.
 """
 
 from __future__ import annotations
@@ -55,6 +59,48 @@ def _odd_sieve_primes(limit: int) -> np.ndarray:
     primes = np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(np.int64, copy=False)
     primes.flags.writeable = False
     return primes
+
+
+class _Sieve(NamedTuple):
+    """The primes up to limit and the prime powers n = p^m <= limit in
+    increasing order with their log p, all read-only."""
+
+    limit: int
+    primes: np.ndarray
+    pp_n: np.ndarray
+    pp_log: np.ndarray
+
+
+def _build_sieve(limit: int) -> _Sieve:
+    primes = _odd_sieve_primes(limit)
+    ns = [primes]
+    logs = [np.log(primes.astype(np.float64))]
+    for p in primes[: np.searchsorted(primes, math.isqrt(limit), side="right")].tolist():
+        powers, q = [], p * p
+        while q <= limit:
+            powers.append(q)
+            q *= p
+        ns.append(np.array(powers, dtype=np.int64))
+        logs.append(np.full(len(powers), math.log(p)))
+    pp_n, pp_log = np.concatenate(ns), np.concatenate(logs)
+    order = np.argsort(pp_n, kind="stable")
+    pp_n, pp_log = pp_n[order], pp_log[order]
+    pp_n.flags.writeable = pp_log.flags.writeable = False
+    return _Sieve(limit, primes, pp_n, pp_log)
+
+
+_held = _build_sieve(2)
+
+
+def _shared_sieve(limit: int) -> _Sieve:
+    """The held record, or a new one at limit that replaces it when it stops
+    short.  The caller gets the record it checked or built, so two threads
+    growing it at once can only cost a later rebuild."""
+    global _held
+    sieve = _held
+    if sieve.limit < limit:
+        sieve = _held = _build_sieve(limit)
+    return sieve
 
 
 def _spf_table(top: int, primes: np.ndarray) -> np.ndarray:
@@ -96,8 +142,8 @@ def quadratic_class_of(n: int) -> QuadClass:
 
 
 class PrimeTables:
-    """The primes up to limit, their powers, and a smallest-prime-factor table
-    built as far as it is read."""
+    """The primes up to limit, their powers (slices of the shared sieve), and
+    a smallest-prime-factor table built as far as it is read."""
 
     def __init__(self, limit: int):
         if limit < 2:
@@ -105,11 +151,13 @@ class PrimeTables:
         self.limit = int(limit)
         check_budget(self.limit, f"prime tables up to {self.limit}")
         try:
-            self._primes = _odd_sieve_primes(self.limit)
+            sieve = _shared_sieve(self.limit)
         except MemoryError as exc:
             raise MemoryError(f"prime sieve for limit {limit} does not fit in memory") from exc
+        self._primes = sieve.primes[: np.searchsorted(sieve.primes, self.limit, side="right")]
+        cut = np.searchsorted(sieve.pp_n, self.limit, side="right")
+        self._pp = (sieve.pp_n[:cut], sieve.pp_log[:cut])
         self._spf = None
-        self._pp = None
 
     def _spf_upto(self, top: int) -> np.ndarray:
         """The SPF table, grown if needed to cover 0..top (top <= limit)."""
@@ -165,22 +213,6 @@ class PrimeTables:
     @property
     def prime_powers(self) -> tuple[np.ndarray, np.ndarray]:
         """(n-array, log p-array) over all prime powers n = p^m <= limit."""
-        if self._pp is None:
-            pr = self._primes
-            ns = [pr]
-            logs = [np.log(pr.astype(np.float64))]
-            small = pr[pr <= math.isqrt(self.limit)]
-            for p in small:
-                p = int(p)
-                q = p * p
-                while q <= self.limit:
-                    ns.append(np.array([q], dtype=np.int64))
-                    logs.append(np.array([math.log(p)]))
-                    q *= p
-            n_all = np.concatenate(ns)
-            log_all = np.concatenate(logs)
-            order = np.argsort(n_all, kind="stable")
-            self._pp = (n_all[order], log_all[order])
         return self._pp
 
     # -- arithmetic functions ------------------------------------------------

@@ -6,6 +6,7 @@ import pathlib
 import re
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from missingdigit import circle
@@ -323,6 +324,21 @@ def test_a_corrupted_row_exits_4(capsys, monkeypatch, argv, route, corrupt):
     assert json.loads(err)["error"]["kind"] == "InternalCheckError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("bv-table", "--D", "12"),
+    ("weighted-bv", "--kind", "fixed", "--D", "12"),
+    ("weighted-bv", "--kind", "semi"),
+    ("weighted-bv", "--kind", "lin"),
+])
+def test_a_wrong_membership_mask_exits_4(capsys, monkeypatch, argv):
+    # every value a member: the recheck, which tests membership digit by
+    # digit, disagrees with the rows read from the mask
+    monkeypatch.setattr(circle, "member_mask", lambda ds, k: np.ones(ds.base**k, dtype=bool))
+    code, out, err = run_cli(capsys, argv[0], *SYSTEM, "--k", "4", *argv[1:])
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"]["kind"] == "InternalCheckError"
+
+
 # README lines do not pass these valued flags; the sweep below adds them
 SWEEP_EXTRA = (
     "vaughan-check --X 10000 --trials 3 --U 30 --dmax 10 --seed 1",
@@ -372,6 +388,25 @@ def test_no_flag_value_ends_in_a_traceback(capsys, monkeypatch):
     "mikawa --M 8 --N 8 --X -1 --theta 0.3",
     "sieve-fns --ustep 0",
     "sieve-fns --ustep -1",
+    # b^k is refused before it is formed: k < 1, or past 2^62
+    "count --b 10 --a0 7 --k 0",
+    "count --b 10 --a0 7 --k 19",
+    "count --b 10 --a0 7 --k 1000000000000",
+    "fourier-stats --b 10 --a0 7 --r 3 --k 1000000000000",
+    "hybrid --b 10 --a0 7 --r 3 --k 9223372036854775808 --Q 4 --B 4",
+    "arcs --b 10 --a0 7 --r 3 --k 1000000000000",
+    "bv-table --b 10 --a0 7 --r 3 --k 1000000000000 --D 10",
+    "weighted-bv --b 10 --a0 7 --r 3 --k 1000000000000 --kind semi",
+    "buchstab-app --b 7 --a0 4 --r 3 --k 1000000000000",
+    # a check that runs nothing, or parameters outside the proof's range
+    "vaughan-check --X 10000 --trials 0",
+    "vaughan-check --X 10000 --trials -1",
+    "integrals --eps 0",
+    "integrals --delta 1e-3 --eps -1 --sensitivity",
+    "sieve-fns --eps 0",
+    "sieve-fns --eps nan",
+    "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind lin --L 0",
+    "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind lin --L -1",
 ])
 def test_values_outside_a_formula_exit_2(capsys, line):
     code, out, err = run_cli(capsys, *line.split())

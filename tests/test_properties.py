@@ -3,8 +3,10 @@
 Frequency grid: painted arc codes against classify_arc, the tiled spectrum
 against the defining Fourier sum, the FFT inversion against membership and
 the batched hybrid sum against the per-point loop.  Progression layer: the
-sieve's primes and the smallest-prime-factor table, however it was grown,
-against trial division, the quadratic classes against the scalar classifiers, the weighted discrepancy rows against
+membership mask against scalar contains, tables sliced from the shared sieve
+(made before or after a larger one) against a fresh build, the sieve's
+primes and the smallest-prime-factor table, however it was grown, against
+trial division, the quadratic classes against the scalar classifiers, the weighted discrepancy rows against
 discrepancy_E (the bincount rows of abs_max_c to 1e-9 relative), and the
 linear-sieve rows and the Buchstab split against the per-(d, ell) and
 per-prime loops they replace.  Kernels: the Vaughan arrays
@@ -33,7 +35,7 @@ from missingdigit import (
 )
 from missingdigit.circle import _KIND_CODE, arc_codes, count_missing_digit_primes
 from missingdigit.cli import _brute_primitive_marks
-from missingdigit.digitset import _prime_divisors, contains_array
+from missingdigit.digitset import _prime_divisors, contains_array, member_mask
 from missingdigit.expsums import type_one_max
 from missingdigit.fourier import inversion_max_error, spectrum
 
@@ -131,6 +133,39 @@ def test_contains_array_matches_contains(b, data):
     ns = data.draw(st.lists(st.integers(0, 10**7), max_size=200)) + list(range(2 * b * b))
     got = contains_array(ds, np.array(ns, dtype=np.int64))
     assert got.tolist() == [contains(ds, n) for n in ns]
+
+
+@given(st.sampled_from((3, 4, 5, 7, 10)), st.integers(1, 5), st.data())
+def test_member_mask_matches_contains(b, k, data):
+    a0 = data.draw(st.integers(0, b - 1))  # a0 = 0: a leading zero is not a digit
+    r = data.draw(st.one_of(st.none(), st.sampled_from([d for d in range(b) if d != a0])))
+    ds = DigitSystem(b, a0, r)
+    mask = member_mask(ds, k)
+    assert mask.tolist() == [contains(ds, n) for n in range(b**k)]
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0] = not mask[0]
+
+
+@given(st.integers(2, 3000), st.integers(0, 10**5))
+@example(2, 0)
+def test_tables_sliced_from_the_shared_sieve_equal_a_fresh_build(small, extra):
+    fresh = primetables._build_sieve(small)
+    with mock.patch.object(primetables, "_held", primetables._build_sieve(2)):
+        before = PrimeTables(small)
+        PrimeTables(small + extra)
+        after = PrimeTables(small)
+        held = primetables._held
+    assert held.limit == small + extra
+    for arr in held[1:]:
+        assert not arr.flags.writeable
+    for tables in (before, after):
+        pp_n, pp_log = tables.prime_powers
+        assert np.array_equal(tables.primes, primetables._odd_sieve_primes(small))
+        assert np.array_equal(pp_n, fresh.pp_n) and np.array_equal(pp_log, fresh.pp_log)
+        assert pp_n.tolist() == [n for n in range(2, small + 1) if len(_prime_divisors(n)) == 1]
+        for arr in (tables.primes, pp_n, pp_log):
+            assert not arr.flags.writeable
 
 
 SQUARES_OF_PRIMES = [p * p + e for p in (2, 3, 5, 7, 11, 13, 31, 53, 67) for e in (-1, 0, 1)]
