@@ -48,11 +48,21 @@ class ArcLabel:
     C: float
 
 
+def _cutoff(X: int, C: float) -> float:
+    """The arc cutoff log(X)^C, or inf where the power overflows a float."""
+    if math.isnan(C):
+        raise PreconditionError("C must be a number")
+    try:
+        return math.log(X) ** C
+    except OverflowError:
+        return math.inf
+
+
 def classify_arc(t: int, X: int, C: float) -> ArcLabel:
     """Label one frequency t/X; deterministic first-witness priority."""
     if not 0 <= t < X:
         raise PreconditionError(f"t={t} not in [0, {X})")
-    cutoff = math.log(X) ** C
+    cutoff = _cutoff(X, C)
     g = math.gcd(t, X)
     q0 = X // g
     if q0 <= cutoff:
@@ -128,7 +138,7 @@ def arc_codes(X: int, C: float) -> np.ndarray:
     eta != 0 test: eta = 0 at a reduced a/q is a Major3 point, painted over
     last.
     """
-    cutoff = math.log(X) ** C
+    cutoff = _cutoff(X, C)
     check_budget(X * cutoff, f"arc classification at X={X}")
     qmax = int(min(cutoff, X))
     divisors = [q for q in range(1, qmax + 1) if X % q == 0]
@@ -479,6 +489,8 @@ def count_missing_digit_primes(
     tables: PrimeTables, ds: DigitSystem, X: int
 ) -> tuple[int, float]:
     """(#primes p < X in the digit set, kappa X^zeta / log X)."""
+    if X < 2:
+        raise PreconditionError("X must be >= 2")
     _check_limit(tables, X)
     primes = tables.primes_upto(X - 1)
     cnt = int(_mask_below(ds, X)[primes].sum())
@@ -516,7 +528,7 @@ def buchstab_and_app(
     if r is None or math.gcd(r * (r - 1), b) != 1:
         raise PreconditionError("need a residue r with gcd(r(r-1), b) = 1")
     _check_limit(tables, X)
-    if alpha <= 2:
+    if not alpha > 2:
         raise PreconditionError("alpha must exceed 2")
     z = X ** (1.0 / alpha)
     primes = tables.primes_upto(X - 1)

@@ -35,9 +35,9 @@ _COMMANDS: dict[str, tuple] = {}  # subcommand -> (runner, flags)
 def command(name, flags, scalars, rows=()):
     """Register the decorated runner as subcommand `name`.
 
-    flags are (flag, argparse keywords) pairs; scalars and rows are the
-    report schema as (name, type[, unit]) entries.  The runner returns
-    (results dict, rows list or None).
+    flags are (flag, argparse keywords[, domain (test, text)]) entries;
+    scalars and rows are the report schema as (name, type[, unit]) entries.
+    The runner returns (results dict, rows list or None).
     """
 
     def fields(entries):
@@ -71,11 +71,16 @@ def _digit_flags(residue_required):
     )
 
 
+AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+POSITIVE = (lambda v: v > 0, "> 0")
+# at delta = 1/6 the sifting exponent 1/3 - 2 delta - 2 eps^2 reaches 0
+DELTA_RANGE = (lambda v: 0 <= v < 1 / 6, "in [0, 1/6)")
+
 DIGITS = _digit_flags(False)
 DIGITS_R = _digit_flags(True)
-K = (("--k", dict(type=int, required=True)),)
-DELTA_EPS = (("--delta", dict(type=float, default=1e-3)),
-             ("--eps", dict(type=float, default=1e-6)))
+K = (("--k", dict(type=int, required=True), AT_LEAST_1),)
+DELTA_EPS = (("--delta", dict(type=float, default=1e-3), DELTA_RANGE),
+             ("--eps", dict(type=float, default=1e-6), POSITIVE))
 
 
 def _digit_system(args) -> DigitSystem:
@@ -83,18 +88,11 @@ def _digit_system(args) -> DigitSystem:
 
 
 def _X(args) -> int:
-    """X = b^k for a checked base, refused before the power is formed unless
-    k >= 1 and X <= 2^62 (past that no int64 array can index it)."""
-    if args.k < 1:
-        raise PreconditionError("k must be >= 1")
+    """X = b^k for a checked base and k >= 1, refused before the power is
+    formed unless X <= 2^62 (past that no int64 array can index it)."""
     if args.k * math.log2(args.b) > 62:
         raise PreconditionError(f"{args.b}^{args.k} exceeds 2^62")
     return args.b**args.k
-
-
-def _check_eps(args) -> None:
-    if not args.eps > 0:
-        raise PreconditionError(f"--eps must be > 0, got {args.eps}")
 
 
 def _p3_set(b: int):
@@ -193,12 +191,8 @@ def run_arcs(args):
     ds = _digit_system(args)
     X = _X(args)
     codes = circle.arc_codes(X, args.C)
-    census = {
-        "minor": int((codes == 0).sum()),
-        "major1": int((codes == 1).sum()),
-        "major2": int((codes == 2).sum()),
-        "major3": int((codes == 3).sum()),
-    }
+    census = {kind: int((codes == code).sum())
+              for code, kind in enumerate(("minor", "major1", "major2", "major3"))}
     tables = PrimeTables(X)
     split = circle.arc_split(tables, ds, X, args.d, args.c, args.C)
     results = {
@@ -282,7 +276,7 @@ def run_weighted_bv(args):
 
 @command("sieve-fns", (
     ("--umin", dict(type=float, default=1.1)), ("--umax", dict(type=float, default=3.0)),
-    ("--ustep", dict(type=float, default=0.1)),
+    ("--ustep", dict(type=float, default=0.1), POSITIVE),
     ("--sandwich-z", dict(type=float, default=30.0)),
     ("--sandwich-D", dict(type=float, default=1000.0)),
     ("--sandwich-nmax", dict(type=int, default=None)),
@@ -293,9 +287,6 @@ def run_weighted_bv(args):
     ("wellfactor_failures", "int", "with --wellfactor-X"),
 ), rows=(("kind", "str"), ("u", "float"), ("value", "float")))
 def run_sieve_fns(args):
-    _check_eps(args)
-    if not args.ustep > 0:
-        raise PreconditionError(f"--ustep must be > 0, got {args.ustep}")
     check_budget(4 * ((args.umax - args.umin) / args.ustep + 1), "sieve function grid")
     rows = []
     u = args.umin
@@ -311,12 +302,9 @@ def run_sieve_fns(args):
         tables = PrimeTables(args.sandwich_nmax)
         total_bad = 0
         for degree in (1, 2):
-            wm = sieveweights.build_weights(
-                sieveweights.SieveSpec(degree, "lower", args.sandwich_D, args.sandwich_z), tables
-            )
-            wp = sieveweights.build_weights(
-                sieveweights.SieveSpec(degree, "upper", args.sandwich_D, args.sandwich_z), tables
-            )
+            wm, wp = (sieveweights.build_weights(
+                sieveweights.SieveSpec(degree, side, args.sandwich_D, args.sandwich_z), tables
+            ) for side in ("lower", "upper"))
             bad = sieveweights.sandwich_check(
                 wm, wp, tables, args.sandwich_z, lambda p: True, args.sandwich_nmax
             )
@@ -357,7 +345,6 @@ def run_sieve_fns(args):
     ("eps", "float"), ("I_sem", "float"), ("ten_ninth_I_lin", "float"), ("difference", "float"),
 ))
 def run_integrals(args):
-    _check_eps(args)
     margin = sievenumerics.lower_bound_margin(args.delta, args.eps)
     margin["reference_I_sem"] = 1.60492
     margin["reference_ten_ninth_I_lin"] = 1.4566
@@ -460,18 +447,16 @@ def _brute_primitive_marks(limit: int) -> np.ndarray:
 
 
 @command("vaughan-check", (
-    ("--X", dict(type=int, required=True)), ("--trials", dict(type=int, default=100)),
-    ("--U", dict(type=int, default=None)), ("--dmax", dict(type=int, default=50)),
+    ("--X", dict(type=int, required=True)), ("--trials", dict(type=int, default=100), AT_LEAST_1),
+    ("--U", dict(type=int, default=None)), ("--dmax", dict(type=int, default=50), AT_LEAST_1),
 ), scalars=(
     ("X", "int"), ("U", "int"), ("trials", "int"), ("max_residual", "float", "absolute"),
 ))
 def run_vaughan_check(args):
-    if args.dmax < 1:
-        raise PreconditionError("--dmax must be >= 1")
-    if args.trials < 1:
-        raise PreconditionError("--trials must be >= 1")
     X = args.X
     tables = PrimeTables(X)  # checks X >= 2 before X^(1/3) is taken
+    # each trial sums over n < X in one class mod d >= 1
+    check_budget(args.trials * X, f"{args.trials} Vaughan trials at X={X}")
     U = args.U if args.U else max(2, math.ceil(X ** (1 / 3)))
     rng = random.Random(args.seed)
     worst = 0.0
@@ -548,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (runner, flags) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
-        for flag, keywords in flags:
+        for flag, keywords, *_ in flags:
             p.add_argument(flag, **keywords)
         p.set_defaults(func=runner)
     return parser
@@ -559,6 +544,16 @@ def _config_dict(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
+def _check_domains(args) -> None:
+    """Refuse a flag value outside its declared domain; every float flag must be finite."""
+    for flag, keywords, *domain in _COMMANDS[args.subcommand][1]:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        finite = [(math.isfinite, "finite")] if keywords.get("type") is float else []
+        for test, text in finite + domain:
+            if value is not None and not test(value):
+                raise PreconditionError(f"{flag} must be {text}, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.schema:
@@ -567,13 +562,14 @@ def main(argv=None) -> int:
         ) + "\n")
         return 0
     try:
+        _check_domains(args)
         results, rows = args.func(args)
-    except (PreconditionError, BudgetError, InternalCheckError) as exc:
-        record = {"error": {"code": exc.exit_code, "kind": type(exc).__name__,
-                            "message": str(exc)},
+    except (PreconditionError, BudgetError, InternalCheckError, MemoryError) as exc:
+        code = getattr(exc, "exit_code", BudgetError.exit_code)  # out of memory: too large
+        record = {"error": {"code": code, "kind": type(exc).__name__, "message": str(exc)},
                   "config": _config_dict(args)}
         sys.stderr.write(canonical_json(record) + "\n")
-        return exc.exit_code
+        return code
     report = {"subcommand": args.subcommand, "config": _config_dict(args),
               "results": results}
     if rows is not None:

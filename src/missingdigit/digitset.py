@@ -155,19 +155,19 @@ def member_mask(ds: DigitSystem, k: int) -> np.ndarray:
     return mask
 
 
-def _lengths_blocks(ds: DigitSystem, k: int) -> list[tuple[int, int]]:
-    """(length j, block size) pairs for the a0 = 0 layout, ascending j."""
-    b = ds.base
-    blocks = []
-    for j in range(1, k + 1):
-        if ds.residue is None:
-            size = (b - 1) ** j
-        elif j == 1:
-            size = 1  # just n = r (r != 0 since r != a0 = 0)
-        else:
-            size = (b - 1) ** (j - 1)
-        blocks.append((j, size))
-    return blocks
+def _blocks(ds: DigitSystem, k: int) -> list[tuple[int, int]]:
+    """(places j, size) of the enumeration blocks of [0, b^k), ascending.
+
+    One block of k places over ds.allowed when a0 != 0; with a0 = 0 a leading
+    0 is no digit, so one block per length j = 1..k over the nonzero digits
+    (ds.allowed again).  A residue pins the lowest place to r, so a block of
+    j places holds (b-1)^(j - pinned) members.
+    """
+    if k < 1:
+        raise PreconditionError("k must be >= 1")
+    pinned = ds.residue is not None
+    lengths = range(1, k + 1) if ds.excluded == 0 else [k]
+    return [(j, (ds.base - 1) ** (j - pinned)) for j in lengths]
 
 
 def count(ds: DigitSystem, k: int) -> int:
@@ -175,15 +175,10 @@ def count(ds: DigitSystem, k: int) -> int:
 
     With a0 != 0 this is the digit-product count (b-1)^k, or (b-1)^(k-1) when
     the last digit is pinned to r.  With a0 = 0 the product formula fails
-    (short expansions re-enter the set) and the count is taken from the
-    per-length enumeration layout instead.
+    (short expansions re-enter the set) and the count sums one product per
+    length instead.
     """
-    if k < 1:
-        raise PreconditionError("k must be >= 1")
-    b = ds.base
-    if ds.excluded != 0:
-        return (b - 1) ** (k - 1) if ds.residue is not None else (b - 1) ** k
-    return sum(size for _, size in _lengths_blocks(ds, k))
+    return sum(size for _, size in _blocks(ds, k))
 
 
 def count_positive(ds: DigitSystem, k: int) -> int:
@@ -203,102 +198,52 @@ def _place_sums(b: int, digits, tail: int, first: int, last: int) -> np.ndarray:
 
 
 def members(ds: DigitSystem, k: int) -> list[int]:
-    """All members of the set in [0, b^k), strictly increasing.
-
-    Same layout as unrank: one block of k free places (k - 1 above a pinned
-    last digit r) when a0 != 0; with a0 = 0 one block per length j = 1..k
-    whose digits are all nonzero.
-    """
+    """All members of the set in [0, b^k), strictly increasing: the blocks of
+    _blocks in turn, each one outer sum over its free places."""
     total = count(ds, k)
     check_budget(total, f"enumerating {total} members")
-    b = ds.base
-    if ds.excluded != 0:
-        lengths, digits = [k], ds.allowed
-    else:
-        lengths, digits = range(1, k + 1), range(1, b)
     tail, first = (0, 0) if ds.residue is None else (ds.residue, 1)
     return np.concatenate(
-        [_place_sums(b, digits, tail, first, j) for j in lengths]
+        [_place_sums(ds.base, ds.allowed, tail, first, j) for j, _ in _blocks(ds, k)]
     ).tolist()
 
 
 def unrank(ds: DigitSystem, k: int, i: int) -> int:
-    """The i-th member (0-based) of the increasing enumeration of [0, b^k)."""
-    total = count(ds, k)
+    """The i-th member (0-based) of the increasing enumeration of [0, b^k):
+    locate its block, then read i in mixed radix b - 1 over the free places,
+    the lowest first."""
+    blocks = _blocks(ds, k)
+    total = sum(size for _, size in blocks)
     if not 0 <= i < total:
         raise PreconditionError(f"rank {i} out of range [0, {total})")
-    b = ds.base
-    if ds.excluded != 0:
-        allowed = ds.allowed
-        if ds.residue is None:
-            positions, tail, w = k, 0, 1
-        else:
-            positions, tail, w = k - 1, ds.residue, b
-        n = tail
-        for _ in range(positions):
-            i, idx = divmod(i, b - 1)
-            n += allowed[idx] * w
-            w *= b
-        return n
-    # a0 = 0: locate the length block, then mixed radix over nonzero digits
-    for j, size in _lengths_blocks(ds, k):
-        if i >= size:
-            i -= size
-            continue
-        if ds.residue is None:
-            positions, tail, w0 = j, 0, 1
-        elif j == 1:
-            return ds.residue
-        else:
-            positions, tail, w0 = j - 1, ds.residue, b
-        n, w = tail, w0
-        for _ in range(positions):
-            i, idx = divmod(i, b - 1)
-            n += (idx + 1) * w
-            w *= b
-        return n
-    raise AssertionError("unreachable")
+    b, allowed, pinned = ds.base, ds.allowed, ds.residue is not None
+    for j, size in blocks:
+        if i < size:
+            break
+        i -= size
+    n, w = (ds.residue, b) if pinned else (0, 1)
+    for _ in range(j - pinned):
+        i, idx = divmod(i, b - 1)
+        n += allowed[idx] * w
+        w *= b
+    return n
 
 
 def rank(ds: DigitSystem, k: int, n: int) -> int:
     """Inverse of unrank; errors when n is not a member below b^k."""
-    b = ds.base
+    b, a0, pinned = ds.base, ds.excluded, ds.residue is not None
     if not 0 <= n < b**k or not contains(ds, n):
         raise PreconditionError(f"{n} is not a member below {b}^{k}")
-    if ds.excluded != 0:
-        allowed_index = {d: i for i, d in enumerate(ds.allowed)}
-        if ds.residue is not None:
-            n //= b
-            positions = k - 1
-        else:
-            positions = k
-        r = 0
-        for pos in range(positions):
-            n, digit = divmod(n, b)
-            r += allowed_index[digit] * (b - 1) ** pos
-        return r
-    # a0 = 0
-    j = 0 if n == 0 else len(_digits(n, b))
     r = 0
-    for length, size in _lengths_blocks(ds, k):
-        if length < j:
-            r += size
-    if ds.residue is not None:
-        if j == 1:
-            return r
+    for j, size in _blocks(ds, k):  # n lies in the first block with n < b^j
+        if n < b**j:
+            break
+        r += size
+    if pinned:
         n //= b
-        positions = j - 1
-    else:
-        positions = j
-    for pos in range(positions):
+    w = 1
+    for _ in range(j - pinned):
         n, digit = divmod(n, b)
-        r += (digit - 1) * (b - 1) ** pos
+        r += (digit - (digit > a0)) * w  # the index of digit in ds.allowed
+        w *= b - 1
     return r
-
-
-def _digits(n: int, b: int) -> list[int]:
-    out = []
-    while n:
-        n, d = divmod(n, b)
-        out.append(d)
-    return out or [0]

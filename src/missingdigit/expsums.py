@@ -128,6 +128,8 @@ def dirichlet_approx(theta: float, Q: int, X: int) -> ThetaApprox:
     """
     if Q < 1:
         raise PreconditionError("Q must be >= 1")
+    if not math.isfinite(theta):
+        raise PreconditionError(f"theta must be finite, got {theta}")
     convs = _convergents(theta, Q)
     if not convs:
         convs = [(round(theta), 1)]

@@ -56,8 +56,8 @@ class SieveSpec:
             raise PreconditionError("degree must be 1 (semi-linear) or 2 (linear)")
         if self.side not in ("upper", "lower"):
             raise PreconditionError("side must be 'upper' or 'lower'")
-        if self.D < 2 or self.z < 2:
-            raise PreconditionError("D and z must be >= 2")
+        if not (2 <= self.D < math.inf and 2 <= self.z < math.inf):
+            raise PreconditionError("D and z must be finite and >= 2")
 
     @property
     def u(self) -> float:

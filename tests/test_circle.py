@@ -20,6 +20,8 @@ from missingdigit import (
 )
 from missingdigit.circle import KIND_M1, KIND_M2, KIND_M3, KIND_MINOR, arc_codes
 from missingdigit.errors import InternalCheckError
+from missingdigit.expsums import dirichlet_approx
+from missingdigit.sieveweights import SieveSpec
 
 
 def brute_major_witness(t, X, C):
@@ -304,6 +306,21 @@ def test_buchstab_checks_the_sifted_primes_against_bcal(tables, monkeypatch):
     monkeypatch.setattr(type(tables), "in_bcal_array", lambda self, size: np.zeros(size, dtype=bool))
     with pytest.raises(InternalCheckError, match="outside the primitive class"):
         buchstab_and_app(tables, DigitSystem(7, 4, 3), 7**5, 3.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: buchstab_and_app(t, DigitSystem(7, 4, 3), 7**4, math.nan),
+    lambda t: dirichlet_approx(math.nan, 100, 5000),
+    lambda t: dirichlet_approx(math.inf, 100, 5000),
+    lambda t: SieveSpec(1, "lower", math.nan, 30.0),
+    lambda t: SieveSpec(1, "lower", 1000.0, math.inf),
+    lambda t: count_missing_digit_primes(t, DigitSystem(10, 7), 1),
+    lambda t: arc_codes(100, math.nan),
+    lambda t: classify_arc(3, 100, math.nan),
+], ids=["alpha nan", "theta nan", "theta inf", "D nan", "z inf", "X 1", "C nan", "C nan, one t"])
+def test_a_value_outside_the_domain_is_a_precondition_error(tables, call):
+    with pytest.raises(PreconditionError):
+        call(tables)
 
 
 def test_buchstab_preconditions(tables):

@@ -4,12 +4,13 @@ import json
 import math
 import pathlib
 import re
+import signal
 from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
-from missingdigit import circle
+from missingdigit import circle, cli
 from missingdigit.cli import SCHEMAS, build_parser, main, report_schema
 from missingdigit.errors import PreconditionError
 from test_golden import CONFIGS as GOLDEN_CONFIGS
@@ -345,31 +346,50 @@ SWEEP_EXTRA = (
     "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind lin --L 20",
     "sieve-fns --umin 1.5 --umax 2.0 --ustep 0.1",
     "constants --plimit 20000 --b 10 --tweight-X 300000",
+    "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind semi --delta 0.001 --eps 0.000001",
+    "sieve-fns --sandwich-z 30 --sandwich-D 1000 --sandwich-nmax 1000 --wellfactor-X 100000"
+    " --delta 0.001 --eps 0.000001",
 )
+SWEEP_VALUES = ("0", "-1", "1", "2", "1000000000000", "9223372036854775808", "1e308",
+                "nan", "inf", "-inf", "0.5", "-0.5")
 
 
 def _flag_sweep():
     """Every README invocation and SWEEP_EXTRA line with one valued flag set to
-    0, -1 or 1."""
+    one of SWEEP_VALUES."""
     for argv in _readme_invocations() + [line.split() for line in SWEEP_EXTRA]:
         for i in range(len(argv) - 1):
             if argv[i].startswith("--") and not argv[i + 1].startswith("--"):
-                for value in ("0", "-1", "1"):
+                for value in SWEEP_VALUES:
                     yield argv[: i + 1] + [value] + argv[i + 2:]
 
 
+def _raise_timeout(signum, frame):
+    raise TimeoutError
+
+
 def test_no_flag_value_ends_in_a_traceback(capsys, monkeypatch):
+    """Each argv exits 0, 2, 3 or 4 within 5 s."""
     monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000000")
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
     failures = []
-    for argv in _flag_sweep():
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses the value itself
-            code = exc.code
-        except Exception as exc:
-            code = repr(exc)
-        if code not in (0, 2, 3, 4):
-            failures.append((" ".join(argv), code))
+    try:
+        for argv in _flag_sweep():
+            signal.alarm(5)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the value itself
+                code = exc.code
+            except TimeoutError:
+                code = "no exit within 5 s"
+            except Exception as exc:
+                code = repr(exc)
+            finally:
+                signal.alarm(0)
+            if code not in (0, 2, 3, 4):
+                failures.append((" ".join(argv), code))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
     capsys.readouterr()
     assert not failures
 
@@ -407,6 +427,25 @@ def test_no_flag_value_ends_in_a_traceback(capsys, monkeypatch):
     "sieve-fns --eps nan",
     "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind lin --L 0",
     "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind lin --L -1",
+    # declared domains: --eps > 0 and --delta in [0, 1/6) wherever they are
+    # taken, and every float flag finite
+    "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind lin --eps 0",
+    "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind semi --delta -1",
+    "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind semi --delta 0.1666666666666667",
+    "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind semi --delta nan",
+    "integrals --delta 0.5",
+    "sieve-fns --delta inf",
+    "sieve-fns --umin nan",
+    "sieve-fns --umax inf",
+    "sieve-fns --ustep inf",
+    "sieve-fns --sandwich-nmax 1000 --sandwich-z nan",
+    "sieve-fns --sandwich-nmax 1000 --sandwich-D inf",
+    "arcs --b 10 --a0 7 --r 3 --k 4 --C nan",
+    "mikawa --M 8 --N 8 --X 5000 --theta nan",
+    "mikawa --M 8 --N 8 --X 5000 --theta inf",
+    "buchstab-app --b 7 --a0 4 --r 3 --k 6 --alpha nan",
+    "constants --alpha inf",
+    "fourier-stats --b 10 --a0 7 --r 3 --k -1",
 ])
 def test_values_outside_a_formula_exit_2(capsys, line):
     code, out, err = run_cli(capsys, *line.split())
@@ -422,3 +461,28 @@ def test_sieve_fns_claims_its_grid(capsys, monkeypatch):
     assert json.loads(err)["error"]["kind"] == "BudgetError"
     code, out, _ = run_cli(capsys, "sieve-fns", "--ustep", "0.01")
     assert code == 0 and json.loads(out)["results"]["grid_points"] == 564
+
+
+@pytest.mark.parametrize("line", [
+    "arcs --b 10 --a0 7 --r 3 --k 4 --C 1000000000000",
+    "arcs --b 10 --a0 7 --r 3 --k 4 --C 1e308",
+    "vaughan-check --X 10000 --trials 1000000000000",
+    "vaughan-check --X 10000 --trials 9223372036854775808 --U 30",
+])
+def test_sizes_past_the_budget_exit_3(capsys, line):
+    code, out, err = run_cli(capsys, *line.split())
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["kind"] == "BudgetError"
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    def no_memory(limit):
+        raise MemoryError("Unable to allocate the prime table")
+
+    monkeypatch.setattr(cli, "PrimeTables", no_memory)
+    code, out, err = run_cli(capsys, "two-squares", "--limit", "100000")
+    assert code == 3 and out == ""
+    record = json.loads(err)
+    assert record["error"] == {"code": 3, "kind": "MemoryError",
+                               "message": "Unable to allocate the prime table"}
+    assert record["config"]["limit"] == 100000
