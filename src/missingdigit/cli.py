@@ -29,13 +29,15 @@ from .primetables import PrimeTables, quadratic_class_of
 from .reporting import canonical_json, render
 
 SCHEMAS: dict[str, dict] = {}
-_COMMANDS: dict[str, tuple] = {}  # subcommand -> (runner, flags)
+_COMMANDS: dict[str, tuple] = {}  # subcommand -> (runner, flags, checks)
 
 
-def command(name, flags, scalars, rows=()):
+def command(name, flags, scalars, rows=(), checks=()):
     """Register the decorated runner as subcommand `name`.
 
     flags are (flag, argparse keywords[, domain (test, text)]) entries;
+    checks are cross-flag (test of the parsed args, message with {dest}
+    fields) entries;
     scalars and rows are the report schema as (name, type[, unit]) entries.
     The runner returns (results dict, rows list or None).
     """
@@ -46,7 +48,7 @@ def command(name, flags, scalars, rows=()):
 
     def register(runner):
         SCHEMAS[name] = {"scalars": fields(scalars), "rows": fields(rows)}
-        _COMMANDS[name] = (runner, flags)
+        _COMMANDS[name] = (runner, flags, checks)
         return runner
 
     return register
@@ -75,12 +77,18 @@ AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 POSITIVE = (lambda v: v > 0, "> 0")
 # at delta = 1/6 the sifting exponent 1/3 - 2 delta - 2 eps^2 reaches 0
 DELTA_RANGE = (lambda v: 0 <= v < 1 / 6, "in [0, 1/6)")
+# below 1/7 both sieve levels 3(1 - 4 delta)/7 - eps and 1/2 - 2 delta - eps
+# stay positive for every delta in [0, 1/6)
+EPS_RANGE = (lambda v: 0 < v < 1 / 7, "in (0, 1/7)")
 
 DIGITS = _digit_flags(False)
 DIGITS_R = _digit_flags(True)
 K = (("--k", dict(type=int, required=True), AT_LEAST_1),)
 DELTA_EPS = (("--delta", dict(type=float, default=1e-3), DELTA_RANGE),
-             ("--eps", dict(type=float, default=1e-6), POSITIVE))
+             ("--eps", dict(type=float, default=1e-6), EPS_RANGE))
+SIFTING_EXPONENT = (lambda args: 2 * args.delta + 2 * args.eps**2 < 1 / 3,
+                    "--eps must keep the sifting exponent 1/3 - 2 delta - 2 eps^2 above 0,"
+                    " got delta={delta}, eps={eps}")
 
 
 def _digit_system(args) -> DigitSystem:
@@ -235,7 +243,8 @@ def run_bv_table(args):
     ("--L", dict(type=int, default=None)),
 ) + DELTA_EPS, scalars=(
     ("aggregate", "float"), ("kind", "str"), ("rows_count", "int"),
-), rows=(("d", "int"), ("c", "int"), ("E", "float"), ("weight", "float")))
+), rows=(("d", "int"), ("c", "int"), ("E", "float"), ("weight", "float")),
+   checks=(SIFTING_EXPONENT,))
 def run_weighted_bv(args):
     ds = _digit_system(args)
     X = _X(args)
@@ -285,7 +294,8 @@ def run_weighted_bv(args):
     ("grid_points", "int"), ("sandwich_violations", "int", "with --sandwich-nmax"),
     ("wellfactor_checked", "int", "with --wellfactor-X"),
     ("wellfactor_failures", "int", "with --wellfactor-X"),
-), rows=(("kind", "str"), ("u", "float"), ("value", "float")))
+), rows=(("kind", "str"), ("u", "float"), ("value", "float")),
+   checks=(SIFTING_EXPONENT,))
 def run_sieve_fns(args):
     check_budget(4 * ((args.umax - args.umin) / args.ustep + 1), "sieve function grid")
     rows = []
@@ -343,7 +353,7 @@ def run_sieve_fns(args):
     ("reference_ten_ninth_I_lin", "float", "informational"),
 ), rows=(
     ("eps", "float"), ("I_sem", "float"), ("ten_ninth_I_lin", "float"), ("difference", "float"),
-))
+), checks=(SIFTING_EXPONENT,))
 def run_integrals(args):
     margin = sievenumerics.lower_bound_margin(args.delta, args.eps)
     margin["reference_I_sem"] = 1.60492
@@ -531,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--schema", action="store_true",
                         help="print this subcommand's report schema and exit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (runner, flags) in _COMMANDS.items():
+    for name, (runner, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
         for flag, keywords, *_ in flags:
             p.add_argument(flag, **keywords)
@@ -545,13 +555,18 @@ def _config_dict(args) -> dict:
 
 
 def _check_domains(args) -> None:
-    """Refuse a flag value outside its declared domain; every float flag must be finite."""
-    for flag, keywords, *domain in _COMMANDS[args.subcommand][1]:
+    """Refuse a flag value outside its declared domain, then args failing a
+    cross-flag check; every float flag must be finite."""
+    _, flags, checks = _COMMANDS[args.subcommand]
+    for flag, keywords, *domain in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
         finite = [(math.isfinite, "finite")] if keywords.get("type") is float else []
         for test, text in finite + domain:
             if value is not None and not test(value):
                 raise PreconditionError(f"{flag} must be {text}, got {value}")
+    for test, text in checks:
+        if not test(args):
+            raise PreconditionError(text.format_map(vars(args)))
 
 
 def main(argv=None) -> int:

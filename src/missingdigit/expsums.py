@@ -83,6 +83,22 @@ class ThetaApprox:
         return np.abs(x - np.rint(x))
 
 
+def _phases(x: np.ndarray) -> np.ndarray:
+    """e(x) = exp(2 pi i x) for a float64 array, each x first reduced mod 1.
+
+    x - floor(x) equals numpy's float remainder of x by 1 to the last bit
+    (both are exact, or both round r + 1 once for a negative x) at a fraction
+    of its cost, and the cos and sin of the angle fill the parts that the
+    complex exponential of 2 pi i times that remainder would give.
+    """
+    ang = x - np.floor(x)
+    ang *= TWO_PI
+    out = np.empty(ang.shape, dtype=np.complex128)
+    np.cos(ang, out=out.real)
+    np.sin(ang, out=out.imag)
+    return out
+
+
 def _min_terms(first: np.ndarray, norm: np.ndarray) -> np.ndarray:
     """min(first, 1/norm), or first where norm = 0."""
     with np.errstate(divide="ignore", over="ignore"):  # inf, like the loop's 1.0 / norm
@@ -159,8 +175,7 @@ def lambda_hat(tables: PrimeTables, X: int, d: int, c: int, theta: float) -> com
     mask = ns % d == c % d
     ns = ns[mask]
     logs = pp_log[:cut][mask]
-    phases = np.exp(2j * np.pi * ((ns * theta) % 1.0))
-    return complex((logs * phases).sum())
+    return complex((logs * _phases(ns * theta)).sum())
 
 
 class MinSum(NamedTuple):
@@ -215,9 +230,8 @@ def _pair_phases(mn: np.ndarray, ta: ThetaApprox) -> np.ndarray:
     The fraction is ((mn mod q)(a mod q) mod q)/q + (mn beta mod 1).
     """
     rational = np.asarray(ta.residues(mn) / ta.q, dtype=np.float64)
-    drift = np.asarray(mn * ta.beta, dtype=np.float64) % 1.0
-    ang = TWO_PI * ((rational + drift) % 1.0)
-    return np.cos(ang) + 1j * np.sin(ang)
+    drift = np.asarray(mn * ta.beta, dtype=np.float64)
+    return _phases(rational + (drift - np.floor(drift)))
 
 
 def _support(alpha: Mapping[int, complex], below: int) -> tuple[np.ndarray, np.ndarray]:
@@ -328,11 +342,12 @@ def _vaughan_arrays(X: int, U: int):
     a1[U + 1 :] = 0.0
 
     a2 = np.zeros(X)
+    logs = np.log(np.arange(1, X))  # logs[j - 1] = log j
     for m in range(1, min(U, X - 1) + 1):
         if mu[m] == 0:
             continue
-        js = np.arange(1, (X - 1) // m + 1)
-        a2[m * js] += mu[m] * np.log(js)
+        top = (X - 1) // m
+        a2[m : m * top + 1 : m] += mu[m] * logs[:top]
 
     f = np.zeros(X)
     pp_n, pp_log = tables.prime_powers
@@ -389,7 +404,7 @@ def vaughan_decompose(
         raise PreconditionError("X exceeds table limit")
     arrays = [arr[c % d :: d] for arr in _vaughan_arrays(X, U)]
     ns = np.arange(c % d, X, d, dtype=np.int64)
-    phases = np.exp(2j * np.pi * ((ns * theta) % 1.0))
+    phases = _phases(ns * theta)
     sums = [complex((arr * phases).sum()) for arr in arrays]
     return VaughanSums(*sums)
 
@@ -469,8 +484,7 @@ def type_one_inner(
             continue
         ns = np.arange(start, n_max + 1, dd, dtype=np.int64)
         weights = np.log(ns.astype(np.float64)) if j == 1 else np.ones(len(ns))
-        phases = np.exp(2j * np.pi * (((ns * m) * theta) % 1.0))
-        total += w * complex((weights * phases).sum())
+        total += w * complex((weights * _phases((ns * m) * theta)).sum())
     return complex(total)
 
 
@@ -516,7 +530,7 @@ def type_one_max(
     for m, w in support:
         ns = np.arange(1, (X - 1) // m + 1, dtype=np.int64)
         mn = ns * m
-        terms = np.exp(2j * np.pi * ((mn * theta) % 1.0))
+        terms = _phases(mn * theta)
         if j == 1:
             terms *= np.log(ns.astype(np.float64))
         for d, sums in enumerate(inner, start=1):

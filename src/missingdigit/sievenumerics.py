@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from ._budget import check_budget
 from .digitset import _prime_divisors
 from .errors import PreconditionError
@@ -238,7 +240,8 @@ def t_weight_sum(tables: PrimeTables, X: int, alpha: float, b: int,
         raise PreconditionError(f"X={X} needs a table up to {need}")
     n1_cap = int(X ** (1.0 - 2.0 / alpha))
     check_budget(n1_cap * 40, "two-factor set enumeration")
-    p1_lo = X ** (1.0 / alpha)
+    # every prime list below starts with the same primes; p1 >= X^(1/alpha) from index first
+    first = int(np.searchsorted(tables.primes, X ** (1.0 / alpha), side="left"))
     total = 0.0
     bcal = tables.in_bcal_array(n1_cap + 1)
     for n1 in range(1, n1_cap + 1):
@@ -246,11 +249,9 @@ def t_weight_sum(tables: PrimeTables, X: int, alpha: float, b: int,
             continue
         tn1 = t_multiplier(tables, n1)
         p1_hi = math.sqrt(X / n1)
-        for p in tables.primes_upto(int(p1_hi)):
+        for p in tables.primes_upto(int(p1_hi))[first:]:
             p = int(p)
-            if p < p1_lo or p >= p1_hi:
-                continue
-            if p % 4 != 3 or b % p == 0:
+            if p >= p1_hi or p % 4 != 3 or b % p == 0:
                 continue
             ell = n1 * p
             total += tn1 * ((p - 1.0) / (p - 2.0)) / (ell * math.log(X / ell))

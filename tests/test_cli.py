@@ -453,6 +453,24 @@ def test_values_outside_a_formula_exit_2(capsys, line):
     assert json.loads(err)["error"]["kind"] == "PreconditionError"
 
 
+@pytest.mark.parametrize("line", [
+    "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind semi --eps 0.5",
+    "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind lin --eps 1e308",
+    "sieve-fns --wellfactor-X 100000 --eps 0.5",
+    "integrals --eps 0.5",
+    "integrals --eps 0.1428571428571429",  # the float just above 1/7
+    # each eps below 1/7, but 2 delta + 2 eps^2 >= 1/3
+    "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind lin --delta 0.16 --eps 0.1",
+    "sieve-fns --wellfactor-X 100000 --delta 0.166 --eps 0.03",
+    "integrals --delta 0.16 --eps 0.14",
+])
+def test_an_eps_outside_the_proof_range_names_eps(capsys, line):
+    code, out, err = run_cli(capsys, *line.split())
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "PreconditionError" and error["message"].startswith("--eps "), error
+
+
 def test_sieve_fns_claims_its_grid(capsys, monkeypatch):
     # 4 kinds at each of the (3.0 - 1.1) / ustep + 1 grid points
     monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000")

@@ -4,6 +4,7 @@ import math
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 import oracles
@@ -316,3 +317,61 @@ def test_type_one_aggregates(tables):
         brute += tables.tau(d, 2) * best
     got = type_one_max(tables, 3, 2, 5, a, 0, X, 0.0)
     assert got == pytest.approx(brute)
+
+
+# -- phases: one helper, equal to the formula each kernel had before it ---------
+
+
+def _remainder_phases(x):
+    """The phase formula lambda_hat, vaughan_decompose and the Type I kernels
+    each wrote out before the shared helper."""
+    return np.exp(2j * np.pi * (x % 1.0))
+
+
+def _remainder_pair_phases(mn, ta):
+    """The bilinear sum's phases before the shared helper: two float
+    remainders, then cos and sin."""
+    rational = np.asarray(ta.residues(mn) / ta.q, dtype=np.float64)
+    drift = np.asarray(mn * ta.beta, dtype=np.float64) % 1.0
+    ang = expsums.TWO_PI * ((rational + drift) % 1.0)
+    return np.cos(ang) + 1j * np.sin(ang)
+
+
+def test_phases_equal_the_remainder_formula_on_seeded_floats():
+    rng = np.random.default_rng(7)
+    x = rng.choice([-1.0, 1.0], 10**5) * 10.0 ** rng.uniform(-300, 20, 10**5)
+    x = np.concatenate([x, rng.uniform(-1e6, 1e6, 10**5), np.arange(-5.0, 5.0, 0.125)])
+    assert expsums._phases(x).tobytes() == _remainder_phases(x).tobytes()
+
+
+_ALPHA_RNG = random.Random(13)
+ALPHA = {m: complex(_ALPHA_RNG.uniform(-1, 1), _ALPHA_RNG.uniform(-1, 1)) for m in range(1, 13)}
+ALPHA2 = {n: _ALPHA_RNG.choice([-1.0, 0.5, 2.0]) for n in range(3, 400, 7)}
+KERNELS = {  # each gives a tuple of the kernel's values at theta
+    "lambda_hat": lambda tables, theta: (lambda_hat(tables, 50_000, 7, 3, theta),),
+    "type_one_inner": lambda tables, theta: (type_one_inner(12, 5, 10, ALPHA, 1, 20_000, theta),
+                                             type_one_inner(1, 0, 10, ALPHA, 0, 20_000, theta)),
+    "type_one_max": lambda tables, theta: (type_one_max(tables, 8, 2, 10, ALPHA, 1, 5_000, theta),),
+    "bilinear_sum": lambda tables, theta: (
+        bilinear_sum(ALPHA, ALPHA2, 4_000, dirichlet_approx(theta, 100, 4_000), 5, 2).value,
+        bilinear_sum(ALPHA, ALPHA2, 4_000, dirichlet_approx(theta, 60, 4_000)).value,
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kernels_equal_their_remainder_phase_formula_bit_for_bit(tables, monkeypatch, kernel):
+    rng = random.Random(29)
+    thetas = [rng.uniform(-2.0, 2.0) for _ in range(6)] + [1 / 3, 0.0, -0.0, 2 / 7 + 1e-9]
+
+    def values():
+        return np.array([KERNELS[kernel](tables, theta) for theta in thetas],
+                        dtype=np.complex128).tobytes()
+
+    got = values()
+    calls = []  # the kernel must form its phases in the helper that is swapped here
+    monkeypatch.setattr(expsums, "_phases",
+                        lambda x: calls.append(x.size) or _remainder_phases(x))
+    monkeypatch.setattr(expsums, "_pair_phases",
+                        lambda mn, ta: calls.append(mn.size) or _remainder_pair_phases(mn, ta))
+    assert got == values() and calls

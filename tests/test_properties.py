@@ -9,7 +9,8 @@ primes and the smallest-prime-factor table, however it was grown, against
 trial division, the quadratic classes against the scalar classifiers, the weighted discrepancy rows against
 discrepancy_E (the bincount rows of abs_max_c to 1e-9 relative), and the
 linear-sieve rows and the Buchstab split against the per-(d, ell) and
-per-prime loops they replace.  Kernels: the Vaughan arrays
+per-prime loops they replace.  Kernels: the unit phases against the
+complex exponential of the float remainder, bit for bit, the Vaughan arrays
 and strided sums, the min-function and Weyl sums, the sandwich rows, the member enumeration
 and the two-squares brute force against the per-element loops in oracles.py,
 compared exactly; the bilinear sum, the Type I max over residues and the
@@ -385,6 +386,18 @@ def test_vaughan_arrays_equal_per_divisor_loops(tables, X, data):
     got = expsums._vaughan_arrays(X, U)
     want = oracles.vaughan_arrays(tables, X, U)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (X, U)
+
+
+finite_floats = st.one_of(st.floats(-1e6, 1e6),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(finite_floats, max_size=40))
+@example([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 2.0**53, -(2.0**53),
+          1 - 2.0**-53, -(1 - 2.0**-53), 0.5, -0.5, 1e300, -1e300, -1e-300])
+def test_phases_equal_the_exponential_of_the_float_remainder(xs):
+    x = np.array(xs, dtype=np.float64)
+    assert expsums._phases(x).tobytes() == np.exp(2j * np.pi * (x % 1.0)).tobytes()
 
 
 @given(st.integers(3, 3000), st.integers(1, 60), st.integers(-100, 100), st.floats(0.0, 1.0))
