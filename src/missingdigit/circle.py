@@ -28,10 +28,10 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from ._budget import check_budget
-from .digitset import DigitSystem, _phi_small, contains, contains_array, count, member_mask
+from .digitset import DigitSystem, contains, contains_array, count, member_mask
 from .errors import InternalCheckError, PreconditionError
 from .fourier import spectrum
-from .primetables import PrimeTables, _sift_1mod4
+from .primetables import PrimeTables, _sift_1mod4, totient
 
 KIND_MINOR = "Minor"
 KIND_M1 = "Major1"
@@ -214,9 +214,6 @@ class ProgressionCounts:
         keep = keep[pp_n[keep] % q == a]
         self.ns, self.logs = pp_n[keep], pp_log[keep]
 
-    def phi(self, n: int) -> int:
-        return self.tables.totient(n) if n <= self.tables.limit else _phi_small(n)
-
     def lam(self, d: int, c: int) -> float:
         """Sum of log p over the members n = c (mod d), gcd(c, d) = gcd(d, b)
         = 1: a masked (pairwise) sum in member order."""
@@ -232,7 +229,7 @@ class ProgressionCounts:
     def main(self, d: int, s: float = 1) -> float:
         """The main term b cnt s / (phi(q) phi(d) phi(b))."""
         b = self.ds.base
-        return b * self.cnt * s / (self.phi(self.q) * self.phi(d) * self.phi(b))
+        return b * self.cnt * s / (totient(self.q) * totient(d) * totient(b))
 
     def E(self, d: int, c: int) -> float:
         """E(X; d, c) = lam(d, c) - main(d)."""

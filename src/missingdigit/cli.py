@@ -74,6 +74,7 @@ def _digit_flags(residue_required):
 
 
 AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+AT_LEAST_2 = (lambda v: v >= 2, ">= 2")
 POSITIVE = (lambda v: v > 0, "> 0")
 # at delta = 1/6 the sifting exponent 1/3 - 2 delta - 2 eps^2 reaches 0
 DELTA_RANGE = (lambda v: 0 <= v < 1 / 6, "in [0, 1/6)")
@@ -288,8 +289,8 @@ def run_weighted_bv(args):
     ("--ustep", dict(type=float, default=0.1), POSITIVE),
     ("--sandwich-z", dict(type=float, default=30.0)),
     ("--sandwich-D", dict(type=float, default=1000.0)),
-    ("--sandwich-nmax", dict(type=int, default=None)),
-    ("--wellfactor-X", dict(type=int, default=None)),
+    ("--sandwich-nmax", dict(type=int, default=None), AT_LEAST_2),
+    ("--wellfactor-X", dict(type=int, default=None), AT_LEAST_1),
 ) + DELTA_EPS, scalars=(
     ("grid_points", "int"), ("sandwich_violations", "int", "with --sandwich-nmax"),
     ("wellfactor_checked", "int", "with --wellfactor-X"),
@@ -308,7 +309,7 @@ def run_sieve_fns(args):
                              "value": sievenumerics.sieve_fn(kind, u)})
         u += args.ustep
     results = {"grid_points": len(rows)}
-    if args.sandwich_nmax:
+    if args.sandwich_nmax is not None:
         tables = PrimeTables(args.sandwich_nmax)
         total_bad = 0
         for degree in (1, 2):
@@ -322,7 +323,7 @@ def run_sieve_fns(args):
         results["sandwich_violations"] = total_bad
         if total_bad:
             raise InternalCheckError(f"{total_bad} sandwich violations")
-    if args.wellfactor_X:
+    if args.wellfactor_X is not None:
         X = args.wellfactor_X
         specs = (sieveweights.semi_linear_lower(X, args.delta, args.eps),
                  sieveweights.linear_upper(X, args.delta, args.eps))
@@ -330,14 +331,10 @@ def run_sieve_fns(args):
         checked = 0
         for spec in specs:
             w = sieveweights.build_weights(spec, tables)
-            D0 = (
-                X ** (1 / 3 - 2 * args.delta - 2 * args.eps**2)
-                if spec.degree == 1
-                else X**0.2
-            )
             for d in w.support:
                 if X**0.1 <= d <= X**spec.rho:
-                    sieveweights.well_factor(d, spec, D0, X, tables)
+                    # the well-factor range starts at the spec's sifting limit
+                    sieveweights.well_factor(d, spec, spec.z, X, tables)
                     checked += 1
         results["wellfactor_checked"] = checked
         results["wellfactor_failures"] = 0
@@ -374,8 +371,10 @@ def run_integrals(args):
 
 
 @command("constants", (
-    ("--plimit", dict(type=int, default=10**5)), ("--b", dict(type=int, default=None)),
-    ("--y", dict(type=int, default=None)), ("--tweight-X", dict(type=int, default=None)),
+    ("--plimit", dict(type=int, default=10**5)),
+    ("--b", dict(type=int, default=None), AT_LEAST_2),
+    ("--y", dict(type=int, default=None), AT_LEAST_2),
+    ("--tweight-X", dict(type=int, default=None), AT_LEAST_2),
     ("--alpha", dict(type=float, default=3.0)),
 ), scalars=(
     ("C1", "float"), ("C2", "float"), ("C3", "float"), ("frakS", "float", "= C2*C3/2"),
@@ -397,13 +396,13 @@ def run_constants(args):
     for name, (lo, hi) in consts.intervals.items():
         results[f"{name}_lo"] = lo
         results[f"{name}_hi"] = hi
-    if args.b:
+    if args.b is not None:
         results["b_over_phi"] = sievenumerics.b_over_phi(args.b)
-    if args.y:
+    if args.y is not None:
         product, predicted = sievenumerics.mertens_3mod4(tables, args.y, consts)
         results.update(mertens_product=product, mertens_predicted=predicted,
                        mertens_ratio=product / predicted)
-    if args.tweight_X:
+    if args.tweight_X is not None:
         if args.b is None:
             raise PreconditionError("--tweight-X needs --b")
         tw_limit = sievenumerics.t_weight_limit(args.tweight_X, args.alpha)
@@ -458,7 +457,8 @@ def _brute_primitive_marks(limit: int) -> np.ndarray:
 
 @command("vaughan-check", (
     ("--X", dict(type=int, required=True)), ("--trials", dict(type=int, default=100), AT_LEAST_1),
-    ("--U", dict(type=int, default=None)), ("--dmax", dict(type=int, default=50), AT_LEAST_1),
+    ("--U", dict(type=int, default=None), AT_LEAST_2),
+    ("--dmax", dict(type=int, default=50), AT_LEAST_1),
 ), scalars=(
     ("X", "int"), ("U", "int"), ("trials", "int"), ("max_residual", "float", "absolute"),
 ))
@@ -467,7 +467,7 @@ def run_vaughan_check(args):
     tables = PrimeTables(X)  # checks X >= 2 before X^(1/3) is taken
     # each trial sums over n < X in one class mod d >= 1
     check_budget(args.trials * X, f"{args.trials} Vaughan trials at X={X}")
-    U = args.U if args.U else max(2, math.ceil(X ** (1 / 3)))
+    U = args.U if args.U is not None else max(2, math.ceil(X ** (1 / 3)))
     rng = random.Random(args.seed)
     worst = 0.0
     for _ in range(args.trials):

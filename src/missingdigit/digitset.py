@@ -30,31 +30,7 @@ import numpy as np
 
 from ._budget import check_budget
 from .errors import PreconditionError
-
-
-def _prime_divisors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, increasing, by trial division;
-    fine for desk-scale bases and moduli."""
-    primes = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    return primes
-
-
-def _phi_small(n: int) -> int:
-    """Euler phi from the prime divisors of n."""
-    result = n
-    for p in _prime_divisors(n):
-        result -= result // p
-    return result
+from .primetables import totient
 
 
 @dataclass(frozen=True)
@@ -83,7 +59,7 @@ class DigitSystem:
     @cached_property
     def kappa(self) -> Fraction:
         b, a0 = self.base, self.excluded
-        phi_b = _phi_small(b)
+        phi_b = totient(b)
         indicator = 1 if math.gcd(a0, b) == 1 else 0
         return Fraction(b * (phi_b - indicator), (b - 1) * phi_b)
 

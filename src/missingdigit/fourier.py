@@ -27,8 +27,9 @@ from functools import lru_cache
 import numpy as np
 
 from ._budget import check_budget
-from .digitset import DigitSystem, _prime_divisors, contains_array, count
+from .digitset import DigitSystem, contains_array, count
 from .errors import PreconditionError
+from .primetables import factor
 
 TWO_PI = 2.0 * math.pi
 
@@ -231,7 +232,7 @@ def linf_probe(ds: DigitSystem, k: int, q: int, a: int, eps: float) -> tuple[flo
     if abs(eps) >= 0.5 * b ** (-2 * k / 3):
         raise PreconditionError("eps too large for the probe regime")
     q1 = q
-    for p in _prime_divisors(b):
+    for p, _ in factor(b):
         while q1 % p == 0:
             q1 //= p
     if q1 == 1:

@@ -1,5 +1,5 @@
-"""Sieve infrastructure: one shared prime sieve, a smallest-prime-factor table
-built on demand, and derived arithmetic.
+"""Sieve infrastructure: one shared prime sieve, one trial-division
+factorization, and derived arithmetic.
 
 The process holds one record of the primes up to the largest limit asked
 for so far, with their prime powers and logs, all read-only.  The
@@ -11,11 +11,10 @@ slices they hold.  The primes and prime powers serve the range functions
 sums over double progressions without any factorization.
 
 Factoring one value (Lambda, mu, phi and the h-fold divisor function tau_h of
-n, its quadratic class) reads a uint32 smallest-prime-factor (SPF) table.  It
-is built on the first such call, to the largest value that call reads, and
-rebuilt at least twice as long (capped at the limit) when a later call reads
-past its end, so a caller that only factors small moduli never pays for a
-table to the limit.  The two quadratic classes are
+n, its quadratic class) goes through factor(n), trial division by 2 and then
+the odd numbers up to the square root of what is left: the values factored
+are moduli, bases and sieve chains of desk size.  The two quadratic classes
+are
 
     B    = {n : n = n1^2 + n2^2 with gcd(n1, n2) = 1}
          = {2^e * m : e in {0, 1}, p | m => p = 1 mod 4},
@@ -25,20 +24,19 @@ Over a range they need no factoring: one sift by the primes = 3 (mod 4) up
 to the square root of its end gives Bcal (in_bcal_array), and B is Bcal plus
 twice Bcal.
 
-The arrays are read-only.  Growth replaces the shared record and the SPF
-table whole, so the tables are safe to share and a caller holding an older
-array still reads correct values.
+The arrays are read-only.  Growth replaces the shared record whole, so the
+tables are safe to share and a caller holding an older array still reads
+correct values.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from ._budget import check_budget
-from .digitset import _prime_divisors
 from .errors import PreconditionError
 
 
@@ -103,20 +101,6 @@ def _shared_sieve(limit: int) -> _Sieve:
     return sieve
 
 
-def _spf_table(top: int, primes: np.ndarray) -> np.ndarray:
-    """Read-only smallest-prime-factor table over 0..top (spf[0] = spf[1] = 1)
-    from the primes up to at least sqrt(top)."""
-    spf = np.arange(top + 1, dtype=np.uint32)
-    # Every composite n has a prime factor p with p*p <= n; writing the
-    # primes up to sqrt(top) in descending order leaves the least one.
-    small = primes[: np.searchsorted(primes, math.isqrt(top), side="right")]
-    for p in small[::-1].tolist():
-        spf[p * p :: p] = p
-    spf[:2] = 1
-    spf.flags.writeable = False
-    return spf
-
-
 def _sift_1mod4(ok: np.ndarray, primes: np.ndarray) -> None:
     """Clear ok at the multiples = 1 (mod 4) of each prime p = 3 (mod 4) given:
     3p, 7p, 11p, ..."""
@@ -124,10 +108,39 @@ def _sift_1mod4(ok: np.ndarray, primes: np.ndarray) -> None:
         ok[3 * p :: 4 * p] = False
 
 
-def _classify(n: int, odd_primes: Iterable[int]) -> QuadClass:
-    """(n in B, n in Bcal) from n >= 1 and the primes of its odd part."""
+def factor(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n >= 1 in increasing prime order, by trial
+    division: 2, then the odd numbers up to the square root of what is left."""
+    n = int(n)
+    if n < 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
+    out = []
+    p, step = 2, 1
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p, step = p + step, 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def totient(n: int) -> int:
+    """Euler phi of n >= 1 from its factorization."""
+    phi = int(n)
+    for p, _ in factor(n):
+        phi -= phi // p
+    return phi
+
+
+def _classify(n: int) -> QuadClass:
+    """(n in B, n in Bcal) for n >= 1 from the primes of its odd part."""
     twos = n & -n  # the power of 2 dividing n exactly
-    good_odd = all(p % 4 == 1 for p in odd_primes)
+    good_odd = all(p % 4 == 1 for p, _ in factor(n // twos))
     return QuadClass(good_odd and twos <= 2, good_odd and twos == 1)
 
 
@@ -138,12 +151,12 @@ def quadratic_class_of(n: int) -> QuadClass:
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     check_budget(math.isqrt(n), f"trial division of {n}")
-    return _classify(n, _prime_divisors(n // (n & -n)))
+    return _classify(n)
 
 
 class PrimeTables:
-    """The primes up to limit, their powers (slices of the shared sieve), and
-    a smallest-prime-factor table built as far as it is read."""
+    """The primes up to limit and their powers (slices of the shared sieve),
+    with the arithmetic of one value in [1, limit]."""
 
     def __init__(self, limit: int):
         if limit < 2:
@@ -157,21 +170,6 @@ class PrimeTables:
         self._primes = sieve.primes[: np.searchsorted(sieve.primes, self.limit, side="right")]
         cut = np.searchsorted(sieve.pp_n, self.limit, side="right")
         self._pp = (sieve.pp_n[:cut], sieve.pp_log[:cut])
-        self._spf = None
-
-    def _spf_upto(self, top: int) -> np.ndarray:
-        """The SPF table, grown if needed to cover 0..top (top <= limit)."""
-        spf = self._spf
-        if spf is None or top >= spf.size:
-            if spf is not None:
-                top = max(top, 2 * spf.size - 1)
-            spf = self._spf = _spf_table(min(top, self.limit), self._primes)
-        return spf
-
-    @property
-    def spf(self) -> np.ndarray:
-        """The smallest-prime-factor table over 0..limit (spf[0] = spf[1] = 1)."""
-        return self._spf_upto(self.limit)
 
     # -- factorization ------------------------------------------------------
 
@@ -183,17 +181,7 @@ class PrimeTables:
 
     def factor(self, n: int) -> list[tuple[int, int]]:
         """(prime, exponent) pairs of n in increasing prime order."""
-        n = self._check(n)
-        spf = self._spf_upto(n)
-        out = []
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
+        return factor(self._check(n))
 
     def is_prime(self, n: int) -> bool:
         n = self._check(n)
@@ -219,42 +207,21 @@ class PrimeTables:
 
     def mangoldt(self, n: int) -> float:
         """log p when n = p^m, else 0."""
-        n = self._check(n)
-        if n == 1:
-            return 0.0
-        p = int(self._spf_upto(n)[n])
-        while n % p == 0:
-            n //= p
-        return math.log(p) if n == 1 else 0.0
+        pairs = factor(self._check(n))
+        return math.log(pairs[0][0]) if len(pairs) == 1 else 0.0
 
     def mobius(self, n: int) -> int:
-        n = self._check(n)
-        spf = self._spf_upto(n)
-        mu = 1
-        while n > 1:
-            p = int(spf[n])
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        return mu
+        pairs = factor(self._check(n))
+        return 0 if any(e > 1 for _, e in pairs) else (-1) ** len(pairs)
 
     def totient(self, n: int) -> int:
-        n = self._check(n)
-        phi = 1
-        for p, e in self.factor(n):
-            phi *= (p - 1) * p ** (e - 1)
-        return phi
+        return totient(self._check(n))
 
     def tau(self, n: int, h: int = 2) -> int:
         """Ordered factorizations of n into h parts: prod C(e + h - 1, h - 1)."""
         if h < 1:
             raise PreconditionError("h must be >= 1")
-        n = self._check(n)
-        t = 1
-        for _, e in self.factor(n):
-            t *= math.comb(e + h - 1, h - 1)
-        return t
+        return math.prod(math.comb(e + h - 1, h - 1) for _, e in factor(self._check(n)))
 
     def mobius_range(self, size: int) -> np.ndarray:
         """mu(n) for 0 <= n < size as int8 (mu(0) set to 0)."""
@@ -322,8 +289,7 @@ class PrimeTables:
 
     def quadratic_class(self, n: int) -> QuadClass:
         """(n in B, n in Bcal) via the primitive two-squares criterion."""
-        n = self._check(n)
-        return _classify(n, (p for p, _ in self.factor(n // (n & -n))))
+        return _classify(self._check(n))
 
     def in_bcal_array(self, size: int) -> np.ndarray:
         """Boolean array: n in Bcal for 0 <= n < size.

@@ -33,9 +33,8 @@ from typing import Callable
 import numpy as np
 
 from ._budget import check_budget
-from .digitset import _prime_divisors
 from .errors import PreconditionError
-from .primetables import PrimeTables
+from .primetables import PrimeTables, factor, totient
 
 # Euler-Mascheroni constant, 20 digits; e^gamma is derived from it.
 EULER_GAMMA = 0.57721566490153286061
@@ -259,7 +258,7 @@ def t_weight_sum(tables: PrimeTables, X: int, alpha: float, b: int,
         constants = euler_constants(tables, min(tables.limit, 10**5))
     integral = I_lin(1.0, alpha)  # rho = 1 leaves the bare integral
     bfactor = 1.0
-    for p in _prime_divisors(b):
+    for p, _ in factor(b):
         if p % 4 == 1:
             bfactor *= 1.0 / (1.0 + 1.0 / (p - 2.0))
     predicted = (
@@ -276,14 +275,10 @@ def b_over_phi(b: int) -> Fraction:
     """
     if b < 2:
         raise PreconditionError("b must be >= 2")
-    primes = _prime_divisors(b)
     lhs = Fraction(1)
-    for p in primes:
+    for p, _ in factor(b):
         lhs *= 1 + Fraction(1, p - 1)  # sum over q | b squarefree of 1/phi(q)
-    phi = b
-    for p in primes:
-        phi = phi // p * (p - 1)
-    rhs = Fraction(b, phi)
+    rhs = Fraction(b, totient(b))
     if lhs != rhs:
         raise AssertionError(f"identity failed at b={b}: {lhs} != {rhs}")
     return rhs

@@ -471,6 +471,21 @@ def test_an_eps_outside_the_proof_range_names_eps(capsys, line):
     assert error["kind"] == "PreconditionError" and error["message"].startswith("--eps "), error
 
 
+@pytest.mark.parametrize("line, flag", [
+    ("constants --b 0 --tweight-X 10000", "--b"),
+    ("constants --y 0", "--y"),
+    ("constants --b 10 --tweight-X 0", "--tweight-X"),
+    ("sieve-fns --sandwich-nmax 0", "--sandwich-nmax"),
+    ("sieve-fns --wellfactor-X 0", "--wellfactor-X"),
+    ("vaughan-check --X 10000 --trials 1 --U 0", "--U"),
+])
+def test_a_zero_flag_value_is_refused_by_its_domain(capsys, line, flag):
+    """0 is a value, not an absent flag: it gets no fallback and no skipped step."""
+    code, out, err = run_cli(capsys, *line.split())
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"].startswith(f"{flag} must be ")
+
+
 def test_sieve_fns_claims_its_grid(capsys, monkeypatch):
     # 4 kinds at each of the (3.0 - 1.1) / ustep + 1 grid points
     monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000")

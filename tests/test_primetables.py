@@ -9,10 +9,10 @@ from missingdigit import PreconditionError, PrimeTables
 
 
 def test_spf_examples(tables):
-    assert tables.spf[91] == 7
-    assert tables.spf[9] == 3
+    assert tables.factor(91) == [(7, 1), (13, 1)]
+    assert tables.factor(9) == [(3, 2)]
     small = PrimeTables(10)
-    assert small.spf[9] == 3
+    assert small.factor(9) == [(3, 2)]
 
 
 def test_prime_count_to_100(tables):

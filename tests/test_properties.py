@@ -5,11 +5,12 @@ against the defining Fourier sum, the FFT inversion against membership and
 the batched hybrid sum against the per-point loop.  Progression layer: the
 membership mask against scalar contains, tables sliced from the shared sieve
 (made before or after a larger one) against a fresh build, the sieve's
-primes and the smallest-prime-factor table, however it was grown, against
-trial division, the quadratic classes against the scalar classifiers, the weighted discrepancy rows against
-discrepancy_E (the bincount rows of abs_max_c to 1e-9 relative), and the
-linear-sieve rows and the Buchstab split against the per-(d, ell) and
-per-prime loops they replace.  Kernels: the unit phases against the
+primes, the factorization helper and every PrimeTables method that reads it
+against trial division in oracles.py, the quadratic classes against the
+scalar classifiers, the weighted discrepancy rows against discrepancy_E
+(the bincount rows of abs_max_c to 1e-9 relative), and the linear-sieve
+rows and the Buchstab split against the per-(d, ell) and per-prime loops
+they replace.  Kernels: the unit phases against the
 complex exponential of the float remainder, bit for bit, the Vaughan arrays
 and strided sums, the min-function and Weyl sums, the sandwich rows, the member enumeration
 and the two-squares brute force against the per-element loops in oracles.py,
@@ -29,14 +30,15 @@ from hypothesis import example, given, strategies as st
 
 import oracles
 from missingdigit import (
-    DigitSystem, PrimeTables, SieveSpec, SieveWeight, ThetaApprox, bilinear_sum,
-    buchstab_and_app, build_weights, classify_arc, cli, contains, dirichlet_approx, discrepancy_E,
-    eval_hat, expsums, fourier, hybrid_sum, linear_upper, members, mikawa_w, min_sum,
-    primetables, rank, sandwich_check, unrank, vaughan_decompose, weighted_discrepancy,
+    DigitSystem, PreconditionError, PrimeTables, SieveSpec, SieveWeight, ThetaApprox,
+    bilinear_sum, buchstab_and_app, build_weights, classify_arc, cli, contains,
+    dirichlet_approx, discrepancy_E, eval_hat, expsums, fourier, hybrid_sum, linear_upper,
+    members, mikawa_w, min_sum, primetables, rank, sandwich_check, unrank, vaughan_decompose,
+    weighted_discrepancy,
 )
-from missingdigit.circle import _KIND_CODE, arc_codes, count_missing_digit_primes
+from missingdigit.circle import _KIND_CODE, arc_codes
 from missingdigit.cli import _brute_primitive_marks
-from missingdigit.digitset import _prime_divisors, contains_array, member_mask
+from missingdigit.digitset import contains_array, member_mask
 from missingdigit.expsums import type_one_max
 from missingdigit.fourier import inversion_max_error, spectrum
 
@@ -164,7 +166,7 @@ def test_tables_sliced_from_the_shared_sieve_equal_a_fresh_build(small, extra):
         pp_n, pp_log = tables.prime_powers
         assert np.array_equal(tables.primes, primetables._odd_sieve_primes(small))
         assert np.array_equal(pp_n, fresh.pp_n) and np.array_equal(pp_log, fresh.pp_log)
-        assert pp_n.tolist() == [n for n in range(2, small + 1) if len(_prime_divisors(n)) == 1]
+        assert pp_n.tolist() == [n for n in range(2, small + 1) if len(primetables.factor(n)) == 1]
         for arr in (tables.primes, pp_n, pp_log):
             assert not arr.flags.writeable
 
@@ -180,10 +182,61 @@ SQUARES_OF_PRIMES = [p * p + e for p in (2, 3, 5, 7, 11, 13, 31, 53, 67) for e i
 def test_spf_table_matches_trial_division(limit):
     tables = PrimeTables(limit)
     assert tables.primes.tolist() == oracles.primes_upto(limit)
-    assert tables._spf is None  # the prime sieve builds no factor table
-    spf = tables.spf
-    assert spf[0] == spf[1] == 1
-    assert spf[2:].tolist() == [oracles.least_prime_factor(n) for n in range(2, limit + 1)]
+    spf = [tables.factor(n)[0][0] for n in range(2, limit + 1)]
+    assert spf == [oracles.least_prime_factor(n) for n in range(2, limit + 1)]
+
+
+# n = 1, the squares of primes +- 1, and n past the 3000-table below: larger
+# prime squares +- 1, primes near 10^6 and a product of two primes near 1000
+FACTOR_EDGES = [1, 2, 3] + SQUARES_OF_PRIMES + [
+    p * p + e for p in (1009, 3001, 9973) for e in (-1, 0, 1)
+] + [999983, 1000003, 1009 * 1013]
+
+
+@given(st.one_of(st.integers(1, 20000), st.sampled_from(FACTOR_EDGES)))
+@example(1)
+@example(4)
+@example(3001 * 3001)
+@example(1000003)
+def test_factor_matches_the_oracles(n):
+    pairs = primetables.factor(n)
+    primes = [p for p, _ in pairs]
+    assert math.prod(p**e for p, e in pairs) == n
+    assert primes == sorted(set(primes)) and all(oracles.is_prime(p) for p in primes)
+    assert all(e >= 1 for _, e in pairs)
+    assert primes[:1] == ([oracles.least_prime_factor(n)] if n > 1 else [])
+    assert (pairs == [(n, 1)]) == oracles.is_prime(n)
+    squarefree = all(e == 1 for _, e in pairs)
+    assert ((-1) ** len(pairs) if squarefree else 0) == oracles.mobius(n)
+    assert (math.log(primes[0]) if len(pairs) == 1 else 0.0) == oracles.mangoldt(n)
+    if n <= 2000:
+        coprime = sum(math.gcd(m, n) == 1 for m in range(1, n + 1))
+        assert primetables.totient(n) == coprime
+        for h in (1, 2, 3):
+            tau = math.prod(math.comb(e + h - 1, h - 1) for _, e in pairs)
+            assert tau == oracles.brute_tau(n, h)
+
+
+@given(st.integers(1, 4500))
+@example(1)
+@example(3000)
+@example(3001)
+def test_prime_tables_read_the_factor_helper(n):
+    tables = PrimeTables(3000)
+    methods = (tables.factor, tables.mangoldt, tables.mobius, tables.totient, tables.tau,
+               tables.quadratic_class)
+    if n > tables.limit:
+        for method in methods:
+            with pytest.raises(PreconditionError):
+                method(n)
+        return
+    pairs = primetables.factor(n)
+    assert tables.factor(n) == pairs
+    assert tables.mangoldt(n) == oracles.mangoldt(n)
+    assert tables.mobius(n) == oracles.mobius(n)
+    assert tables.totient(n) == primetables.totient(n)
+    assert tables.tau(n, 3) == math.prod(math.comb(e + 2, 2) for _, e in pairs)
+    assert tables.quadratic_class(n) == primetables.quadratic_class_of(n)
 
 
 # sizes where the sqrt cutoff of the sift bites: p^2 and 2 p^2, each +- 1, for p = 3 (mod 4)
@@ -212,21 +265,9 @@ def test_lazy_spf_matches_trial_division(reads, order):
         reads = sorted(reads, reverse=order == "falling")
     tables = PrimeTables(3000)
     for n in reads:
-        assert math.prod(p**e for p, e in tables.factor(n)) == n
-    spf = tables._spf
-    assert max(reads) < spf.size <= tables.limit + 1
-    assert spf[0] == spf[1] == 1
-    assert spf[2:].tolist() == [oracles.least_prime_factor(n) for n in range(2, spf.size)]
-
-
-def test_progressions_build_no_large_factor_table():
-    ds = DigitSystem(10, 7, 3)
-    X = 10**6
-    tables = PrimeTables(X)
-    weighted_discrepancy(tables, ds, X, "abs_max_c", D=200)
-    count_missing_digit_primes(tables, ds, X)
-    # only the totients of the moduli d <= 200 and of b are factored
-    assert tables._spf is None or tables._spf.size <= 4096
+        pairs = tables.factor(n)
+        assert math.prod(p**e for p, e in pairs) == n
+        assert [p for p, _ in pairs[:1]] == ([oracles.least_prime_factor(n)] if n > 1 else [])
 
 
 def test_buchstab_and_two_squares_build_no_factor_table(capsys):
@@ -241,16 +282,6 @@ def test_buchstab_and_two_squares_build_no_factor_table(capsys):
         assert cli.main(["buchstab-app", "--b", "7", "--a0", "4", "--r", "3", "--k", "6"]) == 0
     capsys.readouterr()
     assert [t.limit for t in made] == [100000, 7**6]
-    assert all(t._spf is None for t in made)
-
-
-def test_rising_reads_grow_the_factor_table_by_doubling():
-    tables = PrimeTables(3000)
-    with mock.patch.object(primetables, "_spf_table", wraps=primetables._spf_table) as build:
-        for n in range(1, 3001):
-            tables.factor(n)
-    assert build.call_count == 12  # sizes 2, 4, ..., 2048 and then the limit
-    assert tables._spf.size == 3001
 
 
 @given(st.integers(1, 10**4))
@@ -597,4 +628,5 @@ def test_brute_primitive_marks_equal_pair_loop(limit):
 
 @given(st.integers(1, 3000))
 def test_prime_divisors_by_trial_division(n):
-    assert _prime_divisors(n) == [p for p in range(2, n + 1) if n % p == 0 and oracles.is_prime(p)]
+    primes = [p for p, _ in primetables.factor(n)]
+    assert primes == [p for p in range(2, n + 1) if n % p == 0 and oracles.is_prime(p)]

@@ -39,14 +39,8 @@ def test_build_weights_basics(tables):
     for d, v in w.values.items():
         assert v in (-1, 1)
         assert d <= 1000
-        chain = []
-        m = d
-        while m > 1:
-            p = int(tables.spf[m])
-            assert p <= 30
-            chain.append(p)
-            m //= p
-            assert m % p != 0
+        chain = tables.factor(d)
+        assert all(p <= 30 and e == 1 for p, e in chain)
         assert v == (-1) ** len(chain)
     # every single prime p <= z is in the lower support (even-index rule is vacuous)
     for p in (2, 3, 29):
