@@ -28,10 +28,11 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from ._budget import check_budget
-from .digitset import DigitSystem, contains, contains_array, count, member_mask
+from .digitset import DigitSystem, contains_array, count, member_mask
 from .errors import InternalCheckError, PreconditionError
+from .expsums import _phases
 from .fourier import spectrum
-from .primetables import PrimeTables, _sift_1mod4, totient
+from .primetables import PrimeTables, _sift_1mod4, totient, units
 
 KIND_MINOR = "Minor"
 KIND_M1 = "Major1"
@@ -113,8 +114,8 @@ def _add_windows(cover: np.ndarray, q: int, scale: int, mod: int,
     rounding classify_arc's float expressions give a_lo(t) <= a <= a_hi(t).
     """
     X = cover.size - 1
-    a = np.arange(a_min, q)
-    a = a[np.gcd(a, q) == 1]
+    a = np.flatnonzero(units(q))
+    a = a[a >= a_min]
     # |n| <= radius  <=>  |n| <= floor(radius), for an integer n
     bound = math.floor(radius)
     t_lo = np.maximum(0, -((bound - a * mod) // scale))
@@ -164,12 +165,8 @@ def ramanujan_sum(q: int, a: int) -> complex:
     """sum over reduced residues m mod q of e(-m a / q); equals mu(q) for (a,q)=1."""
     if q < 1:
         raise PreconditionError("q must be >= 1")
-    total = 0.0 + 0.0j
-    for m in range(1, q + 1):
-        if math.gcd(m, q) == 1:
-            ang = -2.0 * math.pi * ((m * a) % q) / q
-            total += complex(math.cos(ang), math.sin(ang))
-    return total
+    m = np.flatnonzero(units(q))  # m = 0 stands for m = q, reduced only at q = 1
+    return complex(_phases(-(m * (a % q) % q) / q).sum())
 
 
 # -- discrepancy ----------------------------------------------------------------
@@ -195,7 +192,9 @@ class ProgressionCounts:
     Construction checks once that gcd(r, b) = 1, that X = b^k and that X - 1
     is within the table limit.  ns and logs hold the members in increasing
     order; cnt = count(ds, k) counts all members below X ending in r, not only
-    prime powers.  A modulus q > 1 must be prime to every d read.
+    prime powers.  mask is the membership mask of [0, X), built once here for
+    every row that reads membership; it lives as long as the counts.  A
+    modulus q > 1 must be prime to every d read.
     """
 
     def __init__(self, tables: PrimeTables, ds: DigitSystem, X: int, q: int = 1, a: int = 0):
@@ -210,7 +209,8 @@ class ProgressionCounts:
         self.cnt = count(ds, self.k)
         pp_n, pp_log = tables.prime_powers
         cut = np.searchsorted(pp_n, X, side="left")
-        keep = np.flatnonzero(member_mask(ds, self.k)[pp_n[:cut]])
+        self.mask = member_mask(ds, self.k)
+        keep = np.flatnonzero(self.mask[pp_n[:cut]])
         keep = keep[pp_n[keep] % q == a]
         self.ns, self.logs = pp_n[keep], pp_log[keep]
 
@@ -291,7 +291,7 @@ def _abs_max_c(counts: ProgressionCounts, *, D: int) -> list[Row]:
     rows = []
     for d in moduli:
         e = counts.lam_mod(d) - counts.main(d)
-        reduced = np.flatnonzero(np.gcd(np.arange(d), d) == 1)
+        reduced = np.flatnonzero(units(d))
         c = int(reduced[np.argmax(np.abs(e[reduced]))])  # the first of the largest
         rows.append(Row(d, c, float(e[c]), 1.0))
     return _rechecked(counts, rows, rel=1e-9)
@@ -333,7 +333,6 @@ def _sieve_lin(counts: ProgressionCounts, *, weights, L: int,
     steps = (len(moduli) + 1) * L  # each row and the term build walk every ell
     check_budget(steps, f"sieve_lin: {len(moduli)} rows over {L} values of ell")
     pp_n, pp_log = counts.tables.prime_powers
-    mask = member_mask(counts.ds, counts.k)
     # Per ell: the values 2 ell n + 1 over prime powers n with ell n = 1
     # (mod 4) that are members, with the log p of n; each d below sums a
     # subset of them in the same order.
@@ -346,7 +345,7 @@ def _sieve_lin(counts: ProgressionCounts, *, weights, L: int,
         nn = pp_n[:cut]
         mod4 = (ell * nn) % 4 == 1
         vals = 2 * ell * nn[mod4] + 1
-        member = mask[vals]
+        member = counts.mask[vals]
         terms.append((ell, h_ell, vals[member], pp_log[:cut][mod4][member]))
     size = sum(term[2].size for term in terms)
     check_budget(len(moduli) * size + steps, f"sieve_lin: {len(moduli)} rows over {size} members")

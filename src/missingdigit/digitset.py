@@ -12,10 +12,11 @@ leading zeros are immaterial and the expansion of 0 is the single digit 0.
 Hence 0 is a member iff a0 != 0, which makes the [0, b^k) product counts exact.
 
 Over [0, b^k) the members form a product set, so their indicator is an outer
-product of k digit rows (member_mask, cached and read-only): the array
-callers gather membership from it with one index.  contains_array keeps a
-digit-by-digit route for values of any size, and the internal rechecks read
-membership through it, independently of the mask.
+product of k digit rows (member_mask, read-only and not cached): the array
+callers build it once per report and gather membership from it with one
+index.  contains_array keeps a digit-by-digit route for values of any size,
+and the internal rechecks read membership through it, independently of the
+mask.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -108,10 +109,8 @@ def contains_array(ds: DigitSystem, values: np.ndarray) -> np.ndarray:
     return ok
 
 
-@lru_cache(maxsize=1)
 def member_mask(ds: DigitSystem, k: int) -> np.ndarray:
-    """Read-only bool array of length b^k with mask[n] = contains(ds, n); one
-    cached entry, so a sweep over systems holds one mask at a time.
+    """Read-only bool array of length b^k with mask[n] = contains(ds, n).
 
     An outer product of digit rows, the last digit (pinned to r when there is
     a residue) the fastest axis and each higher digit the outer index.  With

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._budget import SCAN_BLOCK, check_budget
 from .errors import InternalCheckError, PreconditionError
-from .primetables import PrimeTables
+from .primetables import PrimeTables, units
 
 TWO_PI = 2.0 * math.pi
 _INT64_MAX = np.iinfo(np.int64).max
@@ -538,6 +538,5 @@ def type_one_max(
             sums += w * (np.bincount(c, terms.real, d) + 1j * np.bincount(c, terms.imag, d))
     total = 0.0
     for d, sums in enumerate(inner, start=1):
-        reduced = np.gcd(np.arange(d), d) == 1
-        total += tables.tau(d, h3) * float(np.abs(sums[reduced]).max())
+        total += tables.tau(d, h3) * float(np.abs(sums[units(d)]).max())
     return total

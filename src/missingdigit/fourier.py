@@ -7,7 +7,8 @@ For X = b^k the transform of the restricted set is
 and it factors over digit positions: each position j contributes
 sum_{d allowed} e(d b^j theta), with an e(r theta) prefactor when the last
 digit is pinned to r.  Evaluation is O(k b) per point; the O(b^k) defining
-sum is only ever used as a test oracle.
+sum is only ever used as a test oracle.  Off the grid (eval_hat) the phase of
+b^j theta is advanced in floats and e(x) comes from expsums._phases.
 
 On the grid theta = t/X the phases are tracked as exact integers mod X, so
 whole-spectrum scans (L^1 mass, hybrid sums over rational points, inversion)
@@ -26,12 +27,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._budget import check_budget
+from ._budget import SCAN_BLOCK, check_budget
 from .digitset import DigitSystem, contains_array, count
 from .errors import PreconditionError
+from .expsums import _phases
 from .primetables import factor
 
-TWO_PI = 2.0 * math.pi
 
 @dataclass
 class FourierStats:
@@ -56,21 +57,20 @@ def eval_hat(ds: DigitSystem, k: int, theta: float) -> complex:
     _require_product_form(ds, k)
     b = ds.base
     phase = theta % 1.0
-    if ds.residue is not None:
-        value = complex(math.cos(TWO_PI * ds.residue * phase), math.sin(TWO_PI * ds.residue * phase))
-        start = 1
-    else:
-        value = 1.0 + 0.0j
-        start = 0
+    pinned = ds.residue is not None
     # phase of b^j * theta mod 1, advanced one digit position at a time
-    pj = (phase * b**start) % 1.0 if start else phase
+    pj = (phase * b) % 1.0 if pinned else phase
     positions = []
-    for _ in range(start, k):
+    for _ in range(pinned, k):
         positions.append(pj)
         pj = (pj * b) % 1.0
-    # one row of digit phases per position; the value is the product of the row sums
-    ang = TWO_PI * ((np.array(ds.allowed, dtype=np.float64) * np.array(positions)[:, None]) % 1.0)
-    for s in (np.cos(ang).sum(axis=1) + 1j * np.sin(ang).sum(axis=1)).tolist():
+    # one row of digit phases per position, and e(r theta) last when the last
+    # digit is pinned to r, in one pass; the value is e(r theta) times the
+    # product of the row sums
+    digits = np.array(ds.allowed, dtype=np.float64) * np.array(positions)[:, None]
+    e = _phases(np.append(digits, ds.residue * phase) if pinned else digits.ravel())
+    value = complex(e[-1]) if pinned else 1.0 + 0.0j
+    for s in e[: digits.size].reshape(digits.shape).sum(axis=1).tolist():
         value *= s
     return value
 
@@ -155,39 +155,28 @@ def l1_and_cb(ds: DigitSystem, k: int) -> FourierStats:
                         alpha_b_estimate=alpha_b)
 
 
-# Bound on the number of (q, a) pairs hybrid_sum holds in one block.
-_HYBRID_CHUNK = 1 << 16
-
-
-def hybrid_sum(ds: DigitSystem, k: int, Q: int, B: int,
-               stats: FourierStats | None = None) -> dict:
+def hybrid_sum(ds: DigitSystem, k: int, Q: int, B: int) -> dict:
     """Hybrid rational-point mass of the spectrum near fractions a/q, q ~ Q.
 
     Sums |hat1(a/q + eta/X)| over q in (Q, 2Q], reduced 1 <= a < q, and the
     integers t = X a/q + eta with |eta| < B (only such theta are grid points).
     Also reports the bound shape (b-1)^k (Q^2 B)^alpha_b + Q^2 B (c_b log b)^k
-    evaluated with the measured constants, and the LHS/RHS ratio.  Passing a
-    FourierStats of the same system and k reuses its constants instead of
-    scanning the spectrum again.
+    evaluated with the measured constants, and the LHS/RHS ratio.
 
     The t near each a/q that pass the exact integer test |t q - X a| < B q
     form one run of consecutive integers, summed as a difference of the
-    cumulative sum of |hat1|; the fractions are taken in blocks of bounded
-    size.
+    cumulative sum of |hat1|; the (q, a) pairs are taken in blocks of at most
+    SCAN_BLOCK.
     """
     if Q < 1 or B < 1:
         raise PreconditionError("Q and B must be >= 1")
-    if stats is not None and (stats.system != ds or stats.k != k):
-        raise PreconditionError(
-            f"stats of {stats.system} at k={stats.k} passed for {ds} at k={k}"
-        )
     b = ds.base
     X = b**k
     check_budget(4 * Q * Q * B + X * k * b, f"hybrid scan Q={Q} B={B}")
     # cs[i] = sum of |hat1(t/X)| over t < i
     cs = np.concatenate(([0.0], np.cumsum(np.abs(spectrum(ds, k)))))
     numerators = np.arange(1, 2 * Q, dtype=np.int64)
-    q_block = max(1, _HYBRID_CHUNK // numerators.size)
+    q_block = max(1, SCAN_BLOCK // numerators.size)
     total = 0.0
     points = 0
     for q0 in range(Q + 1, 2 * Q + 1, q_block):
@@ -204,8 +193,7 @@ def hybrid_sum(ds: DigitSystem, k: int, Q: int, B: int,
         # the sum of |hat| over t in [start, end), continued periodically
         total += float((cs[end % X] + end // X * cs[X] - cs[start]).sum())
         points += int(length.sum())
-    if stats is None:
-        stats = l1_and_cb(ds, k)
+    stats = l1_and_cb(ds, k)
     rhs = (b - 1) ** k * (Q * Q * B) ** stats.alpha_b_estimate + Q * Q * B * (
         stats.c_b_estimate * math.log(b)
     ) ** k

@@ -13,8 +13,8 @@ sums over double progressions without any factorization.
 Factoring one value (Lambda, mu, phi and the h-fold divisor function tau_h of
 n, its quadratic class) goes through factor(n), trial division by 2 and then
 the odd numbers up to the square root of what is left: the values factored
-are moduli, bases and sieve chains of desk size.  The two quadratic classes
-are
+are moduli, bases and sieve chains of desk size, and each call claims
+sqrt(n) steps from the budget.  The two quadratic classes are
 
     B    = {n : n = n1^2 + n2^2 with gcd(n1, n2) = 1}
          = {2^e * m : e in {0, 1}, p | m => p = 1 mod 4},
@@ -110,10 +110,12 @@ def _sift_1mod4(ok: np.ndarray, primes: np.ndarray) -> None:
 
 def factor(n: int) -> list[tuple[int, int]]:
     """(prime, exponent) pairs of n >= 1 in increasing prime order, by trial
-    division: 2, then the odd numbers up to the square root of what is left."""
+    division: 2, then the odd numbers up to the square root of what is left.
+    Claims sqrt(n) steps from the budget."""
     n = int(n)
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
+    check_budget(math.isqrt(n), f"trial division of {n}")
     out = []
     p, step = 2, 1
     while p * p <= n:
@@ -137,6 +139,15 @@ def totient(n: int) -> int:
     return phi
 
 
+def units(d: int) -> np.ndarray:
+    """Bool array over the residues 0 <= c < d of d >= 1, True where
+    gcd(c, d) = 1: the multiples of each prime of d cleared."""
+    out = np.ones(d, dtype=bool)
+    for p, _ in factor(d):
+        out[::p] = False
+    return out
+
+
 def _classify(n: int) -> QuadClass:
     """(n in B, n in Bcal) for n >= 1 from the primes of its odd part."""
     twos = n & -n  # the power of 2 dividing n exactly
@@ -145,12 +156,11 @@ def _classify(n: int) -> QuadClass:
 
 
 def quadratic_class_of(n: int) -> QuadClass:
-    """quadratic_class of one n >= 1 without a table, by trial division up to
-    sqrt(n)."""
+    """quadratic_class of one n >= 1 without a table, by trial division of
+    its odd part."""
     n = int(n)
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
-    check_budget(math.isqrt(n), f"trial division of {n}")
     return _classify(n)
 
 
@@ -256,19 +266,10 @@ class PrimeTables:
 
     # -- progression psi sums -------------------------------------------------
 
-    def psi_progression(
-        self,
-        y: int,
-        d: int,
-        c: int,
-        q: int = 1,
-        m: int = 0,
-        three_mod_eight: bool = False,
-    ) -> float:
+    def psi_progression(self, y: int, d: int, c: int, q: int = 1, m: int = 0) -> float:
         """Sum of Lambda(n) over n <= y with n = c (mod d) and n = m (mod q).
 
-        The optional flag further restricts to n = 3 (mod 8).  Empty
-        progressions are allowed and give 0.
+        Empty progressions are allowed and give 0.
         """
         y = int(y)
         if y > self.limit:
@@ -281,8 +282,6 @@ class PrimeTables:
         cut = np.searchsorted(pp_n, y, side="right")
         ns = pp_n[:cut]
         mask = (ns % d == c % d) & (ns % q == m % q)
-        if three_mod_eight:
-            mask &= ns % 8 == 3
         return float(pp_log[:cut][mask].sum())
 
     # -- quadratic classes ----------------------------------------------------

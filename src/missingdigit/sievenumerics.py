@@ -71,9 +71,10 @@ def sieve_fn(kind: str, u: float) -> float:
     return 0.0  # lin_f vanishes on its whole stated domain
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10,
-                     max_depth: int = 40) -> float:
-    """Plain recursive adaptive Simpson with Richardson acceptance."""
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
+                     tol: float = 1e-10) -> float:
+    """Plain recursive adaptive Simpson with Richardson acceptance, at most
+    40 halvings deep."""
 
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
@@ -94,7 +95,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float
         return 0.0
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
+    return recurse(a, b, fa, fm, fb, whole, tol, 40)
 
 
 def I_sem(rho: float, alpha: float) -> float:
@@ -107,7 +108,7 @@ def I_sem(rho: float, alpha: float) -> float:
     return _chain_log(u) / math.sqrt(rho)
 
 
-def I_lin(rho: float, alpha: float, tol: float = 1e-10) -> float:
+def I_lin(rho: float, alpha: float) -> float:
     """rho^(-1) int_2^alpha log(y-1) / (y sqrt(1 - y/alpha)) dy.
 
     Substituting y = alpha (1 - t^2) gives
@@ -124,7 +125,7 @@ def I_lin(rho: float, alpha: float, tol: float = 1e-10) -> float:
         one_mt2 = 1.0 - t * t
         return math.log(max(alpha * one_mt2 - 1.0, 1e-300)) / one_mt2
 
-    return 2.0 * adaptive_simpson(integrand, 0.0, t0, tol) / rho
+    return 2.0 * adaptive_simpson(integrand, 0.0, t0) / rho
 
 
 @dataclass
@@ -183,9 +184,9 @@ def euler_constants(tables: PrimeTables, p_limit: int) -> SieveConstants:
 
 
 def mertens_3mod4(tables: PrimeTables, y: int,
-                  constants: SieveConstants | None = None) -> tuple[float, float]:
+                  constants: SieveConstants) -> tuple[float, float]:
     """(exact product over p <= y, p = 3 mod 4, of 1 - 1/(p-1); its predicted
-    asymptote 2 C2 C3 sqrt(pi e^-gamma / log y))."""
+    asymptote 2 C2 C3 sqrt(pi e^-gamma / log y), from the given constants)."""
     if y > tables.limit:
         raise PreconditionError("y exceeds table limit")
     if y < 2:
@@ -195,8 +196,6 @@ def mertens_3mod4(tables: PrimeTables, y: int,
         p = int(p)
         if p % 4 == 3:
             product *= 1.0 - 1.0 / (p - 1)
-    if constants is None:
-        constants = euler_constants(tables, min(tables.limit, max(1000, y)))
     predicted = 2.0 * constants.C2 * constants.C3 * math.sqrt(
         math.pi * math.exp(-EULER_GAMMA) / math.log(y)
     )
@@ -223,13 +222,14 @@ def t_weight_limit(X: int, alpha: float) -> int:
 
 
 def t_weight_sum(tables: PrimeTables, X: int, alpha: float, b: int,
-                 constants: SieveConstants | None = None) -> tuple[float, float]:
+                 constants: SieveConstants) -> tuple[float, float]:
     """Exact sum of t(l) / (l log(X/l)) over the two-factor set
 
         l = n1 p1,  n1 <= X^(1-2/alpha) with every prime of n1 = 1 mod 4,
         p1 prime, X^(1/alpha) <= p1 < sqrt(X/n1), p1 = 3 mod 4, p1 not | b,
 
-    restricted to gcd(l, 2b) = 1, next to its predicted value
+    restricted to gcd(l, 2b) = 1, next to its predicted value (C1 and C2
+    from the given constants)
 
         (C2 / (2 C1)) prod_{p | b, p = 1 (4)} (1 + 1/(p-2))^-1
         * int_2^alpha log(y-1)/(y sqrt(1-y/alpha)) dy / sqrt(log X).
@@ -254,8 +254,6 @@ def t_weight_sum(tables: PrimeTables, X: int, alpha: float, b: int,
                 continue
             ell = n1 * p
             total += tn1 * ((p - 1.0) / (p - 2.0)) / (ell * math.log(X / ell))
-    if constants is None:
-        constants = euler_constants(tables, min(tables.limit, 10**5))
     integral = I_lin(1.0, alpha)  # rho = 1 leaves the bare integral
     bfactor = 1.0
     for p, _ in factor(b):

@@ -5,6 +5,7 @@ import math
 import pathlib
 import re
 import signal
+import weakref
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from missingdigit import circle, cli
 from missingdigit.cli import SCHEMAS, build_parser, main, report_schema
+from missingdigit.digitset import member_mask
 from missingdigit.errors import PreconditionError
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
@@ -340,6 +342,21 @@ def test_a_wrong_membership_mask_exits_4(capsys, monkeypatch, argv):
     assert json.loads(err)["error"]["kind"] == "InternalCheckError"
 
 
+def test_a_lin_report_builds_one_mask_and_keeps_none(capsys, monkeypatch):
+    # the counts object and the lin rows read one mask, freed with the report
+    built = []
+
+    def counted(ds, k):
+        mask = member_mask(ds, k)
+        built.append(weakref.ref(mask))
+        return mask
+
+    monkeypatch.setattr(circle, "member_mask", counted)
+    code, _, _ = run_cli(capsys, "weighted-bv", *SYSTEM, "--k", "4", "--kind", "lin")
+    assert code == 0 and len(built) == 1
+    assert built[0]() is None
+
+
 # README lines do not pass these valued flags; the sweep below adds them
 SWEEP_EXTRA = (
     "vaughan-check --X 10000 --trials 3 --U 30 --dmax 10 --seed 1",
@@ -501,9 +518,19 @@ def test_sieve_fns_claims_its_grid(capsys, monkeypatch):
     "arcs --b 10 --a0 7 --r 3 --k 4 --C 1e308",
     "vaughan-check --X 10000 --trials 1000000000000",
     "vaughan-check --X 10000 --trials 9223372036854775808 --U 30",
+    # trial division of the prime base 2^61 - 1 claims sqrt(b) steps
+    "density --b 2305843009213693951 --a0 7",
+    "count --b 2305843009213693951 --a0 7 --k 1",
+    "constants --b 2305843009213693951",
 ])
 def test_sizes_past_the_budget_exit_3(capsys, line):
-    code, out, err = run_cli(capsys, *line.split())
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(5)
+    try:
+        code, out, err = run_cli(capsys, *line.split())
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert code == 3 and out == ""
     assert json.loads(err)["error"]["kind"] == "BudgetError"
 

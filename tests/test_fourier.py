@@ -162,16 +162,6 @@ def test_hybrid_brute_force_and_monotonicity():
     assert bigger["value"] >= got["value"]
     tiny = hybrid_sum(ds, 2, 1, 1)
     assert tiny["value"] >= 0.0 and math.isfinite(tiny["value"])
-    # the same value with and without stats=
-    assert hybrid_sum(ds, k, 4, 4, stats=l1_and_cb(ds, k)) == got
-
-
-def test_hybrid_refuses_stats_of_another_system_or_length():
-    ds = DigitSystem(10, 7, 3)
-    with pytest.raises(PreconditionError, match="stats of"):
-        hybrid_sum(ds, 4, 4, 4, stats=l1_and_cb(DigitSystem(10, 2), 4))
-    with pytest.raises(PreconditionError, match="stats of"):
-        hybrid_sum(ds, 4, 4, 4, stats=l1_and_cb(ds, 3))
 
 
 def test_linf_probe():

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from missingdigit import PreconditionError, PrimeTables
+from missingdigit.primetables import units
 
 
 def test_spf_examples(tables):
@@ -83,10 +84,15 @@ def test_psi_progression_against_direct_sum(tables):
     assert full == pytest.approx(oracles.brute_psi(10_000, 1, 0), rel=1e-9)
 
 
-def test_psi_three_mod_eight_flag(tables):
-    got = tables.psi_progression(100, 1, 0, three_mod_eight=True)
+def test_psi_three_mod_eight_progression(tables):
+    got = tables.psi_progression(100, 1, 0, q=8, m=3)
     expect = sum(oracles.mangoldt(n) for n in range(1, 101) if n % 8 == 3)
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_units_agree_with_gcd():
+    for d in range(1, 2001):
+        assert units(d).tolist() == [math.gcd(c, d) == 1 for c in range(d)]
 
 
 def test_quadratic_class_examples(tables):

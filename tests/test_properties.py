@@ -116,10 +116,10 @@ def per_point_hybrid(ds, k, Q, B):
 
 
 @given(digit_systems(10**4).filter(lambda s: s[0].residue is not None),
-       st.integers(1, 12), st.integers(1, 40), st.sampled_from([1, 5, 64, 1 << 16]))
+       st.integers(1, 12), st.integers(1, 40), st.sampled_from([1, 5, 64, 1 << 17]))
 def test_batched_hybrid_matches_per_point_loop(system, Q, B, chunk):
     ds, k = system
-    with mock.patch.object(fourier, "_HYBRID_CHUNK", chunk):
+    with mock.patch.object(fourier, "SCAN_BLOCK", chunk):
         got = hybrid_sum(ds, k, Q, B)
     value, points = per_point_hybrid(ds, k, Q, B)
     assert got["points"] == points

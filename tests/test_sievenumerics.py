@@ -100,11 +100,12 @@ def test_euler_constants(tables):
 
 
 def test_mertens_products(tables):
-    product, _ = mertens_3mod4(tables, 3)
+    small = euler_constants(tables, 1000)
+    product, _ = mertens_3mod4(tables, 3, small)
     assert product == pytest.approx(0.5)
-    product, _ = mertens_3mod4(tables, 10)
+    product, _ = mertens_3mod4(tables, 10, small)
     assert product == pytest.approx(5 / 12)
-    product, predicted = mertens_3mod4(tables, 10**5)
+    product, predicted = mertens_3mod4(tables, 10**5, euler_constants(tables, 10**5))
     assert 0.8 < product / predicted < 1.2  # diagnostic band, converges slowly
 
 
@@ -116,7 +117,8 @@ def test_t_multiplier(tables):
 
 def test_t_weight_sum_against_enumeration(tables):
     X, alpha, b = 10**4, 3.0, 7
-    total, predicted = t_weight_sum(tables, X, alpha, b)
+    consts = euler_constants(tables, 10**5)
+    total, predicted = t_weight_sum(tables, X, alpha, b, consts)
     # independent enumeration with trial-division classifiers
     brute = 0.0
     n1_cap = int(X ** (1 - 2 / alpha))
@@ -149,7 +151,7 @@ def test_t_weight_sum_against_enumeration(tables):
     assert total == pytest.approx(brute, rel=1e-12)
     assert predicted > 0
     # small X leaves the set empty
-    empty, _ = t_weight_sum(tables, 8, 3.0, 7)
+    empty, _ = t_weight_sum(tables, 8, 3.0, 7, consts)
     assert empty == 0.0
 
 
