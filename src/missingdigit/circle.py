@@ -237,7 +237,12 @@ class ProgressionCounts:
 
 
 def discrepancy_E(tables: PrimeTables, ds: DigitSystem, X: int, d: int, c: int) -> float:
-    """E(X; d, c) with the exact member count in the main term."""
+    """E(X; d, c) with the exact member count in the main term.
+
+    Each call builds a whole ProgressionCounts: the gather of the member
+    prime powers below X and a b^k-byte membership mask.  A loop over moduli
+    should build one ProgressionCounts(tables, ds, X) and call its .E(d, c).
+    """
     return ProgressionCounts(tables, ds, X).E(d, c)
 
 

@@ -14,6 +14,7 @@ its flags and its report schema sit next to the code that fills the report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import random
@@ -160,13 +161,7 @@ def run_density(args):
 def run_fourier_stats(args):
     ds = _digit_system(args)
     _X(args)
-    stats = fourier.l1_and_cb(ds, args.k)
-    results = {
-        "k": stats.k,
-        "l1_total": stats.l1_total,
-        "c_b_estimate": stats.c_b_estimate,
-        "alpha_b_estimate": stats.alpha_b_estimate,
-    }
+    results = dataclasses.asdict(fourier.l1_and_cb(ds, args.k))
     if args.check_inversion:
         worst = fourier.inversion_max_error(ds, args.k)
         results["inversion_max_error"] = worst
@@ -184,8 +179,7 @@ def run_fourier_stats(args):
 def run_hybrid(args):
     ds = _digit_system(args)
     _X(args)
-    res = fourier.hybrid_sum(ds, args.k, args.Q, args.B)
-    return dict(res), None
+    return fourier.hybrid_sum(ds, args.k, args.Q, args.B), None
 
 
 @command("arcs", DIGITS_R + K + (
@@ -263,9 +257,8 @@ def run_weighted_bv(args):
         if kind == "semi":
             rep = circle.weighted_discrepancy(tables, ds, X, "sieve_semi", weights=w)
         else:
-            xi = {d: float(v) for d, v in w.values.items()}
             rep = circle.weighted_discrepancy(
-                tables, ds, X, "well_factorable", xi=xi, c=args.c
+                tables, ds, X, "well_factorable", xi=w.values, c=args.c
             )
     else:  # "lin"
         spec = sieveweights.linear_upper(
@@ -277,10 +270,7 @@ def run_weighted_bv(args):
         rep = circle.weighted_discrepancy(
             tables, ds, X, "sieve_lin", weights=w, L=L, h=h
         )
-    rows = [
-        {"d": row.d, "c": row.c, "E": row.E, "weight": row.weight}
-        for row in rep.rows
-    ]
+    rows = [row._asdict() for row in rep.rows]
     return {"aggregate": rep.aggregate, "kind": rep.weight_kind, "rows_count": len(rows)}, rows
 
 
@@ -513,14 +503,8 @@ def run_buchstab_app(args):
     X = _X(args)
     tables = PrimeTables(X)
     res = circle.buchstab_and_app(tables, ds, X, args.alpha)
-    return {
-        "S": res.S, "T": res.T, "total": res.total,
-        "identity_ok": res.total == res.S - res.T,
-        "app_count": res.app_count,
-        "predicted_scale": res.predicted_scale,
-        "ratio": res.app_count / res.predicted_scale,
-        "z": res.z,
-    }, None
+    return {**res._asdict(), "identity_ok": res.total == res.S - res.T,
+            "ratio": res.app_count / res.predicted_scale}, None
 
 
 # -- wiring --------------------------------------------------------------------

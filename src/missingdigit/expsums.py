@@ -147,8 +147,6 @@ def dirichlet_approx(theta: float, Q: int, X: int) -> ThetaApprox:
     if not math.isfinite(theta):
         raise PreconditionError(f"theta must be finite, got {theta}")
     convs = _convergents(theta, Q)
-    if not convs:
-        convs = [(round(theta), 1)]
     chosen = None
     for p, q in convs:
         if abs(theta - p / q) <= 1.0 / (q * Q):
@@ -450,10 +448,6 @@ def mikawa_w(tables: PrimeTables, M: int, N: int, X: int, ta: ThetaApprox) -> We
 # -- Type I aggregates ---------------------------------------------------------
 
 
-def _modinv(x: int, m: int) -> int:
-    return pow(x % m, -1, m)
-
-
 def _check_type_one(j: int, X: int, moduli) -> None:
     if j not in (0, 1):
         raise PreconditionError("j must be 0 or 1")
@@ -476,7 +470,7 @@ def type_one_inner(
         if c % g != 0:
             continue
         dd = d // g
-        start = (c // g) * _modinv(m // g, dd) % dd if dd > 1 else 1
+        start = (c // g) * pow(m // g % dd, -1, dd) % dd if dd > 1 else 1
         if start == 0:
             start = dd
         n_max = (X - 1) // m

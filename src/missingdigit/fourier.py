@@ -31,14 +31,12 @@ from ._budget import SCAN_BLOCK, check_budget
 from .digitset import DigitSystem, contains_array, count
 from .errors import PreconditionError
 from .expsums import _phases
-from .primetables import factor
 
 
 @dataclass
 class FourierStats:
     """Measured spectrum statistics for one digit system and digit length k."""
 
-    system: DigitSystem
     k: int
     l1_total: float
     c_b_estimate: float
@@ -56,6 +54,7 @@ def eval_hat(ds: DigitSystem, k: int, theta: float) -> complex:
     """hat1_set(theta) by the digit product; O(k*b)."""
     _require_product_form(ds, k)
     b = ds.base
+    check_budget(k * b, f"digit product at k={k}, b={b}")
     phase = theta % 1.0
     pinned = ds.residue is not None
     # phase of b^j * theta mod 1, advanced one digit position at a time
@@ -151,8 +150,7 @@ def l1_and_cb(ds: DigitSystem, k: int) -> FourierStats:
     l1_total = float(np.abs(hat).sum())
     c_b = l1_total ** (1.0 / k) / (b * math.log(b))
     alpha_b = math.log(c_b * b * math.log(b) / (b - 1)) / math.log(b)
-    return FourierStats(system=ds, k=k, l1_total=l1_total, c_b_estimate=c_b,
-                        alpha_b_estimate=alpha_b)
+    return FourierStats(k=k, l1_total=l1_total, c_b_estimate=c_b, alpha_b_estimate=alpha_b)
 
 
 def hybrid_sum(ds: DigitSystem, k: int, Q: int, B: int) -> dict:
@@ -220,9 +218,8 @@ def linf_probe(ds: DigitSystem, k: int, q: int, a: int, eps: float) -> tuple[flo
     if abs(eps) >= 0.5 * b ** (-2 * k / 3):
         raise PreconditionError("eps too large for the probe regime")
     q1 = q
-    for p, _ in factor(b):
-        while q1 % p == 0:
-            q1 //= p
+    while (g := math.gcd(q1, b)) > 1:
+        q1 //= g
     if q1 == 1:
         raise PreconditionError("q has no divisor > 1 coprime to b")
     value = abs(eval_hat(ds, k, (a / q + eps) % 1.0))

@@ -36,8 +36,6 @@ def _emit(value, out: list[str]) -> None:
         out.append(format_float(value))
     elif isinstance(value, Fraction):
         out.append(f'"{value.numerator}/{value.denominator}"')
-    elif isinstance(value, complex):
-        _emit({"re": value.real, "im": value.imag}, out)
     elif isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace('"', '\\"')
         out.append(f'"{escaped}"')

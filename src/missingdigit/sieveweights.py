@@ -59,10 +59,6 @@ class SieveSpec:
         if not (2 <= self.D < math.inf and 2 <= self.z < math.inf):
             raise PreconditionError("D and z must be finite and >= 2")
 
-    @property
-    def u(self) -> float:
-        return math.log(self.D) / math.log(self.z)
-
     def _parity_checked(self, index: int) -> bool:
         return index % 2 == (1 if self.side == "upper" else 0)
 

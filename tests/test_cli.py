@@ -11,10 +11,11 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from missingdigit import circle, cli
+from missingdigit import circle, cli, digitset, expsums, fourier, sieveweights
 from missingdigit.cli import SCHEMAS, build_parser, main, report_schema
 from missingdigit.digitset import member_mask
 from missingdigit.errors import PreconditionError
+from missingdigit.reporting import canonical_json
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 README = pathlib.Path(__file__).parents[1] / "README.md"
@@ -340,6 +341,38 @@ def test_a_wrong_membership_mask_exits_4(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, argv[0], *SYSTEM, "--k", "4", *argv[1:])
     assert code == 4 and out == ""
     assert json.loads(err)["error"]["kind"] == "InternalCheckError"
+
+
+@pytest.mark.parametrize("argv,target,name,wrong", [
+    # each replacement wrong(real) spoils one side of a two-route comparison
+    (("count", *SYSTEM, "--k", "3", "--check"), digitset, "contains_array",
+     lambda real: lambda ds, n: np.zeros(n.shape, dtype=bool)),
+    (("fourier-stats", *SYSTEM, "--k", "3", "--check-inversion"), fourier,
+     "inversion_max_error", lambda real: lambda ds, k: 1.0),
+    (("two-squares", "--limit", "1000", "--check-brute"), cli, "_brute_primitive_marks",
+     lambda real: lambda limit: ~real(limit)),
+    (("vaughan-check", "--X", "2000", "--trials", "2"), expsums, "lambda_hat",
+     lambda real: lambda *args: real(*args) + 1),
+    (("arcs", *SYSTEM, "--k", "3", "--d", "7", "--c", "2"), circle.ProgressionCounts, "lam",
+     lambda real: lambda *args: real(*args) + 1),
+    # no prefix of an empty prime chain qualifies as d1
+    (("sieve-fns", "--umax", "1.2", "--wellfactor-X", "100000"), sieveweights, "_chain_of",
+     lambda real: lambda tables, d, z: []),
+    # the convergent 0/1 is not within 1/Q of theta
+    (("mikawa", "--M", "8", "--N", "8", "--X", "5000", "--theta", "0.333333", "--Q", "100"),
+     expsums, "_convergents", lambda real: lambda theta, max_q: [(0, 1)]),
+])
+def test_two_routes_disagreeing_exits_4(capsys, monkeypatch, argv, target, name, wrong):
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(target, name, wrong(getattr(target, name)))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    record = json.loads(err)
+    assert canonical_json(record) + "\n" == err
+    assert record["error"]["code"] == 4
+    assert record["error"]["kind"] == "InternalCheckError"
 
 
 def test_a_lin_report_builds_one_mask_and_keeps_none(capsys, monkeypatch):

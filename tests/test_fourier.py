@@ -17,6 +17,7 @@ from missingdigit import (
 )
 from missingdigit import fourier
 from missingdigit.fourier import spectrum
+from missingdigit.primetables import factor
 
 
 def test_eval_hat_trivial_values():
@@ -175,3 +176,31 @@ def test_linf_probe():
         linf_probe(ds, 6, 10, 1, 0.0)  # q made only of primes dividing b
     with pytest.raises(PreconditionError):
         linf_probe(ds, 6, 3, 1, 0.4)  # eps outside the probe regime
+
+
+def test_linf_probe_refuses_exactly_the_q_made_of_primes_of_b(monkeypatch):
+    # the refusal comes before the transform; a stand-in keeps 76,000 probes cheap
+    monkeypatch.setattr(fourier, "eval_hat", lambda ds, k, theta: 1.0)
+    for b in range(3, 41):
+        ds = DigitSystem(b, 1)
+        k = 1
+        while b ** (k / 3) <= 2000:
+            k += 1
+        for q in range(1, 2001):
+            refused = all(b % p == 0 for p, _ in factor(q))
+            try:
+                linf_probe(ds, k, q, 1, 0.0)
+            except PreconditionError as exc:
+                assert refused and "coprime to b" in str(exc), (b, q)
+            else:
+                assert not refused, (b, q)
+
+
+@pytest.mark.parametrize("b,k", [(10, 100), (1000, 1), (3, 200)])
+def test_eval_hat_claims_k_times_b(monkeypatch, b, k):
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", str(k * b))
+    eval_hat(DigitSystem(b, 1), k, 0.25)
+    with pytest.raises(BudgetError, match="digit product"):
+        eval_hat(DigitSystem(b + 1, 1), k, 0.25)
+    with pytest.raises(BudgetError, match="digit product"):
+        eval_hat(DigitSystem(b, 1), k + 1, 0.25)
