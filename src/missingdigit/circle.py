@@ -204,15 +204,13 @@ class ProgressionCounts:
         self.k = round(math.log(X) / math.log(b))
         if b**self.k != X:
             raise PreconditionError(f"X={X} is not a power of the base {b}")
-        _check_limit(tables, X)
+        ns, logs = tables.prime_powers_upto(X - 1)
         self.tables, self.ds, self.X, self.q, self.a = tables, ds, X, q, a
         self.cnt = count(ds, self.k)
-        pp_n, pp_log = tables.prime_powers
-        cut = np.searchsorted(pp_n, X, side="left")
         self.mask = member_mask(ds, self.k)
-        keep = np.flatnonzero(self.mask[pp_n[:cut]])
-        keep = keep[pp_n[keep] % q == a]
-        self.ns, self.logs = pp_n[keep], pp_log[keep]
+        keep = np.flatnonzero(self.mask[ns])  # the mask first: it keeps the fewer
+        keep = keep[ns[keep] % q == a]
+        self.ns, self.logs = ns[keep], logs[keep]
 
     def lam(self, d: int, c: int) -> float:
         """Sum of log p over the members n = c (mod d), gcd(c, d) = gcd(d, b)
@@ -269,11 +267,10 @@ def _rechecked(counts: ProgressionCounts, rows: list[Row], rel: float = 0.0) -> 
     summed in another order."""
     if rows:
         row = max(rows, key=lambda row: row.d)
-        pp_n, pp_log = counts.tables.prime_powers
-        ns = pp_n[: np.searchsorted(pp_n, counts.X, side="left")]
-        prog = np.flatnonzero(ns % row.d == row.c)
-        prog = prog[ns[prog] % counts.q == counts.a]
-        lam = float(pp_log[prog][contains_array(counts.ds, ns[prog])].sum())
+        ns, logs = counts.tables.prime_powers_upto(counts.X - 1, row.d, row.c)
+        keep = np.flatnonzero(ns % counts.q == counts.a)
+        ns, logs = ns[keep], logs[keep]
+        lam = float(logs[contains_array(counts.ds, ns)].sum())
         E = lam - counts.main(row.d)
         if abs(E - row.E) > rel * max(1.0, abs(lam)):
             raise InternalCheckError(f"row d={row.d}, c={row.c} has E={row.E}, rechecked {E}")
@@ -337,7 +334,6 @@ def _sieve_lin(counts: ProgressionCounts, *, weights, L: int,
     b, X = counts.ds.base, counts.X
     steps = (len(moduli) + 1) * L  # each row and the term build walk every ell
     check_budget(steps, f"sieve_lin: {len(moduli)} rows over {L} values of ell")
-    pp_n, pp_log = counts.tables.prime_powers
     # Per ell: the values 2 ell n + 1 over prime powers n with ell n = 1
     # (mod 4) that are members, with the log p of n; each d below sums a
     # subset of them in the same order.
@@ -346,12 +342,13 @@ def _sieve_lin(counts: ProgressionCounts, *, weights, L: int,
         h_ell = h(ell) if math.gcd(ell, 2 * b) == 1 else 0
         if h_ell == 0:
             continue
-        cut = _lin_cut(pp_n, X, ell)
-        nn = pp_n[:cut]
-        mod4 = (ell * nn) % 4 == 1
-        vals = 2 * ell * nn[mod4] + 1
+        # n <= (X - 2) / (2 ell) keeps 2 ell n + 1 <= X - 1: the value X itself
+        # would index past a mask of length X (it is never a member, as
+        # gcd(r, b) = 1).  ell is odd, so ell n = 1 (mod 4) is n = ell (mod 4).
+        nn, logs = counts.tables.prime_powers_upto((X - 2) // (2 * ell), 4, ell)
+        vals = 2 * ell * nn + 1
         member = counts.mask[vals]
-        terms.append((ell, h_ell, vals[member], pp_log[:cut][mod4][member]))
+        terms.append((ell, h_ell, vals[member], logs[member]))
     size = sum(term[2].size for term in terms)
     check_budget(len(moduli) * size + steps, f"sieve_lin: {len(moduli)} rows over {size} members")
     rows = []
@@ -368,12 +365,6 @@ def _sieve_lin(counts: ProgressionCounts, *, weights, L: int,
     return _rechecked_lin(counts, rows, [(ell, h_ell) for ell, h_ell, *_ in terms])
 
 
-def _lin_cut(pp_n: np.ndarray, X: int, ell: int) -> int:
-    """The prime powers n with 2 ell n + 1 <= X - 1: the value X itself would
-    index past a mask of length X (it is never a member, as gcd(r, b) = 1)."""
-    return int(np.searchsorted(pp_n, (X - 2) // (2 * ell), side="right"))
-
-
 def _rechecked_lin(counts: ProgressionCounts, rows: list[Row],
                    ells: list[tuple[int, float]]) -> list[Row]:
     """sieve_lin's rows, once the row of largest d is recomputed per (d, ell)
@@ -382,19 +373,18 @@ def _rechecked_lin(counts: ProgressionCounts, rows: list[Row],
     differ by 1e-9 relative to the Lambda side."""
     if rows:
         row = max(rows, key=lambda row: row.d)
-        pp_n, pp_log = counts.tables.prime_powers
-        X = counts.X
-        cuts = [_lin_cut(pp_n, X, ell) for ell, _ in ells]
-        check_budget(sum(cuts), f"sieve_lin: recheck of d={row.d} over {len(ells)} values of ell")
+        # the n of sieve_lin's terms: 2 ell n + 1 <= X - 1
+        ranges = [counts.tables.prime_powers_upto((counts.X - 2) // (2 * ell)) for ell, _ in ells]
+        size = sum(nn.size for nn, _ in ranges)
+        check_budget(size, f"sieve_lin: recheck of d={row.d} over {len(ells)} values of ell")
         inner = main_sum = 0.0
-        for (ell, h_ell), cut in zip(ells, cuts):
+        for (ell, h_ell), (nn, logs) in zip(ells, ranges):
             if math.gcd(ell, row.d) == 1:
                 main_sum += h_ell / ell
-            nn = pp_n[:cut]
             keep = ((2 * ell * nn + 1) % row.d == 0) & ((ell * nn) % 4 == 1)
             if keep.any():
                 member = contains_array(counts.ds, 2 * ell * nn[keep] + 1)
-                inner += h_ell * float(pp_log[:cut][keep][member].sum())
+                inner += h_ell * float(logs[keep][member].sum())
         E = inner - counts.main(row.d, main_sum / 4)
         if abs(E - row.E) > 1e-9 * max(1.0, abs(inner)):
             raise InternalCheckError(f"row d={row.d}, c={row.c} has E={row.E}, rechecked {E}")
@@ -470,8 +460,9 @@ def arc_split(
     direct, main_term = counts.lam(d, c), counts.main(d)
     check_budget(X * max(1.0, math.log2(X)), f"arc split FFT at X={X}")
     hat = spectrum(ds, counts.k)
-    lam = tables.mangoldt_range(X)
-    masked = np.where(np.arange(X) % d == c % d, lam, 0.0)
+    ns, logs = tables.prime_powers_upto(X - 1, d, c)
+    masked = np.zeros(X)
+    masked[ns] = logs
     lam_hat_neg = np.fft.fft(masked)  # index t holds LambdaHat_{d,c}(-t/X)
     terms = hat * lam_hat_neg / X
     codes = arc_codes(X, C)

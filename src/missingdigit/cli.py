@@ -77,20 +77,24 @@ def _digit_flags(residue_required):
 AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 AT_LEAST_2 = (lambda v: v >= 2, ">= 2")
 POSITIVE = (lambda v: v > 0, "> 0")
-# at delta = 1/6 the sifting exponent 1/3 - 2 delta - 2 eps^2 reaches 0
-DELTA_RANGE = (lambda v: 0 <= v < 1 / 6, "in [0, 1/6)")
-# below 1/7 both sieve levels 3(1 - 4 delta)/7 - eps and 1/2 - 2 delta - eps
-# stay positive for every delta in [0, 1/6)
-EPS_RANGE = (lambda v: 0 < v < 1 / 7, "in (0, 1/7)")
 
 DIGITS = _digit_flags(False)
 DIGITS_R = _digit_flags(True)
 K = (("--k", dict(type=int, required=True), AT_LEAST_1),)
-DELTA_EPS = (("--delta", dict(type=float, default=1e-3), DELTA_RANGE),
-             ("--eps", dict(type=float, default=1e-6), EPS_RANGE))
-SIFTING_EXPONENT = (lambda args: 2 * args.delta + 2 * args.eps**2 < 1 / 3,
-                    "--eps must keep the sifting exponent 1/3 - 2 delta - 2 eps^2 above 0,"
-                    " got delta={delta}, eps={eps}")
+DELTA_EPS = (("--delta", dict(type=float, default=1e-3)),
+             ("--eps", dict(type=float, default=1e-6)))
+# The ranges of --delta and --eps are cross-flag checks, so that weighted-bv
+# can apply them only to the kinds that read the two flags.
+SIEVE_RANGES = (
+    # at delta = 1/6 the sifting exponent 1/3 - 2 delta - 2 eps^2 reaches 0
+    (lambda args: 0 <= args.delta < 1 / 6, "--delta must be in [0, 1/6), got {delta}"),
+    # below 1/7 both sieve levels 3(1 - 4 delta)/7 - eps and 1/2 - 2 delta - eps
+    # stay positive for every delta in [0, 1/6)
+    (lambda args: 0 < args.eps < 1 / 7, "--eps must be in (0, 1/7), got {eps}"),
+    (lambda args: 2 * args.delta + 2 * args.eps**2 < 1 / 3,
+     "--eps must keep the sifting exponent 1/3 - 2 delta - 2 eps^2 above 0,"
+     " got delta={delta}, eps={eps}"),
+)
 
 
 def _digit_system(args) -> DigitSystem:
@@ -239,7 +243,9 @@ def run_bv_table(args):
 ) + DELTA_EPS, scalars=(
     ("aggregate", "float"), ("kind", "str"), ("rows_count", "int"),
 ), rows=(("d", "int"), ("c", "int"), ("E", "float"), ("weight", "float")),
-   checks=(SIFTING_EXPONENT,))
+   # only the kinds that build sieve weights (wellfac, semi, lin) read --delta/--eps
+   checks=tuple((lambda args, test=test: args.kind in ("fixed", "pairs") or test(args), text)
+                for test, text in SIEVE_RANGES))
 def run_weighted_bv(args):
     ds = _digit_system(args)
     X = _X(args)
@@ -285,8 +291,12 @@ def run_weighted_bv(args):
     ("grid_points", "int"), ("sandwich_violations", "int", "with --sandwich-nmax"),
     ("wellfactor_checked", "int", "with --wellfactor-X"),
     ("wellfactor_failures", "int", "with --wellfactor-X"),
-), rows=(("kind", "str"), ("u", "float"), ("value", "float")),
-   checks=(SIFTING_EXPONENT,))
+), rows=(("kind", "str"), ("u", "float"), ("value", "float")), checks=SIEVE_RANGES + (
+    # a prime p in (D, z] has lambda^- * 1 (p) = 1, above its sifted indicator 0
+    (lambda args: args.sandwich_nmax is None or args.sandwich_D >= args.sandwich_z,
+     "--sandwich-D must be >= --sandwich-z with --sandwich-nmax,"
+     " got D={sandwich_D}, z={sandwich_z}"),
+))
 def run_sieve_fns(args):
     check_budget(4 * ((args.umax - args.umin) / args.ustep + 1), "sieve function grid")
     rows = []
@@ -340,7 +350,7 @@ def run_sieve_fns(args):
     ("reference_ten_ninth_I_lin", "float", "informational"),
 ), rows=(
     ("eps", "float"), ("I_sem", "float"), ("ten_ninth_I_lin", "float"), ("difference", "float"),
-), checks=(SIFTING_EXPONENT,))
+), checks=SIEVE_RANGES)
 def run_integrals(args):
     margin = sievenumerics.lower_bound_margin(args.delta, args.eps)
     margin["reference_I_sem"] = 1.60492
@@ -375,7 +385,7 @@ def run_integrals(args):
     ("mertens_ratio", "float", "with --y"), ("tweight_sum", "float", "with --tweight-X"),
     ("tweight_predicted", "float", "with --tweight-X"),
     ("tweight_ratio", "float", "with --tweight-X"),
-))
+), checks=((lambda args: args.tweight_X is None or args.b is not None, "--tweight-X needs --b"),))
 def run_constants(args):
     tables = PrimeTables(max(args.plimit, args.y or 0, 10**4))
     consts = sievenumerics.euler_constants(tables, args.plimit)
@@ -393,8 +403,6 @@ def run_constants(args):
         results.update(mertens_product=product, mertens_predicted=predicted,
                        mertens_ratio=product / predicted)
     if args.tweight_X is not None:
-        if args.b is None:
-            raise PreconditionError("--tweight-X needs --b")
         tw_limit = sievenumerics.t_weight_limit(args.tweight_X, args.alpha)
         tw_tables = tables if tw_limit <= tables.limit else PrimeTables(tw_limit)
         total, predicted = sievenumerics.t_weight_sum(
@@ -414,10 +422,12 @@ def run_constants(args):
     ("n", "int", "with --n"), ("in_B", "bool", "with --n"), ("in_Bcal", "bool", "with --n"),
     ("limit", "int", "with --limit"), ("count_B", "int"), ("count_Bcal", "int"),
     ("brute_mismatches", "int", "with --check-brute"),
+), checks=(
+    (lambda args: args.n is not None or args.limit is not None, "need --n or --limit"),
+    (lambda args: args.n is None or args.limit is None,
+     "--n and --limit exclude each other, got n={n}, limit={limit}"),
 ))
 def run_two_squares(args):
-    if args.n is None and args.limit is None:
-        raise PreconditionError("need --n or --limit")
     if args.n is not None:
         qc = quadratic_class_of(args.n)
         return {"n": args.n, "in_B": qc.in_B, "in_Bcal": qc.in_Bcal}, None

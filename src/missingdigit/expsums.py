@@ -163,16 +163,7 @@ def dirichlet_approx(theta: float, Q: int, X: int) -> ThetaApprox:
 
 def lambda_hat(tables: PrimeTables, X: int, d: int, c: int, theta: float) -> complex:
     """sum_{n < X, n = c (mod d)} Lambda(n) e(n theta), exact over prime powers."""
-    if X > tables.limit + 1:
-        raise PreconditionError(f"X={X} exceeds table limit {tables.limit}")
-    if d < 1:
-        raise PreconditionError("d must be >= 1")
-    pp_n, pp_log = tables.prime_powers
-    cut = np.searchsorted(pp_n, X, side="left")
-    ns = pp_n[:cut]
-    mask = ns % d == c % d
-    ns = ns[mask]
-    logs = pp_log[:cut][mask]
+    ns, logs = tables.prime_powers_upto(X - 1, d, c)
     return complex((logs * _phases(ns * theta)).sum())
 
 
@@ -348,10 +339,7 @@ def _vaughan_arrays(X: int, U: int):
         a2[m : m * top + 1 : m] += mu[m] * logs[:top]
 
     f = np.zeros(X)
-    pp_n, pp_log = tables.prime_powers
-    cut = np.searchsorted(pp_n, U, side="right")
-    small_pp = pp_n[:cut]
-    small_lg = pp_log[:cut]
+    small_pp, small_lg = tables.prime_powers_upto(U)
     for m in range(1, U + 1):
         if mu[m] == 0:
             continue
@@ -372,8 +360,9 @@ def _vaughan_arrays(X: int, U: int):
     # vanishes for j <= U; so j runs over (U, J] with J the largest cofactor.
     J = (X - 1) // (U + 1)
     g = np.zeros(J + 1)
-    big = pp_n[cut : np.searchsorted(pp_n, J, side="right")]
-    _add_by_cofactor(g, big, pp_log[cut:], range(J // (U + 1), 0, -1))
+    big, big_lg = tables.prime_powers_upto(J)  # past small_pp: the ones in (U, J]
+    _add_by_cofactor(g, big[small_pp.size :], big_lg[small_pp.size :],
+                     range(J // (U + 1), 0, -1))
     a5 = np.zeros(X)
     sqfree = np.flatnonzero(mu[U + 1 :]) + (U + 1)
     _add_by_cofactor(a5, sqfree, mu[sqfree], (j for j in range(J, U, -1) if g[j] != 0.0), g)

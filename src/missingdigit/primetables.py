@@ -8,7 +8,8 @@ to its own limit; a limit past the record's rebuilds it there (an
 Eratosthenes sieve over the odd numbers), and tables made earlier keep the
 slices they hold.  The primes and prime powers serve the range functions
 (Lambda and mu over 0..size-1, Bcal over a range) and the Chebyshev-type
-sums over double progressions without any factorization.
+sums over double progressions without any factorization; the prime powers
+are read through prime_powers_upto(y, d, c) alone.
 
 Factoring one value (Lambda, mu, phi and the h-fold divisor function tau_h of
 n, its quadratic class) goes through factor(n), trial division by 2 and then
@@ -213,6 +214,23 @@ class PrimeTables:
         """(n-array, log p-array) over all prime powers n = p^m <= limit."""
         return self._pp
 
+    def prime_powers_upto(self, y: int, d: int = 1, c: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(n-array, log p-array) over the prime powers n <= y with n = c (mod d),
+        in increasing order: slices of the record when d = 1.  The package
+        reads the record only through here; y past the limit is refused."""
+        y = int(y)
+        if y > self.limit:
+            raise PreconditionError(f"y={y} exceeds table limit {self.limit}")
+        if d < 1:
+            raise PreconditionError("d must be >= 1")
+        pp_n, pp_log = self._pp
+        cut = np.searchsorted(pp_n, y, side="right")
+        ns, logs = pp_n[:cut], pp_log[:cut]
+        if d == 1:
+            return ns, logs
+        keep = np.flatnonzero(ns % d == c % d)
+        return ns[keep], logs[keep]
+
     # -- arithmetic functions ------------------------------------------------
 
     def mangoldt(self, n: int) -> float:
@@ -256,12 +274,9 @@ class PrimeTables:
 
     def mangoldt_range(self, size: int) -> np.ndarray:
         """Lambda(n) for 0 <= n < size as float64."""
-        if size - 1 > self.limit:
-            raise PreconditionError("range exceeds table limit")
+        ns, logs = self.prime_powers_upto(size - 1)
         lam = np.zeros(size, dtype=np.float64)
-        pp_n, pp_log = self.prime_powers
-        cut = np.searchsorted(pp_n, size, side="left")
-        lam[pp_n[:cut]] = pp_log[:cut]
+        lam[ns] = logs
         return lam
 
     # -- progression psi sums -------------------------------------------------
@@ -271,18 +286,10 @@ class PrimeTables:
 
         Empty progressions are allowed and give 0.
         """
-        y = int(y)
-        if y > self.limit:
-            raise PreconditionError(f"y={y} exceeds table limit {self.limit}")
         if d < 1 or q < 1:
             raise PreconditionError("moduli must be >= 1")
-        if y < 2:
-            return 0.0
-        pp_n, pp_log = self.prime_powers
-        cut = np.searchsorted(pp_n, y, side="right")
-        ns = pp_n[:cut]
-        mask = (ns % d == c % d) & (ns % q == m % q)
-        return float(pp_log[:cut][mask].sum())
+        ns, logs = self.prime_powers_upto(y, d, c)
+        return float(logs[ns % q == m % q].sum())
 
     # -- quadratic classes ----------------------------------------------------
 

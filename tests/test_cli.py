@@ -361,6 +361,9 @@ def test_a_wrong_membership_mask_exits_4(capsys, monkeypatch, argv):
     # the convergent 0/1 is not within 1/Q of theta
     (("mikawa", "--M", "8", "--N", "8", "--X", "5000", "--theta", "0.333333", "--Q", "100"),
      expsums, "_convergents", lambda real: lambda theta, max_q: [(0, 1)]),
+    # a row (n, lower, indicator, upper) with the lower sieve above the indicator
+    (("sieve-fns", "--umax", "1.2", "--sandwich-nmax", "1000"), sieveweights, "sandwich_check",
+     lambda real: lambda *args: real(*args) + [(1, 2, 1, 1)]),
 ])
 def test_two_routes_disagreeing_exits_4(capsys, monkeypatch, argv, target, name, wrong):
     code, _, _ = run_cli(capsys, *argv)
@@ -534,6 +537,47 @@ def test_a_zero_flag_value_is_refused_by_its_domain(capsys, line, flag):
     code, out, err = run_cli(capsys, *line.split())
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["message"].startswith(f"{flag} must be ")
+
+
+@pytest.mark.parametrize("kind, flag, value", [
+    ("fixed", "--eps", "0"), ("pairs", "--delta", "0.5"),
+])
+def test_kinds_that_do_not_sieve_ignore_delta_and_eps(capsys, kind, flag, value):
+    argv = ("weighted-bv", *SYSTEM, "--k", "4", "--kind", kind)
+    code, out, _ = run_cli(capsys, *argv, flag, value)
+    assert code == 0
+    _, plain, _ = run_cli(capsys, *argv)
+    report, want = json.loads(out), json.loads(plain)
+    assert (report["results"], report["rows"]) == (want["results"], want["rows"])
+
+
+@pytest.mark.parametrize("D", [2, 4, 10, 30, 100])
+@pytest.mark.parametrize("z", [3, 4, 10, 30])
+def test_a_sandwich_level_below_z_is_refused_naming_both_flags(capsys, D, z):
+    # with D < z, a prime p in (D, z] has lambda^- * 1 (p) = 1, above its sifted indicator 0
+    argv = ("sieve-fns", "--umax", "1.2", "--sandwich-nmax", "20000",
+            "--sandwich-D", str(D), "--sandwich-z", str(z))
+    code, out, err = run_cli(capsys, *argv)
+    if D < z:
+        assert code == 2 and out == ""
+        message = json.loads(err)["error"]["message"]
+        assert "--sandwich-D" in message and "--sandwich-z" in message
+    else:
+        assert code == 0 and json.loads(out)["results"]["sandwich_violations"] == 0
+    assert run_cli(capsys, *argv[:3], *argv[5:])[0] == 0  # no sandwich, no relation
+
+
+@pytest.mark.parametrize("line, message", [
+    ("constants --tweight-X 1000", "--tweight-X needs --b"),
+    ("two-squares", "need --n or --limit"),
+    ("two-squares --n 65 --limit 100", "--n and --limit exclude each other, got n=65, limit=100"),
+])
+def test_flag_relations_are_refused_before_the_runner(capsys, monkeypatch, line, message):
+    # a check left in a runner would come after a table claim past this budget (exit 3)
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000")
+    code, out, err = run_cli(capsys, *line.split())
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == message
 
 
 def test_sieve_fns_claims_its_grid(capsys, monkeypatch):

@@ -6,7 +6,8 @@ the batched hybrid sum against the per-point loop.  Progression layer: the
 membership mask against scalar contains, tables sliced from the shared sieve
 (made before or after a larger one) against a fresh build, the sieve's
 primes, the factorization helper and every PrimeTables method that reads it
-against trial division in oracles.py, the quadratic classes against the
+(prime_powers_upto among them, for y from -1 past the limit and moduli up to
+60) against trial division in oracles.py, the quadratic classes against the
 scalar classifiers, the weighted discrepancy rows against discrepancy_E
 (the bincount rows of abs_max_c to 1e-9 relative), and the linear-sieve
 rows and the Buchstab split against the per-(d, ell) and per-prime loops
@@ -237,6 +238,23 @@ def test_prime_tables_read_the_factor_helper(n):
     assert tables.totient(n) == primetables.totient(n)
     assert tables.tau(n, 3) == math.prod(math.comb(e + 2, 2) for _, e in pairs)
     assert tables.quadratic_class(n) == primetables.quadratic_class_of(n)
+
+
+@given(st.integers(-1, 4500), st.integers(1, 60), st.integers(-100, 100))
+@example(-1, 1, 0)
+@example(3000, 1, 0)
+@example(3000, 60, 7)
+@example(3001, 1, 0)
+def test_prime_powers_upto_matches_trial_division(y, d, c):
+    tables = PrimeTables(3000)
+    if y > tables.limit:
+        with pytest.raises(PreconditionError):
+            tables.prime_powers_upto(y, d, c)
+        return
+    ns, logs = tables.prime_powers_upto(y, d, c)
+    want = [n for n in range(2, y + 1) if n % d == c % d and tables.mangoldt(n) > 0]
+    assert ns.tolist() == want
+    assert logs.tolist() == [tables.mangoldt(n) for n in want]
 
 
 # sizes where the sqrt cutoff of the sift bites: p^2 and 2 p^2, each +- 1, for p = 3 (mod 4)
