@@ -11,8 +11,9 @@ Membership convention: "no digit of the canonical expansion equals a0", so
 leading zeros are immaterial and the expansion of 0 is the single digit 0.
 Hence 0 is a member iff a0 != 0, which makes the [0, b^k) product counts exact.
 
-Over [0, b^k) the members form a product set, so their indicator is an outer
-product of k digit rows (member_mask, read-only and not cached): the array
+Over [0, b^k) the members form a product set, so their indicator is built
+level by level (member_mask, read-only and not cached): each level is b
+copies of the one below with the excluded digit's block cleared.  The array
 callers build it once per report and gather membership from it with one
 index.  contains_array keeps a digit-by-digit route for values of any size,
 and the internal rechecks read membership through it, independently of the
@@ -112,20 +113,24 @@ def contains_array(ds: DigitSystem, values: np.ndarray) -> np.ndarray:
 def member_mask(ds: DigitSystem, k: int) -> np.ndarray:
     """Read-only bool array of length b^k with mask[n] = contains(ds, n).
 
-    An outer product of digit rows, the last digit (pinned to r when there is
-    a residue) the fastest axis and each higher digit the outer index.  With
-    a0 = 0 a leading 0 is no digit: the numbers below b^j keep the mask of
-    j digits, and the step to j + 1 digits appends the product at b^j and up.
+    Built from the last digit (pinned to r when there is a residue) upwards:
+    the mask of j + 1 digits is b row copies of the mask of j digits, one per
+    leading digit, with the excluded digit's row cleared.  With a0 = 0 a
+    leading 0 is no digit: the numbers below b^j keep the mask of j digits,
+    and the step to j + 1 digits appends the new level at b^j and up.
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    b = ds.base
+    b, a0 = ds.base, ds.excluded
     check_budget(b**k, f"membership mask of {b}^{k} values")
-    row = np.arange(b) != ds.excluded
-    full = mask = row if ds.residue is None else np.arange(b) == ds.residue
+    digits = np.arange(b)
+    full = mask = digits != a0 if ds.residue is None else digits == ds.residue
     for j in range(1, k):
-        full = (row[:, None] & full).ravel()
-        mask = np.concatenate((mask, full[b**j :])) if ds.excluded == 0 else full
+        level = np.empty((b, full.size), dtype=bool)
+        level[:] = full
+        level[a0] = False
+        full = level.ravel()
+        mask = np.concatenate((mask, full[b**j :])) if a0 == 0 else full
     mask.flags.writeable = False
     return mask
 

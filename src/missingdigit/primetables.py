@@ -5,11 +5,12 @@ The process holds one record of the primes up to the largest limit asked
 for so far, with their prime powers and logs, all read-only.  The
 constructor claims its limit from the budget and keeps slices of that record
 to its own limit; a limit past the record's rebuilds it there (an
-Eratosthenes sieve over the odd numbers), and tables made earlier keep the
-slices they hold.  The primes and prime powers serve the range functions
-(Lambda and mu over 0..size-1, Bcal over a range) and the Chebyshev-type
-sums over double progressions without any factorization; the prime powers
-are read through prime_powers_upto(y, d, c) alone.
+Eratosthenes sieve over the odd numbers, with the few higher powers p^m,
+m >= 2, sorted alone and merged into the sorted primes), and tables made
+earlier keep the slices they hold.  The primes and prime powers serve the
+range functions (Lambda and mu over 0..size-1, Bcal over a range) and the
+Chebyshev-type sums over double progressions without any factorization; the
+prime powers are read through prime_powers_upto(y, d, c) alone.
 
 Factoring one value (Lambda, mu, phi and the h-fold divisor function tau_h of
 n, its quadratic class) goes through factor(n), trial division by 2 and then
@@ -72,18 +73,21 @@ class _Sieve(NamedTuple):
 
 def _build_sieve(limit: int) -> _Sieve:
     primes = _odd_sieve_primes(limit)
-    ns = [primes]
-    logs = [np.log(primes.astype(np.float64))]
+    powers, logs = [], []
     for p in primes[: np.searchsorted(primes, math.isqrt(limit), side="right")].tolist():
-        powers, q = [], p * p
+        q = p * p
         while q <= limit:
             powers.append(q)
+            logs.append(math.log(p))
             q *= p
-        ns.append(np.array(powers, dtype=np.int64))
-        logs.append(np.full(len(powers), math.log(p)))
-    pp_n, pp_log = np.concatenate(ns), np.concatenate(logs)
-    order = np.argsort(pp_n, kind="stable")
-    pp_n, pp_log = pp_n[order], pp_log[order]
+    # The higher powers are few (1404 below 10^8): sort them alone and merge
+    # them into the sorted primes.
+    powers = np.array(powers, dtype=np.int64)
+    order = np.argsort(powers)
+    powers, logs = powers[order], np.array(logs, dtype=np.float64)[order]
+    at = np.searchsorted(primes, powers)
+    pp_n = np.insert(primes, at, powers)
+    pp_log = np.insert(np.log(primes.astype(np.float64)), at, logs)
     pp_n.flags.writeable = pp_log.flags.writeable = False
     return _Sieve(limit, primes, pp_n, pp_log)
 

@@ -12,7 +12,7 @@ from missingdigit import (
     rank,
     unrank,
 )
-from missingdigit.digitset import contains_array
+from missingdigit.digitset import contains_array, member_mask
 
 import numpy as np
 import oracles
@@ -134,3 +134,18 @@ def test_invalid_systems():
         DigitSystem(10, 7, 7)
     with pytest.raises(PreconditionError):
         contains(DigitSystem(10, 7), -1)
+
+
+@pytest.mark.parametrize("b", range(3, 12))
+def test_member_mask_matches_contains_array_for_every_system(b):
+    # the largest k with b^k <= 5 * 10^4: more levels of the a0 = 0 step
+    # than the property test draws
+    k = max(j for j in range(1, 12) if b**j <= 5 * 10**4)
+    values = np.arange(b**k)
+    for a0 in range(b):
+        for r in [None] + [r for r in range(b) if r != a0]:
+            ds = DigitSystem(b, a0, r)
+            mask = member_mask(ds, k)
+            assert mask.dtype == bool and mask.ndim == 1 and mask.flags.c_contiguous
+            assert mask.shape == (b**k,) and not mask.flags.writeable
+            assert np.array_equal(mask, contains_array(ds, values)), (b, a0, r, k)

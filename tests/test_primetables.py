@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from missingdigit import PreconditionError, PrimeTables
+from missingdigit import PreconditionError, PrimeTables, primetables
 from missingdigit.primetables import units
 
 
@@ -25,6 +25,42 @@ def test_primes_at_small_limits(limit):
     primes = PrimeTables(limit).primes
     assert primes.dtype == np.int64
     assert primes.tolist() == [n for n in range(limit + 1) if oracles.is_prime(n)]
+
+
+def argsort_sieve(limit):
+    """The prime record built by concatenating the primes with their higher
+    powers and sorting the whole array stably: the reference for the merge."""
+    primes = primetables._odd_sieve_primes(limit)
+    ns, logs = [primes], [np.log(primes.astype(np.float64))]
+    for p in primes[: np.searchsorted(primes, math.isqrt(limit), side="right")].tolist():
+        powers, q = [], p * p
+        while q <= limit:
+            powers.append(q)
+            q *= p
+        ns.append(np.array(powers, dtype=np.int64))
+        logs.append(np.full(len(powers), math.log(p)))
+    pp_n, pp_log = np.concatenate(ns), np.concatenate(logs)
+    order = np.argsort(pp_n, kind="stable")
+    return primes, pp_n[order], pp_log[order]
+
+
+RECORD_LIMITS = sorted({p**m + e for p in (2, 3, 5, 7, 11, 13) for m in range(1, 7)
+                        for e in (-1, 0, 1) if p**m + e >= 2} | {10**6})
+
+
+@pytest.mark.parametrize("limit", RECORD_LIMITS)
+def test_merged_record_equals_the_argsort_build(limit):
+    sieve = primetables._build_sieve(limit)
+    for got, want in zip(sieve[1:], argsort_sieve(limit)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    pp_n, pp_log = sieve.pp_n, sieve.pp_log
+    assert (np.diff(pp_n) > 0).all()
+    # the log routine of each entry: np.log at the primes, math.log(p) at the
+    # higher powers (the two can differ in the last bit)
+    at_prime = np.isin(pp_n, sieve.primes)
+    assert pp_log[at_prime].tobytes() == np.log(sieve.primes.astype(np.float64)).tobytes()
+    higher = pp_n[~at_prime].tolist()
+    assert pp_log[~at_prime].tolist() == [math.log(primetables.factor(n)[0][0]) for n in higher]
 
 
 def test_factor_multiplies_back(tables):
