@@ -32,7 +32,7 @@ from .digitset import DigitSystem, contains_array, count, member_mask
 from .errors import InternalCheckError, PreconditionError
 from .expsums import _phases
 from .fourier import spectrum
-from .primetables import PrimeTables, _sift_1mod4, totient, units
+from .primetables import PrimeTables, _sift_1mod4, reduced_fractions, totient, units
 
 KIND_MINOR = "Minor"
 KIND_M1 = "Major1"
@@ -97,32 +97,35 @@ def classify_arc(t: int, X: int, C: float) -> ArcLabel:
 _KIND_CODE = {KIND_MINOR: 0, KIND_M1: 1, KIND_M2: 2, KIND_M3: 3}
 
 
-def _add_windows(cover: np.ndarray, q: int, scale: int, mod: int,
-                 radius: float, a_min: int) -> None:
-    """Add the windows of t that the reduced a/q, a_min <= a < q, witness
-    by classify_arc's tests to the difference array `cover` (length X + 1):
+def _covered(X: int, windows) -> np.ndarray:
+    """Bool over t < X: True inside at least one window [t_lo, t_hi], the
+    windows given as blocks of (t_lo, t_hi) arrays.  Each block adds its
+    starts and ends to one difference array by bincount.  A window of a/q
+    holds floor(a X / q), which lies in [0, X), so clipped to [0, X) it still
+    starts no later than it ends."""
+    cover = np.zeros(X, dtype=np.int64)
+    for t_lo, t_hi in windows:
+        cover += np.bincount(np.maximum(t_lo, 0), minlength=X)
+        cover -= np.bincount(t_hi + 1, minlength=X)[:X]  # ends past X - 1 close nothing
+    return np.cumsum(cover) > 0
 
-        a_lo(t) <= a <= a_hi(t),  |t*scale - a*mod| <= radius,
-        a_lo(t) = max(a_min, ceil((t*scale - radius) / mod)),
-        a_hi(t) = min(q - 1, floor((t*scale + radius) / mod)),
 
-    Major1 is (scale, mod, radius, a_min) = (q, X, q*cutoff, 1); Major2 is
-    (1, X/q, cutoff, 0).  The exact test alone gives each a one interval
-    [t_lo, t_hi] of t.  The a-window adds nothing: where the exact test
-    holds, t*scale - radius <= a*mod <= t*scale + radius, and a*mod and
-    t*scale are exact floats (t*scale < X*cutoff < 2^53), so by monotone
-    rounding classify_arc's float expressions give a_lo(t) <= a <= a_hi(t).
-    """
-    X = cover.size - 1
-    a = np.flatnonzero(units(q))
-    a = a[a >= a_min]
-    # |n| <= radius  <=>  |n| <= floor(radius), for an integer n
-    bound = math.floor(radius)
-    t_lo = np.maximum(0, -((bound - a * mod) // scale))
-    t_hi = np.minimum(X - 1, (a * mod + bound) // scale)
-    keep = t_lo <= t_hi
-    np.add.at(cover, t_lo[keep], 1)
-    np.add.at(cover, t_hi[keep] + 1, -1)
+def _major1_windows(X: int, cutoff: float, qs: np.ndarray):
+    """The t with |t q - a X| <= q cutoff, one interval per reduced a/q,
+    1 <= a <= q/2, q in qs: for an integer, |n| <= radius iff |n| <= floor(radius)."""
+    bound = np.floor(np.arange(qs.max(initial=0) + 1) * cutoff).astype(np.int64)
+    for q, a in reduced_fractions(qs, half=True):
+        aX, r = a * X, bound[q]
+        yield -((r - aX) // q), (aX + r) // q
+
+
+def _major2_windows(X: int, cutoff: float, qs: np.ndarray):
+    """The t with |t - a X/q| <= cutoff, one interval per reduced a/q,
+    0 <= a < q, q in qs (each q | X)."""
+    r = math.floor(cutoff)
+    for q, a in reduced_fractions(qs, a_min=0):
+        centre = a * (X // q)
+        yield centre - r, centre + r
 
 
 @lru_cache(maxsize=4)
@@ -134,28 +137,33 @@ def arc_codes(X: int, C: float) -> np.ndarray:
     the fractions a/q, q <= log(X)^C, are painted in reverse priority, each
     kind over the ones before it: Major1 windows (q not dividing X), then
     Major2 windows (q | X, 0 < |eta| <= cutoff), then Major3 as the strided
-    slices codes[::X//q] (q | X).  Each window is one interval of t, found
-    with classify_arc's own tests (see _add_windows).  Major2 needs no
-    eta != 0 test: eta = 0 at a reduced a/q is a Major3 point, painted over
-    last.
+    slices codes[::X//q] (q | X).  Each kind is one pass over its reduced
+    fractions (primetables.reduced_fractions), Major1 over those with
+    a <= q/2 alone: t lies in the window of a/q exactly when X - t lies in
+    that of (q - a)/q, so the rest is the mirror image (t = 0, whose mirror
+    X is off the grid, is Major3 from q = 1).  Each window is the one
+    interval of t where classify_arc's exact test holds.  Its a-window adds
+    nothing: where the exact test holds, t q - q cutoff <= a X <= t q + q cutoff
+    (Major1), and a X and t q are exact floats (t q < X cutoff < 2^53), so by
+    monotone rounding classify_arc's float expressions put a in its window;
+    Major2 likewise.  Major2 needs no eta != 0 test: eta = 0 at a reduced
+    a/q is a Major3 point, painted over last.
     """
     cutoff = _cutoff(X, C)
     check_budget(X * cutoff, f"arc classification at X={X}")
     qmax = int(min(cutoff, X))
-    divisors = [q for q in range(1, qmax + 1) if X % q == 0]
-    codes = np.zeros(X, dtype=np.int8)
-    m1, m2, m3 = (_KIND_CODE[kind] for kind in (KIND_M1, KIND_M2, KIND_M3))
+    qs = np.arange(1, qmax + 1, dtype=np.int64)
+    divides = X % qs == 0
+    divisors = qs[divides]
+    m1, m2, m3 = (np.int8(_KIND_CODE[kind]) for kind in (KIND_M1, KIND_M2, KIND_M3))
     if qmax < X:  # else q = X makes every t Major3
-        cover = np.zeros(X + 1, dtype=np.int64)
-        for q in range(2, qmax + 1):
-            if X % q:
-                _add_windows(cover, q, q, X, q * cutoff, 1)
-        codes[np.cumsum(cover[:X]) > 0] = m1
-        cover[:] = 0
-        for q in divisors:
-            _add_windows(cover, q, 1, X // q, cutoff, 0)
-        codes[np.cumsum(cover[:X]) > 0] = m2
-    for q in divisors:
+        half = _covered(X, _major1_windows(X, cutoff, qs[~divides]))
+        major1 = half | np.roll(half[::-1], 1)  # t from a/q, X - t from (q - a)/q
+        major2 = _covered(X, _major2_windows(X, cutoff, divisors))
+        codes = np.maximum(m1 * major1, m2 * major2)  # Major2 painted over Major1
+    else:
+        codes = np.zeros(X, dtype=np.int8)
+    for q in divisors.tolist():
         codes[:: X // q] = m3
     codes.setflags(write=False)
     return codes

@@ -198,8 +198,8 @@ def run_arcs(args):
     ds = _digit_system(args)
     X = _X(args)
     codes = circle.arc_codes(X, args.C)
-    census = {kind: int((codes == code).sum())
-              for code, kind in enumerate(("minor", "major1", "major2", "major3"))}
+    census = dict(zip(("minor", "major1", "major2", "major3"),
+                      np.bincount(codes, minlength=4).tolist()))
     tables = PrimeTables(X)
     split = circle.arc_split(tables, ds, X, args.d, args.c, args.C)
     results = {
@@ -371,7 +371,7 @@ def run_integrals(args):
 
 
 @command("constants", (
-    ("--plimit", dict(type=int, default=10**5)),
+    ("--plimit", dict(type=int, default=10**5), (lambda v: v >= 1000, ">= 1000")),
     ("--b", dict(type=int, default=None), AT_LEAST_2),
     ("--y", dict(type=int, default=None), AT_LEAST_2),
     ("--tweight-X", dict(type=int, default=None), AT_LEAST_2),

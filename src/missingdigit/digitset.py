@@ -116,8 +116,10 @@ def member_mask(ds: DigitSystem, k: int) -> np.ndarray:
     Built from the last digit (pinned to r when there is a residue) upwards:
     the mask of j + 1 digits is b row copies of the mask of j digits, one per
     leading digit, with the excluded digit's row cleared.  With a0 = 0 a
-    leading 0 is no digit: the numbers below b^j keep the mask of j digits,
-    and the step to j + 1 digits appends the new level at b^j and up.
+    leading 0 is no digit, so every level is written into one array of b^k:
+    the numbers of j + 1 digits, [b^j, b^(j+1)), are b - 1 row copies of the
+    numbers below b^j whose j digits, leading zeros counted, avoid 0, which
+    are none below b^(j-1) and then the numbers of j digits.
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
@@ -125,12 +127,20 @@ def member_mask(ds: DigitSystem, k: int) -> np.ndarray:
     check_budget(b**k, f"membership mask of {b}^{k} values")
     digits = np.arange(b)
     full = mask = digits != a0 if ds.residue is None else digits == ds.residue
-    for j in range(1, k):
-        level = np.empty((b, full.size), dtype=bool)
-        level[:] = full
-        level[a0] = False
-        full = level.ravel()
-        mask = np.concatenate((mask, full[b**j :])) if a0 == 0 else full
+    if a0 == 0:
+        mask = np.empty(b**k, dtype=bool)
+        mask[:b] = full
+        for j in range(1, k):
+            lo, hi = b ** (j - 1), b**j
+            level = mask[hi : b * hi].reshape(b - 1, hi)
+            level[:, :lo] = False
+            level[:, lo:] = mask[lo:hi]
+    else:
+        for j in range(1, k):
+            level = np.empty((b, full.size), dtype=bool)
+            level[:] = full
+            level[a0] = False
+            full = mask = level.ravel()
     mask.flags.writeable = False
     return mask
 

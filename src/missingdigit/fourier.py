@@ -27,10 +27,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._budget import SCAN_BLOCK, check_budget
+from ._budget import check_budget
 from .digitset import DigitSystem, contains_array, count
 from .errors import PreconditionError
 from .expsums import _phases
+from .primetables import reduced_fractions
 
 
 @dataclass
@@ -163,8 +164,8 @@ def hybrid_sum(ds: DigitSystem, k: int, Q: int, B: int) -> dict:
 
     The t near each a/q that pass the exact integer test |t q - X a| < B q
     form one run of consecutive integers, summed as a difference of the
-    cumulative sum of |hat1|; the (q, a) pairs are taken in blocks of at most
-    SCAN_BLOCK.
+    cumulative sum of |hat1|; the (q, a) pairs come from
+    primetables.reduced_fractions, in blocks of at most SCAN_BLOCK cells.
     """
     if Q < 1 or B < 1:
         raise PreconditionError("Q and B must be >= 1")
@@ -173,15 +174,9 @@ def hybrid_sum(ds: DigitSystem, k: int, Q: int, B: int) -> dict:
     check_budget(4 * Q * Q * B + X * k * b, f"hybrid scan Q={Q} B={B}")
     # cs[i] = sum of |hat1(t/X)| over t < i
     cs = np.concatenate(([0.0], np.cumsum(np.abs(spectrum(ds, k)))))
-    numerators = np.arange(1, 2 * Q, dtype=np.int64)
-    q_block = max(1, SCAN_BLOCK // numerators.size)
     total = 0.0
     points = 0
-    for q0 in range(Q + 1, 2 * Q + 1, q_block):
-        qs = np.arange(q0, min(q0 + q_block, 2 * Q + 1), dtype=np.int64)[:, None]
-        reduced = (numerators < qs) & (np.gcd(numerators, qs) == 1)
-        q = np.broadcast_to(qs, reduced.shape)[reduced]
-        a = np.broadcast_to(numerators, reduced.shape)[reduced]
+    for q, a in reduced_fractions(np.arange(Q + 1, 2 * Q + 1, dtype=np.int64)):
         # t = floor(X a / q) + e passes |t q - X a| < B q exactly for e in
         # [1 - B, B], less e = B when q divides X a
         base = (X // q) * a + (X % q) * a // q  # floor(X a / q) without overflow

@@ -12,11 +12,14 @@ range functions (Lambda and mu over 0..size-1, Bcal over a range) and the
 Chebyshev-type sums over double progressions without any factorization; the
 prime powers are read through prime_powers_upto(y, d, c) alone.
 
-Factoring one value (Lambda, mu, phi and the h-fold divisor function tau_h of
-n, its quadratic class) goes through factor(n), trial division by 2 and then
-the odd numbers up to the square root of what is left: the values factored
-are moduli, bases and sieve chains of desk size, and each call claims
-sqrt(n) steps from the budget.  The two quadratic classes are
+Lambda of one value is its entry in the record.  Factoring one value (mu,
+phi and the h-fold divisor function tau_h of n, its quadratic class) goes
+through factor(n), trial division by 2 and then the odd numbers up to the
+square root of what is left: the values factored are moduli, bases and sieve
+chains of desk size, and each call claims sqrt(n) steps from the budget.
+The reduced residues come from units(d) for one modulus and from
+reduced_fractions(qs) for all the fractions a/q over many, which factors
+nothing.  The two quadratic classes are
 
     B    = {n : n = n1^2 + n2^2 with gcd(n1, n2) = 1}
          = {2^e * m : e in {0, 1}, p | m => p = 1 mod 4},
@@ -34,11 +37,11 @@ correct values.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ._budget import check_budget
+from ._budget import SCAN_BLOCK, check_budget
 from .errors import PreconditionError
 
 
@@ -153,6 +156,39 @@ def units(d: int) -> np.ndarray:
     return out
 
 
+def reduced_fractions(qs: np.ndarray, a_min: int = 1,
+                      half: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The reduced fractions a/q, a_min <= a < q (a_min = 0 or 1), over the
+    increasing int64 array qs >= 1, as (q, a) int64 arrays in blocks; with
+    half, only those with 2a <= q (the others are the (q - a)/q).
+
+    The rows q of qs are taken max(1, SCAN_BLOCK // (qs[-1] - a_min)) at a
+    time, each row over the numerators below the block's last q (up to half
+    of it with half); a block yields its reduced cells in row order (q, then
+    a), possibly none.  No gcd is taken: along each row the multiples of each
+    prime of its q are cleared (so a = 0 survives at q = 1 alone).
+    """
+    if not qs.size or qs[-1] <= a_min:
+        return
+    q_block = max(1, SCAN_BLOCK // int(qs[-1] - a_min))
+    primes = _odd_sieve_primes(max(2, int(qs[-1])))
+    for lo in range(0, qs.size, q_block):
+        block = qs[lo : lo + q_block]
+        top = int(block[-1])
+        if half:
+            numerators = np.arange(a_min, top // 2 + 1, dtype=np.int64)
+            reduced = 2 * numerators <= block[:, None]
+        else:
+            numerators = np.arange(a_min, top, dtype=np.int64)
+            reduced = numerators < block[:, None]
+        below = primes[: np.searchsorted(primes, top, side="right")]
+        rows, at = np.nonzero(block[:, None] % below == 0)
+        for row, p in zip(rows.tolist(), below[at].tolist()):
+            reduced[row, -a_min % p :: p] = False
+        yield (np.repeat(block, np.count_nonzero(reduced, axis=1)),
+               np.broadcast_to(numerators, reduced.shape)[reduced])
+
+
 def _classify(n: int) -> QuadClass:
     """(n in B, n in Bcal) for n >= 1 from the primes of its odd part."""
     twos = n & -n  # the power of 2 dividing n exactly
@@ -238,9 +274,10 @@ class PrimeTables:
     # -- arithmetic functions ------------------------------------------------
 
     def mangoldt(self, n: int) -> float:
-        """log p when n = p^m, else 0."""
-        pairs = factor(self._check(n))
-        return math.log(pairs[0][0]) if len(pairs) == 1 else 0.0
+        """log p when n = p^m, else 0: the prime-power record's entry, so it
+        equals mangoldt_range to the bit."""
+        ns, logs = self.prime_powers_upto(self._check(n))
+        return float(logs[-1]) if ns.size and ns[-1] == n else 0.0
 
     def mobius(self, n: int) -> int:
         pairs = factor(self._check(n))

@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from missingdigit import (
     ramanujan_sum,
     semi_linear_lower,
     build_weights,
+    primetables,
     weighted_discrepancy,
 )
-from missingdigit.circle import KIND_M1, KIND_M2, KIND_M3, KIND_MINOR, arc_codes
+from missingdigit.circle import _KIND_CODE, KIND_M1, KIND_M2, KIND_M3, KIND_MINOR, arc_codes
 from missingdigit.errors import InternalCheckError
 from missingdigit.expsums import dirichlet_approx
+from missingdigit.primetables import units
 from missingdigit.sieveweights import SieveSpec
 
 
@@ -80,6 +83,60 @@ def test_arc_codes_cache_is_read_only():
     assert arc_codes.cache_info().hits == hits + 1
     assert arc_codes.cache_info().maxsize == 4
     assert first[1] == 2  # t = 1 is eta = 1 from 0/1
+
+
+def per_fraction_arc_codes(X, C):
+    """The arc codes painted one q at a time: the reduced a/q from units(q),
+    each window found by classify_arc's exact test and added to a difference
+    array with np.add.at.  The reference for the blocked passes of arc_codes."""
+    cutoff = math.log(X) ** C
+    qmax = int(min(cutoff, X))
+    divisors = [q for q in range(1, qmax + 1) if X % q == 0]
+    codes = np.zeros(X, dtype=np.int8)
+
+    def add_windows(cover, q, scale, mod, radius, a_min):
+        a = np.flatnonzero(units(q))
+        a = a[a >= a_min]
+        bound = math.floor(radius)
+        t_lo = np.maximum(0, -((bound - a * mod) // scale))
+        t_hi = np.minimum(X - 1, (a * mod + bound) // scale)
+        keep = t_lo <= t_hi
+        np.add.at(cover, t_lo[keep], 1)
+        np.add.at(cover, t_hi[keep] + 1, -1)
+
+    if qmax < X:
+        cover = np.zeros(X + 1, dtype=np.int64)
+        for q in range(2, qmax + 1):
+            if X % q:
+                add_windows(cover, q, q, X, q * cutoff, 1)
+        codes[np.cumsum(cover[:X]) > 0] = _KIND_CODE[KIND_M1]
+        cover[:] = 0
+        for q in divisors:
+            add_windows(cover, q, 1, X // q, cutoff, 0)
+        codes[np.cumsum(cover[:X]) > 0] = _KIND_CODE[KIND_M2]
+    for q in divisors:
+        codes[:: X // q] = _KIND_CODE[KIND_M3]
+    return codes
+
+
+ARC_XS = [30, 64, 486, 997, 1000, 2187, 10**4, 3**9, 5**6, 7**5]
+ARC_CASES = [(X, C) for X in ARC_XS for C in (0.5, 1, 1.25, 1.5, 1.75, 2, 2.5, 3)] + [
+    (X, 4) for X in ARC_XS if X <= 2000]
+
+
+@pytest.mark.parametrize("X, C", ARC_CASES)
+def test_arc_codes_equal_the_per_fraction_painter(X, C):
+    codes = arc_codes.__wrapped__(X, C)
+    want = per_fraction_arc_codes(X, C)
+    assert codes.dtype == want.dtype and codes.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("X, C", [(2187, 2.5), (1000, 3), (997, 4)])
+def test_arc_codes_do_not_depend_on_the_block_size(X, C):
+    # a few cells per block: the reduced fractions span hundreds of blocks
+    with mock.patch.object(primetables, "SCAN_BLOCK", 7):
+        codes = arc_codes.__wrapped__(X, C)
+    assert codes.tobytes() == per_fraction_arc_codes(X, C).tobytes()
 
 
 def test_classified_label_satisfies_its_definition():

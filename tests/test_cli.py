@@ -569,6 +569,7 @@ def test_a_sandwich_level_below_z_is_refused_naming_both_flags(capsys, D, z):
 
 @pytest.mark.parametrize("line, message", [
     ("constants --tweight-X 1000", "--tweight-X needs --b"),
+    ("constants --plimit 999", "--plimit must be >= 1000, got 999"),
     ("two-squares", "need --n or --limit"),
     ("two-squares --n 65 --limit 100", "--n and --limit exclude each other, got n=65, limit=100"),
 ])

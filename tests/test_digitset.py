@@ -149,3 +149,30 @@ def test_member_mask_matches_contains_array_for_every_system(b):
             assert mask.dtype == bool and mask.ndim == 1 and mask.flags.c_contiguous
             assert mask.shape == (b**k,) and not mask.flags.writeable
             assert np.array_equal(mask, contains_array(ds, values)), (b, a0, r, k)
+
+
+def concatenated_zero_mask(ds, k):
+    """The a0 = 0 mask built level by level with one concatenation per level:
+    the reference for the build into one preallocated array."""
+    b = ds.base
+    digits = np.arange(b)
+    full = mask = digits != 0 if ds.residue is None else digits == ds.residue
+    for j in range(1, k):
+        level = np.empty((b, full.size), dtype=bool)
+        level[:] = full
+        level[0] = False
+        full = level.ravel()
+        mask = np.concatenate((mask, full[b**j :]))
+    return mask
+
+
+@pytest.mark.parametrize("b", range(3, 12))
+def test_zero_excluded_mask_equals_the_concatenation_build(b):
+    for r in [None, *range(1, b)]:
+        ds = DigitSystem(b, 0, r)
+        for k in range(1, 12):
+            if b**k > 10**6:
+                break
+            mask = member_mask(ds, k)
+            assert mask.tobytes() == concatenated_zero_mask(ds, k).tobytes(), (b, r, k)
+            assert mask.dtype == bool and not mask.flags.writeable

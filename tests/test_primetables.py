@@ -78,6 +78,15 @@ def test_mangoldt_examples(tables):
     assert tables.mangoldt(97) == pytest.approx(math.log(97), rel=1e-15)
 
 
+def test_mangoldt_reads_the_record_bit_for_bit():
+    # the record takes np.log at the primes, which can differ from math.log in
+    # the last bit (at 285343, for one): the scalar must give the range's float
+    tables = PrimeTables(10**6)
+    want = tables.mangoldt_range(10**6 + 1).tolist()
+    mangoldt = tables.mangoldt
+    assert [mangoldt(n) for n in range(1, 10**6 + 1)] == want[1:]
+
+
 def test_mobius_phi_divisor_identities(tables):
     nmax = 10_000
     mu_csum = np.zeros(nmax + 1)
@@ -129,6 +138,30 @@ def test_psi_three_mod_eight_progression(tables):
 def test_units_agree_with_gcd():
     for d in range(1, 2001):
         assert units(d).tolist() == [math.gcd(c, d) == 1 for c in range(d)]
+
+
+REDUCED_ROWS = [([1], 0), ([1], 1), ([2], 1), ([1, 2, 4, 5, 10, 20, 25], 0),
+                (list(range(2, 61)), 1), (list(range(31, 61)), 1),
+                ([q for q in range(2, 90) if 360 % q], 1)]
+
+
+@pytest.mark.parametrize("half", [False, True])
+@pytest.mark.parametrize("block", [1, 5, 64, 1 << 17])
+@pytest.mark.parametrize("qs, a_min", REDUCED_ROWS)
+def test_reduced_fractions_agree_with_gcd(qs, a_min, block, half, monkeypatch):
+    monkeypatch.setattr(primetables, "SCAN_BLOCK", block)
+    rows = np.array(qs, dtype=np.int64)
+    blocks = list(primetables.reduced_fractions(rows, a_min, half=half))
+    got = [(q, a) for q_arr, a_arr in blocks for q, a in zip(q_arr.tolist(), a_arr.tolist())]
+    assert got == [(q, a) for q in qs for a in range(a_min, q)
+                   if math.gcd(a, q) == 1 and (2 * a <= q or not half)]
+    # rows max(1, block // width) at a time, width = qs[-1] - a_min
+    width = qs[-1] - a_min
+    q_block = max(1, block // width) if width else None
+    assert len(blocks) == (-(-len(qs) // q_block) if width else 0)
+    for i, (q_arr, a_arr) in enumerate(blocks):
+        assert q_arr.dtype == a_arr.dtype == np.int64
+        assert set(q_arr.tolist()) <= set(qs[i * q_block : (i + 1) * q_block])
 
 
 def test_quadratic_class_examples(tables):

@@ -120,7 +120,7 @@ def per_point_hybrid(ds, k, Q, B):
        st.integers(1, 12), st.integers(1, 40), st.sampled_from([1, 5, 64, 1 << 17]))
 def test_batched_hybrid_matches_per_point_loop(system, Q, B, chunk):
     ds, k = system
-    with mock.patch.object(fourier, "SCAN_BLOCK", chunk):
+    with mock.patch.object(primetables, "SCAN_BLOCK", chunk):
         got = hybrid_sum(ds, k, Q, B)
     value, points = per_point_hybrid(ds, k, Q, B)
     assert got["points"] == points
