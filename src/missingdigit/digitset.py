@@ -12,8 +12,9 @@ leading zeros are immaterial and the expansion of 0 is the single digit 0.
 Hence 0 is a member iff a0 != 0, which makes the [0, b^k) product counts exact.
 
 Over [0, b^k) the members form a product set, so their indicator is built
-level by level (member_mask, read-only and not cached): each level is b
-copies of the one below with the excluded digit's block cleared.  The array
+level by level into one array (member_mask, read-only and not cached): each
+level is b - 1 row copies of the one below, one per leading digit, with the
+excluded digit's row cleared.  The array
 callers build it once per report and gather membership from it with one
 index.  contains_array keeps a digit-by-digit route for values of any size,
 and the internal rechecks read membership through it, independently of the
@@ -113,34 +114,28 @@ def contains_array(ds: DigitSystem, values: np.ndarray) -> np.ndarray:
 def member_mask(ds: DigitSystem, k: int) -> np.ndarray:
     """Read-only bool array of length b^k with mask[n] = contains(ds, n).
 
-    Built from the last digit (pinned to r when there is a residue) upwards:
-    the mask of j + 1 digits is b row copies of the mask of j digits, one per
-    leading digit, with the excluded digit's row cleared.  With a0 = 0 a
-    leading 0 is no digit, so every level is written into one array of b^k:
-    the numbers of j + 1 digits, [b^j, b^(j+1)), are b - 1 row copies of the
-    numbers below b^j whose j digits, leading zeros counted, avoid 0, which
-    are none below b^(j-1) and then the numbers of j digits.
+    Built from the last digit (pinned to r when there is a residue) upwards,
+    every level written into one array of b^k: the numbers of j + 1 digits,
+    [b^j, b^(j+1)), are b - 1 row copies of the numbers below b^j, one per
+    leading digit 1..b-1.  For a0 != 0 the excluded digit's row is cleared.
+    With a0 = 0 a leading 0 is no digit, so the copied j digits, leading zeros
+    counted, must avoid 0: the numbers below b^(j-1) are cleared in every row.
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
     b, a0 = ds.base, ds.excluded
     check_budget(b**k, f"membership mask of {b}^{k} values")
     digits = np.arange(b)
-    full = mask = digits != a0 if ds.residue is None else digits == ds.residue
-    if a0 == 0:
-        mask = np.empty(b**k, dtype=bool)
-        mask[:b] = full
-        for j in range(1, k):
-            lo, hi = b ** (j - 1), b**j
-            level = mask[hi : b * hi].reshape(b - 1, hi)
-            level[:, :lo] = False
-            level[:, lo:] = mask[lo:hi]
-    else:
-        for j in range(1, k):
-            level = np.empty((b, full.size), dtype=bool)
-            level[:] = full
-            level[a0] = False
-            full = mask = level.ravel()
+    mask = np.empty(b**k, dtype=bool)
+    mask[:b] = digits != a0 if ds.residue is None else digits == ds.residue
+    for j in range(1, k):
+        hi = b**j
+        level = mask[hi : b * hi].reshape(b - 1, hi)
+        level[:] = mask[:hi]
+        if a0:
+            level[a0 - 1] = False
+        else:
+            level[:, : hi // b] = False
     mask.flags.writeable = False
     return mask
 

@@ -297,19 +297,26 @@ class VaughanSums(NamedTuple):
         return self.s1 + self.s2 - self.s3 - self.s4 + self.s5
 
 
-def _add_by_cofactor(out: np.ndarray, ms: np.ndarray, values: np.ndarray, cofactors,
-                     factor: np.ndarray | None = None) -> None:
-    """out[m j] += values[i] (times factor[j] if given) for every m = ms[i] of
-    the sorted ms with m j < len(out), taking the cofactors j in the order given.
+def _divisor_sums(out: np.ndarray, coeffs: np.ndarray, ms: np.ndarray, seq: np.ndarray) -> None:
+    """out[m j] += coeffs[m] * seq[j] for every m of the ascending ms and every
+    1 <= j < len(seq) with m j < len(out).
 
-    For a fixed n = m j, descending cofactors mean ascending m, so each entry
-    receives its terms in the order of a loop over m; one fancy-indexed add
-    per cofactor touches each entry at most once.
+    Each entry receives its terms in increasing m, as a loop over ms would add
+    them, whichever loop runs: one strided add per m when the ms are no more
+    than the cofactors j, else one fancy-indexed add per nonzero seq[j] from
+    the largest j down (for a fixed n = m j, descending j means ascending m,
+    and each add touches an entry at most once).
     """
-    last = len(out) - 1
-    for j in cofactors:
+    last, top = len(out) - 1, len(seq) - 1
+    if len(ms) <= top:
+        for m in ms.tolist():
+            t = min(top, last // m)
+            out[m : m * t + 1 : m] += coeffs[m] * seq[1 : t + 1]
+        return
+    values = coeffs[ms]
+    for j in (np.flatnonzero(seq[1:]) + 1)[::-1].tolist():
         cut = np.searchsorted(ms, last // j, side="right")
-        out[ms[:cut] * j] += values[:cut] if factor is None else values[:cut] * factor[j]
+        out[ms[:cut] * j] += values[:cut] * seq[j]
 
 
 @lru_cache(maxsize=4)
@@ -320,8 +327,10 @@ def _vaughan_arrays(X: int, U: int):
     a3 = (f 1_{<=U}) * 1;   a4 = (f 1_{>U}) * 1   with f = mu_{<=U} * Lambda_{<=U};
     a5 = mu_{>U} * Lambda_{>U} * 1.
     Identity: a1 + a2 - a3 - a4 + a5 = Lambda pointwise on [1, X).
-    The arrays are read-only: callers share the cached copies.  mu and Lambda
-    come from a prime table made here, so the cache holds no caller's table.
+    Each convolution is one _divisor_sums call over the m of nonzero
+    coefficient.  The arrays are read-only: callers share the cached copies.
+    mu and Lambda come from a prime table made here, so the cache holds no
+    caller's table.
     """
     check_budget(X * (math.log(X) + 2) * 4, f"Vaughan arrays at X={X}")
     tables = PrimeTables(X)
@@ -329,43 +338,25 @@ def _vaughan_arrays(X: int, U: int):
     lam = tables.mangoldt_range(X)
     a1 = lam.copy()
     a1[U + 1 :] = 0.0
+    ones = np.broadcast_to(1.0, (X,))  # a view: no X floats held
+    small = np.flatnonzero(mu[1 : U + 1]) + 1  # the squarefree m <= U
 
     a2 = np.zeros(X)
-    logs = np.log(np.arange(1, X))  # logs[j - 1] = log j
-    for m in range(1, min(U, X - 1) + 1):
-        if mu[m] == 0:
-            continue
-        top = (X - 1) // m
-        a2[m : m * top + 1 : m] += mu[m] * logs[:top]
-
+    _divisor_sums(a2, mu, small, np.log(np.arange(X).clip(1)))  # log 1 stands in at j = 0
     f = np.zeros(X)
-    small_pp, small_lg = tables.prime_powers_upto(U)
-    for m in range(1, U + 1):
-        if mu[m] == 0:
-            continue
-        prods = m * small_pp
-        keep = prods < X
-        np.add.at(f, prods[keep], mu[m] * small_lg[keep])
-
+    _divisor_sums(f, mu, small, a1[: U + 1])
     a3 = np.zeros(X)
-    for m in range(1, min(U, X - 1) + 1):
-        if f[m] != 0:
-            a3[m::m] += f[m]
+    _divisor_sums(a3, f, np.flatnonzero(f[1 : U + 1]) + 1, ones)
     a4 = np.zeros(X)
-    for m in range(U + 1, min(U * U, X - 1) + 1):
-        if f[m] != 0:
-            a4[m::m] += f[m]
+    _divisor_sums(a4, f, np.flatnonzero(f[U + 1 :]) + (U + 1), ones)
 
     # a5[m j] sums mu(m) g(j) over squarefree m > U, where g = Lambda_{>U} * 1
     # vanishes for j <= U; so j runs over (U, J] with J the largest cofactor.
     J = (X - 1) // (U + 1)
     g = np.zeros(J + 1)
-    big, big_lg = tables.prime_powers_upto(J)  # past small_pp: the ones in (U, J]
-    _add_by_cofactor(g, big[small_pp.size :], big_lg[small_pp.size :],
-                     range(J // (U + 1), 0, -1))
+    _divisor_sums(g, lam, np.flatnonzero(lam[U + 1 : J + 1]) + (U + 1), ones[: J // (U + 1) + 1])
     a5 = np.zeros(X)
-    sqfree = np.flatnonzero(mu[U + 1 :]) + (U + 1)
-    _add_by_cofactor(a5, sqfree, mu[sqfree], (j for j in range(J, U, -1) if g[j] != 0.0), g)
+    _divisor_sums(a5, mu, np.flatnonzero(mu[U + 1 :]) + (U + 1), g)
 
     arrays = (a1, a2, a3, a4, a5)
     for arr in arrays:

@@ -221,5 +221,5 @@ def linf_probe(ds: DigitSystem, k: int, q: int, a: int, eps: float) -> tuple[flo
     norm = count(ds, k)
     if value <= 0:
         return 0.0, math.inf
-    decay = -math.log(value / norm) * math.log(q) / k if q > 1 else 0.0
+    decay = -math.log(value / norm) * math.log(q) / k
     return value, decay

@@ -176,3 +176,30 @@ def test_zero_excluded_mask_equals_the_concatenation_build(b):
             mask = member_mask(ds, k)
             assert mask.tobytes() == concatenated_zero_mask(ds, k).tobytes(), (b, r, k)
             assert mask.dtype == bool and not mask.flags.writeable
+
+
+def row_copy_mask(ds, k):
+    """The a0 != 0 mask built as one fresh (b, b^j) array of row copies per
+    level: the reference for the build into one preallocated array."""
+    b = ds.base
+    digits = np.arange(b)
+    mask = digits != ds.excluded if ds.residue is None else digits == ds.residue
+    for j in range(1, k):
+        level = np.empty((b, mask.size), dtype=bool)
+        level[:] = mask
+        level[ds.excluded] = False
+        mask = level.ravel()
+    return mask
+
+
+@pytest.mark.parametrize("b", range(3, 12))
+def test_nonzero_excluded_mask_equals_the_row_copy_build(b):
+    for a0 in range(1, b):
+        for r in [None] + [r for r in range(b) if r != a0]:
+            ds = DigitSystem(b, a0, r)
+            for k in range(1, 12):
+                if b**k > 10**6:
+                    break
+                mask = member_mask(ds, k)
+                assert mask.tobytes() == row_copy_mask(ds, k).tobytes(), (b, a0, r, k)
+                assert mask.dtype == bool and not mask.flags.writeable

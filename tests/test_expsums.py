@@ -241,6 +241,94 @@ def test_vaughan_components_against_convolution_oracle(tables):
     assert parts.s5.real == pytest.approx(s5, abs=1e-9)
 
 
+def _add_by_cofactor(out, ms, values, cofactors, factor=None):
+    last = len(out) - 1
+    for j in cofactors:
+        cut = np.searchsorted(ms, last // j, side="right")
+        out[ms[:cut] * j] += values[:cut] if factor is None else values[:cut] * factor[j]
+
+
+def four_idiom_vaughan_arrays(X, U):
+    """The five Vaughan arrays built with a strided add per m (a2, a3, a4),
+    an np.add.at scatter (f) and a gather per cofactor (g, a5): the reference
+    for the one divisor-sum kernel."""
+    tables = PrimeTables(X)
+    mu = tables.mobius_range(X).astype(np.float64)
+    lam = tables.mangoldt_range(X)
+    a1 = lam.copy()
+    a1[U + 1 :] = 0.0
+    a2 = np.zeros(X)
+    logs = np.log(np.arange(1, X))
+    for m in range(1, min(U, X - 1) + 1):
+        if mu[m] != 0:
+            top = (X - 1) // m
+            a2[m : m * top + 1 : m] += mu[m] * logs[:top]
+    f = np.zeros(X)
+    small_pp, small_lg = tables.prime_powers_upto(U)
+    for m in range(1, U + 1):
+        if mu[m] != 0:
+            prods = m * small_pp
+            keep = prods < X
+            np.add.at(f, prods[keep], mu[m] * small_lg[keep])
+    a3 = np.zeros(X)
+    for m in range(1, min(U, X - 1) + 1):
+        if f[m] != 0:
+            a3[m::m] += f[m]
+    a4 = np.zeros(X)
+    for m in range(U + 1, min(U * U, X - 1) + 1):
+        if f[m] != 0:
+            a4[m::m] += f[m]
+    J = (X - 1) // (U + 1)
+    g = np.zeros(J + 1)
+    big, big_lg = tables.prime_powers_upto(J)
+    _add_by_cofactor(g, big[small_pp.size :], big_lg[small_pp.size :], range(J // (U + 1), 0, -1))
+    a5 = np.zeros(X)
+    sqfree = np.flatnonzero(mu[U + 1 :]) + (U + 1)
+    _add_by_cofactor(a5, sqfree, mu[sqfree], (j for j in range(J, U, -1) if g[j] != 0.0), g)
+    return a1, a2, a3, a4, a5
+
+
+@pytest.mark.parametrize("X, U", [
+    (150_000, math.ceil(150_000 ** (1 / 3))),  # the kernels workload's shapes
+    (400_000, math.ceil(400_000 ** (1 / 3))),
+    (20_000, 28), (30_011, 40),  # the golden vaughan-check lines
+    (3_000, 2), (20_000, 2), (11, 10), (3, 2),
+])
+def test_vaughan_arrays_equal_the_four_idiom_build(X, U):
+    arrays = expsums._vaughan_arrays(X, U)
+    for name, got, want in zip(("a1", "a2", "a3", "a4", "a5"), arrays, four_idiom_vaughan_arrays(X, U)):
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), (X, U, name)
+
+
+def _divisor_sums_loop(out, coeffs, ms, seq):
+    for m in ms.tolist():
+        for j in range(1, len(seq)):
+            if m * j < len(out):
+                out[m * j] += coeffs[m] * seq[j]
+
+
+@pytest.mark.parametrize("n_ms, n_seq", [(6, 40), (39, 40), (40, 40), (150, 12), (150, 1)])
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_divisor_sums_equal_the_loop_in_increasing_m(n_ms, n_seq, dtype):
+    # n_ms <= n_seq - 1 takes the strided add per m, the rest the add per j
+    rng = np.random.default_rng(n_ms * 1000 + n_seq)
+    size = 400
+    ms = np.sort(rng.choice(np.arange(1, 2 * size), n_ms, replace=False))
+    if dtype is np.float64:
+        coeffs, seq, out = (rng.standard_normal(n) for n in (2 * size, n_seq, size))
+    else:
+        coeffs, seq, out = (rng.integers(1, 50, n) for n in (2 * size, n_seq, size))
+    coeffs[ms[::3]] = 0
+    coeffs[ms[1::3]] *= -1
+    seq[2::3] = 0
+    seq[0] = np.nan if dtype is np.float64 else 10**9  # j starts at 1
+    want = out.copy()
+    _divisor_sums_loop(want, coeffs, ms, seq)
+    expsums._divisor_sums(out, coeffs, ms, seq)
+    assert out.dtype == dtype and out.tobytes() == want.tobytes()
+
+
 def test_mikawa_examples(tables):
     ta0 = dirichlet_approx(0.0, 5, 100)
     res = mikawa_w(tables, 1, 1, 100, ta0)
