@@ -180,11 +180,6 @@ def ramanujan_sum(q: int, a: int) -> complex:
 # -- discrepancy ----------------------------------------------------------------
 
 
-def _check_limit(tables: PrimeTables, X: int) -> None:
-    if X - 1 > tables.limit:
-        raise PreconditionError("X exceeds table limit")
-
-
 def _mask_below(ds: DigitSystem, X: int) -> np.ndarray:
     """The membership mask of the least k with b^k >= X: it covers every n < X."""
     k = 1
@@ -491,7 +486,6 @@ def count_missing_digit_primes(
     """(#primes p < X in the digit set, kappa X^zeta / log X)."""
     if X < 2:
         raise PreconditionError("X must be >= 2")
-    _check_limit(tables, X)
     primes = tables.primes_upto(X - 1)
     cnt = int(_mask_below(ds, X)[primes].sum())
     predicted = float(ds.kappa) * X**ds.zeta / math.log(X)
@@ -527,7 +521,6 @@ def buchstab_and_app(
         raise PreconditionError("base must be odd here")
     if r is None or math.gcd(r * (r - 1), b) != 1:
         raise PreconditionError("need a residue r with gcd(r(r-1), b) = 1")
-    _check_limit(tables, X)
     if not alpha > 2:
         raise PreconditionError("alpha must exceed 2")
     z = X ** (1.0 / alpha)

@@ -67,7 +67,7 @@ def report_schema(subcommand: str) -> dict:
 
 def _digit_flags(residue_required):
     return (
-        ("--b", dict(type=int, required=True, help="base")),
+        ("--b", dict(type=int, required=True, help="base"), AT_LEAST_3),
         ("--a0", dict(type=int, required=True, help="excluded digit")),
         ("--r", dict(type=int, required=residue_required, default=None,
                      help="last-digit residue")),
@@ -76,10 +76,17 @@ def _digit_flags(residue_required):
 
 AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 AT_LEAST_2 = (lambda v: v >= 2, ">= 2")
+AT_LEAST_3 = (lambda v: v >= 3, ">= 3")
 POSITIVE = (lambda v: v > 0, "> 0")
 
 DIGITS = _digit_flags(False)
 DIGITS_R = _digit_flags(True)
+# the digit ranges read --b: cross-flag checks of every subcommand with DIGITS
+DIGIT_RANGES = (
+    (lambda args: 0 <= args.a0 < args.b, "--a0 must be in [0, --b), got a0={a0}, b={b}"),
+    (lambda args: args.r is None or 0 <= args.r < args.b,
+     "--r must be in [0, --b), got r={r}, b={b}"),
+)
 K = (("--k", dict(type=int, required=True), AT_LEAST_1),)
 DELTA_EPS = (("--delta", dict(type=float, default=1e-3)),
              ("--eps", dict(type=float, default=1e-6)))
@@ -123,7 +130,7 @@ def _p3_set(b: int):
     ("count", "int"), ("count_positive", "int"), ("zeta", "float"), ("kappa", "rational"),
     ("brute_count", "int", "with --check"), ("prime_count", "int", "with --primes"),
     ("prime_predicted", "float", "with --primes"), ("prime_ratio", "float", "with --primes"),
-))
+), checks=DIGIT_RANGES)
 def run_count(args):
     ds = _digit_system(args)
     X = _X(args)
@@ -149,7 +156,7 @@ def run_count(args):
     return results, None
 
 
-@command("density", DIGITS,
+@command("density", DIGITS, checks=DIGIT_RANGES,
          scalars=(("zeta", "float"), ("kappa", "rational"), ("kappa_float", "float")))
 def run_density(args):
     ds = _digit_system(args)
@@ -161,7 +168,7 @@ def run_density(args):
 ), scalars=(
     ("k", "int"), ("l1_total", "float"), ("c_b_estimate", "float"),
     ("alpha_b_estimate", "float"), ("inversion_max_error", "float", "with --check-inversion"),
-))
+), checks=DIGIT_RANGES)
 def run_fourier_stats(args):
     ds = _digit_system(args)
     _X(args)
@@ -179,7 +186,7 @@ def run_fourier_stats(args):
 ), scalars=(
     ("value", "float"), ("points", "int"), ("bound", "float", "unit implicit constant"),
     ("ratio", "float", "value/bound"),
-))
+), checks=DIGIT_RANGES)
 def run_hybrid(args):
     ds = _digit_system(args)
     _X(args)
@@ -193,7 +200,7 @@ def run_hybrid(args):
     ("minor", "int", "frequencies"), ("major1", "int"), ("major2", "int"), ("major3", "int"),
     ("direct", "float"), ("main_term", "float"), ("residual", "float", "relative"),
     ("abs_major_minus_main", "float"), ("abs_minor", "float"),
-), rows=(("kind", "str"), ("re", "float"), ("im", "float"), ("abs", "float")))
+), rows=(("kind", "str"), ("re", "float"), ("im", "float"), ("abs", "float")), checks=DIGIT_RANGES)
 def run_arcs(args):
     ds = _digit_system(args)
     X = _X(args)
@@ -221,7 +228,7 @@ def run_arcs(args):
 
 
 @command("bv-table", DIGITS_R + K + (("--D", dict(type=int, required=True)),),
-         scalars=(("aggregate", "float"), ("rows_count", "int")),
+         scalars=(("aggregate", "float"), ("rows_count", "int")), checks=DIGIT_RANGES,
          rows=(("d", "int"), ("c_star", "int"), ("E", "float"), ("abs_E", "float")))
 def run_bv_table(args):
     ds = _digit_system(args)
@@ -244,8 +251,9 @@ def run_bv_table(args):
     ("aggregate", "float"), ("kind", "str"), ("rows_count", "int"),
 ), rows=(("d", "int"), ("c", "int"), ("E", "float"), ("weight", "float")),
    # only the kinds that build sieve weights (wellfac, semi, lin) read --delta/--eps
-   checks=tuple((lambda args, test=test: args.kind in ("fixed", "pairs") or test(args), text)
-                for test, text in SIEVE_RANGES))
+   checks=DIGIT_RANGES + tuple(
+       (lambda args, test=test: args.kind in ("fixed", "pairs") or test(args), text)
+       for test, text in SIEVE_RANGES))
 def run_weighted_bv(args):
     ds = _digit_system(args)
     X = _X(args)
@@ -404,9 +412,8 @@ def run_constants(args):
                        mertens_ratio=product / predicted)
     if args.tweight_X is not None:
         tw_limit = sievenumerics.t_weight_limit(args.tweight_X, args.alpha)
-        tw_tables = tables if tw_limit <= tables.limit else PrimeTables(tw_limit)
         total, predicted = sievenumerics.t_weight_sum(
-            tw_tables, args.tweight_X, args.alpha, args.b, consts
+            PrimeTables(tw_limit), args.tweight_X, args.alpha, args.b, consts
         )
         results.update(
             tweight_sum=total, tweight_predicted=predicted,
@@ -416,7 +423,8 @@ def run_constants(args):
 
 
 @command("two-squares", (
-    ("--n", dict(type=int, default=None)), ("--limit", dict(type=int, default=None)),
+    ("--n", dict(type=int, default=None)),
+    ("--limit", dict(type=int, default=None), AT_LEAST_2),
     ("--check-brute", dict(action="store_true")),
 ), scalars=(
     ("n", "int", "with --n"), ("in_B", "bool", "with --n"), ("in_Bcal", "bool", "with --n"),
@@ -431,12 +439,14 @@ def run_two_squares(args):
     if args.n is not None:
         qc = quadratic_class_of(args.n)
         return {"n": args.n, "in_B": qc.in_B, "in_Bcal": qc.in_Bcal}, None
-    tables = PrimeTables(args.limit)
-    qc = tables.quadratic_class_range(args.limit + 1)
-    results = {"limit": args.limit, "count_B": int(qc.in_B.sum()),
-               "count_Bcal": int(qc.in_Bcal.sum())}
+    limit = args.limit
+    in_bcal = PrimeTables(max(2, math.isqrt(limit))).in_bcal_array(limit + 1)
+    halves = in_bcal[: limit // 2 + 1]  # B is Bcal on the odd n, and Bcal at m on n = 2m
+    count_bcal = int(in_bcal.sum())
+    results = {"limit": limit, "count_B": count_bcal + int(halves.sum()), "count_Bcal": count_bcal}
     if args.check_brute:
-        mismatches = int((qc.in_B != _brute_primitive_marks(args.limit)).sum())
+        marks = _brute_primitive_marks(limit)
+        mismatches = int((marks[1::2] != in_bcal[1::2]).sum() + (marks[::2] != halves).sum())
         results["brute_mismatches"] = mismatches
         if mismatches:
             raise InternalCheckError(f"{mismatches} classifier mismatches")
@@ -456,15 +466,17 @@ def _brute_primitive_marks(limit: int) -> np.ndarray:
 
 
 @command("vaughan-check", (
-    ("--X", dict(type=int, required=True)), ("--trials", dict(type=int, default=100), AT_LEAST_1),
+    ("--X", dict(type=int, required=True), AT_LEAST_3),  # 2 <= U < X
+    ("--trials", dict(type=int, default=100), AT_LEAST_1),
     ("--U", dict(type=int, default=None), AT_LEAST_2),
     ("--dmax", dict(type=int, default=50), AT_LEAST_1),
 ), scalars=(
     ("X", "int"), ("U", "int"), ("trials", "int"), ("max_residual", "float", "absolute"),
-))
+), checks=((lambda args: args.U is None or args.U < args.X,
+            "--U must be below --X, got U={U}, X={X}"),))
 def run_vaughan_check(args):
     X = args.X
-    tables = PrimeTables(X)  # checks X >= 2 before X^(1/3) is taken
+    tables = PrimeTables(X)
     # each trial sums over n < X in one class mod d >= 1
     check_budget(args.trials * X, f"{args.trials} Vaughan trials at X={X}")
     U = args.U if args.U is not None else max(2, math.ceil(X ** (1 / 3)))
@@ -507,7 +519,7 @@ def run_mikawa(args):
 ), scalars=(
     ("S", "int"), ("T", "int"), ("total", "int"), ("identity_ok", "bool"),
     ("app_count", "int"), ("predicted_scale", "float"), ("ratio", "float"), ("z", "float"),
-))
+), checks=DIGIT_RANGES)
 def run_buchstab_app(args):
     ds = _digit_system(args)
     X = _X(args)

@@ -405,8 +405,6 @@ def mikawa_w(tables: PrimeTables, M: int, N: int, X: int, ta: ThetaApprox) -> We
         raise PreconditionError("M and N must be >= 1")
     if X < 1:
         raise PreconditionError("X must be >= 1")
-    if 2 * N > tables.limit:
-        raise PreconditionError("tau_3 range exceeds table limit")
     if X >= _EXACT_FLOAT_INT or 8 * M * M * N >= _EXACT_FLOAT_INT:
         raise PreconditionError("X and 8 M^2 N must be below 2^53")
     check_budget(M * N * 4, f"weyl double sum M={M} N={N}")

@@ -26,8 +26,9 @@ nothing.  The two quadratic classes are
     Bcal = {n >= 1 : p | n => p = 1 mod 4}.
 
 Over a range they need no factoring: one sift by the primes = 3 (mod 4) up
-to the square root of its end gives Bcal (in_bcal_array), and B is Bcal plus
-twice Bcal.
+to the square root of its end gives Bcal (in_bcal_array), and B over [1, N]
+is counted from it, with no copy, as Bcal there plus Bcal over [1, N/2].  A
+read of the primes or prime powers up to y refuses y past the limit.
 
 The arrays are read-only.  Growth replaces the shared record whole, so the
 tables are safe to share and a caller holding an older array still reads
@@ -230,6 +231,11 @@ class PrimeTables:
             raise PreconditionError(f"{n} outside table range [1, {self.limit}]")
         return n
 
+    def _check_upto(self, y: int) -> int:
+        if int(y) > self.limit:
+            raise PreconditionError(f"y={int(y)} exceeds table limit {self.limit}")
+        return int(y)
+
     def factor(self, n: int) -> list[tuple[int, int]]:
         """(prime, exponent) pairs of n in increasing prime order."""
         return factor(self._check(n))
@@ -245,9 +251,8 @@ class PrimeTables:
         return self._primes
 
     def primes_upto(self, y: int) -> np.ndarray:
-        y = min(int(y), self.limit)
-        pr = self._primes
-        return pr[: np.searchsorted(pr, y, side="right")]
+        """The primes p <= y; y past the limit is refused."""
+        return self._primes[: np.searchsorted(self._primes, self._check_upto(y), side="right")]
 
     @property
     def prime_powers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -258,9 +263,7 @@ class PrimeTables:
         """(n-array, log p-array) over the prime powers n <= y with n = c (mod d),
         in increasing order: slices of the record when d = 1.  The package
         reads the record only through here; y past the limit is refused."""
-        y = int(y)
-        if y > self.limit:
-            raise PreconditionError(f"y={y} exceeds table limit {self.limit}")
+        y = self._check_upto(y)
         if d < 1:
             raise PreconditionError("d must be >= 1")
         pp_n, pp_log = self._pp
@@ -294,8 +297,6 @@ class PrimeTables:
 
     def mobius_range(self, size: int) -> np.ndarray:
         """mu(n) for 0 <= n < size as int8 (mu(0) set to 0)."""
-        if size - 1 > self.limit:
-            raise PreconditionError("range exceeds table limit")
         mu = np.ones(size, dtype=np.int8)
         mu[0] = 0
         last = size - 1
@@ -341,24 +342,16 @@ class PrimeTables:
     def in_bcal_array(self, size: int) -> np.ndarray:
         """Boolean array: n in Bcal for 0 <= n < size.
 
-        One sift by the primes p = 3 (mod 4) up to sqrt(size - 1).  An n < size
+        One sift by the primes p = 3 (mod 4) up to sqrt(size - 1), so the table
+        needs to reach only that far; claims size - 1 steps.  An n < size
         that none of them divides has at most one prime factor = 3 (mod 4),
         as two would exceed size - 1; if n is odd, it is = 3 (mod 4) with that
         factor and = 1 (mod 4) without.  So n lies in Bcal exactly when it
         survives the sift and n = 1 (mod 4).
         """
-        if size - 1 > self.limit:
-            raise PreconditionError("range exceeds table limit")
+        small = self.primes_upto(math.isqrt(max(size - 1, 0)))
+        check_budget(size - 1, f"Bcal sift of [0, {size})")
         ok = np.zeros(size, dtype=bool)
         ok[1::4] = True
-        small = self.primes_upto(math.isqrt(max(size - 1, 0)))
         _sift_1mod4(ok, small[small % 4 == 3])
         return ok
-
-    def quadratic_class_range(self, size: int) -> QuadClass:
-        """quadratic_class for 0 <= n < size as bool arrays (0 is in neither):
-        Bcal from in_bcal_array, and B is Bcal plus twice Bcal."""
-        in_bcal = self.in_bcal_array(size)
-        in_b = in_bcal.copy()
-        in_b[2::2] = in_bcal[1 : (size + 1) // 2]
-        return QuadClass(in_b, in_bcal)

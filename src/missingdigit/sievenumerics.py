@@ -154,8 +154,6 @@ def euler_constants(tables: PrimeTables, p_limit: int) -> SieveConstants:
     """
     if p_limit < 1000:
         raise PreconditionError("p_limit must be >= 1000")
-    if p_limit > tables.limit:
-        raise PreconditionError("p_limit exceeds table limit")
     log_c1 = 0.0
     log_c3 = 0.0
     log_c2p = 0.0
@@ -187,8 +185,6 @@ def mertens_3mod4(tables: PrimeTables, y: int,
                   constants: SieveConstants) -> tuple[float, float]:
     """(exact product over p <= y, p = 3 mod 4, of 1 - 1/(p-1); its predicted
     asymptote 2 C2 C3 sqrt(pi e^-gamma / log y), from the given constants)."""
-    if y > tables.limit:
-        raise PreconditionError("y exceeds table limit")
     if y < 2:
         raise PreconditionError("y must be >= 2")
     product = 1.0

@@ -173,8 +173,6 @@ def sandwich_check(
     Returns violating rows (n, lower, indicator, upper); exact integer
     arithmetic throughout.  Expected empty.
     """
-    if n_max > tables.limit:
-        raise PreconditionError("n_max exceeds table limit")
     conv_minus = np.zeros(n_max + 1, dtype=np.int64)
     conv_plus = np.zeros(n_max + 1, dtype=np.int64)
     for weight, conv in ((w_minus, conv_minus), (w_plus, conv_plus)):
@@ -182,7 +180,8 @@ def sandwich_check(
             if d <= n_max:
                 conv[d::d] += v
     coprime = np.ones(n_max + 1, dtype=np.int64)
-    for p in tables.primes_upto(int(z + _SLACK)):
+    # a prime above n_max divides no n checked, so the table need not reach z
+    for p in tables.primes_upto(min(int(z + _SLACK), n_max)):
         p = int(p)
         if prime_set(p):
             coprime[p::p] = 0

@@ -15,7 +15,8 @@ from missingdigit import circle, cli, digitset, expsums, fourier, sieveweights
 from missingdigit.cli import SCHEMAS, build_parser, main, report_schema
 from missingdigit.digitset import member_mask
 from missingdigit.errors import PreconditionError
-from missingdigit.reporting import canonical_json
+from missingdigit.primetables import PrimeTables
+from missingdigit.reporting import canonical_json, render
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 README = pathlib.Path(__file__).parents[1] / "README.md"
@@ -257,6 +258,29 @@ def test_two_squares_brute_force_claims_the_budget(capsys, monkeypatch):
     assert json.loads(err)["error"]["kind"] == "BudgetError"
     code, out, _ = run_cli(capsys, "two-squares", "--limit", "10000")
     assert code == 0 and json.loads(out)["results"]["limit"] == 10000
+
+
+def _full_table_two_squares_stdout(argv):
+    """two-squares --limit by a second route: a prime table to the limit, and
+    B as a copy of the Bcal array with Bcal at m written to 2m."""
+    args = build_parser().parse_args(argv)
+    limit = args.limit
+    in_bcal = PrimeTables(limit).in_bcal_array(limit + 1)
+    in_b = in_bcal.copy()
+    in_b[2::2] = in_bcal[1 : (limit + 2) // 2]
+    results = {"limit": limit, "count_B": int(in_b.sum()), "count_Bcal": int(in_bcal.sum())}
+    if args.check_brute:
+        results["brute_mismatches"] = int((in_b != cli._brute_primitive_marks(limit)).sum())
+    return render({"subcommand": "two-squares", "config": cli._config_dict(args),
+                   "results": results}, "json")
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 100, 300300])
+@pytest.mark.parametrize("brute", [False, True])
+def test_two_squares_limit_matches_the_full_table_route(capsys, limit, brute):
+    argv = ["two-squares", "--limit", str(limit)] + ["--check-brute"] * brute
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == _full_table_two_squares_stdout(argv)
 
 
 def test_two_squares_n_needs_no_table(capsys, monkeypatch):
@@ -572,6 +596,13 @@ def test_a_sandwich_level_below_z_is_refused_naming_both_flags(capsys, D, z):
     ("constants --plimit 999", "--plimit must be >= 1000, got 999"),
     ("two-squares", "need --n or --limit"),
     ("two-squares --n 65 --limit 100", "--n and --limit exclude each other, got n=65, limit=100"),
+    ("two-squares --limit 1", "--limit must be >= 2, got 1"),
+    ("density --b 2 --a0 0", "--b must be >= 3, got 2"),
+    ("density --b 10 --a0 12", "--a0 must be in [0, --b), got a0=12, b=10"),
+    ("count --b 10 --a0 7 --r -1 --k 2", "--r must be in [0, --b), got r=-1, b=10"),
+    ("arcs --b 7 --a0 3 --r 7 --k 2", "--r must be in [0, --b), got r=7, b=7"),
+    ("vaughan-check --X 30 --U 50 --trials 1", "--U must be below --X, got U=50, X=30"),
+    ("vaughan-check --X 2", "--X must be >= 3, got 2"),  # the default U = 2 is not below 2
 ])
 def test_flag_relations_are_refused_before_the_runner(capsys, monkeypatch, line, message):
     # a check left in a runner would come after a table claim past this budget (exit 3)

@@ -183,6 +183,23 @@ def test_in_bcal_array(tables):
         assert arr[n] == tables.quadratic_class(n).in_Bcal
 
 
+def test_in_bcal_array_reads_the_primes_to_the_square_root():
+    size = 103 * 103 + 1  # the sift reads the primes up to 103, which is = 3 (mod 4)
+    want = PrimeTables(size).in_bcal_array(size)
+    assert np.array_equal(PrimeTables(103).in_bcal_array(size), want)
+    with pytest.raises(PreconditionError, match="y=103 exceeds table limit 102"):
+        PrimeTables(102).in_bcal_array(size)
+
+
+def test_primes_upto_refuses_past_the_limit(tables):
+    assert tables.primes_upto(tables.limit).tolist() == tables.primes.tolist()
+    message = f"y={tables.limit + 1} exceeds table limit {tables.limit}"
+    with pytest.raises(PreconditionError, match=message):
+        tables.primes_upto(tables.limit + 1)
+    with pytest.raises(PreconditionError, match=message):
+        tables.prime_powers_upto(tables.limit + 1)
+
+
 def test_range_errors(tables):
     with pytest.raises(PreconditionError):
         tables.mangoldt(tables.limit + 1)

@@ -265,12 +265,15 @@ SIFT_EDGES = [m * p * p + e for p in (3, 7, 11, 19, 23, 31, 43, 47, 103) for m i
 @given(st.one_of(st.integers(1, 5), st.sampled_from(SIFT_EDGES)))
 @example(1)
 @example(2 * 103 * 103 + 1)
-def test_quadratic_class_range_matches_scalar(tables, N):
-    got = tables.quadratic_class_range(N + 1)
-    assert not got.in_B[0] and not got.in_Bcal[0]
+def test_in_bcal_array_matches_scalar(tables, N):
+    # the sift reads the primes up to isqrt(N) alone; B is Bcal on the odd n
+    # and Bcal at m on n = 2m, as two-squares --limit counts it
+    in_bcal = PrimeTables(max(2, math.isqrt(N))).in_bcal_array(N + 1)
+    assert not in_bcal[0]
     want = [tables.quadratic_class(n) for n in range(1, N + 1)]
-    assert got.in_B[1:].tolist() == [qc.in_B for qc in want]
-    assert got.in_Bcal[1:].tolist() == [qc.in_Bcal for qc in want]
+    assert in_bcal[1:].tolist() == [qc.in_Bcal for qc in want]
+    assert in_bcal[1::2].tolist() == [qc.in_B for qc in want[::2]]
+    assert in_bcal[1 : N // 2 + 1].tolist() == [qc.in_B for qc in want[1::2]]
 
 
 @given(st.lists(st.integers(1, 3000), min_size=1, max_size=12),
@@ -299,7 +302,7 @@ def test_buchstab_and_two_squares_build_no_factor_table(capsys):
         assert cli.main(["two-squares", "--limit", "100000", "--check-brute"]) == 0
         assert cli.main(["buchstab-app", "--b", "7", "--a0", "4", "--r", "3", "--k", "6"]) == 0
     capsys.readouterr()
-    assert [t.limit for t in made] == [100000, 7**6]
+    assert [t.limit for t in made] == [316, 7**6]
 
 
 @given(st.integers(1, 10**4))
