@@ -5,7 +5,6 @@ elementary steps and refuse to start past the budget.  The default is generous
 for desk scale; override with the MISSINGDIGIT_BUDGET environment variable.
 """
 
-import functools
 import math
 import os
 
@@ -22,11 +21,8 @@ SCAN_BLOCK = 1 << 17
 def budget_limit() -> float:
     """The step limit; MISSINGDIGIT_BUDGET=inf means no limit."""
     raw = os.environ.get("MISSINGDIGIT_BUDGET")
-    return DEFAULT_BUDGET if raw is None else _parse_budget(raw)
-
-
-@functools.lru_cache(maxsize=8)  # once per raw value; a refused one raises at every claim
-def _parse_budget(raw: str) -> float:
+    if raw is None:
+        return DEFAULT_BUDGET
     try:
         limit = float(raw)
     except ValueError:

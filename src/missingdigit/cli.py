@@ -38,7 +38,7 @@ def command(name, flags, scalars, rows=(), checks=()):
 
     flags are (flag, argparse keywords[, domain (test, text)]) entries;
     checks are cross-flag (test of the parsed args, message with {dest}
-    fields) entries;
+    fields) entries, after DIGIT_RANGES when flags start with a digit group;
     scalars and rows are the report schema as (name, type[, unit]) entries.
     The runner returns (results dict, rows list or None).
     """
@@ -46,6 +46,9 @@ def command(name, flags, scalars, rows=(), checks=()):
     def fields(entries):
         return [{"name": n, "type": t, "unit": unit[0] if unit else ""}
                 for n, t, *unit in entries]
+
+    if flags[:3] in (DIGITS, DIGITS_R):
+        checks = DIGIT_RANGES + tuple(checks)
 
     def register(runner):
         SCHEMAS[name] = {"scalars": fields(scalars), "rows": fields(rows)}
@@ -81,7 +84,7 @@ POSITIVE = (lambda v: v > 0, "> 0")
 
 DIGITS = _digit_flags(False)
 DIGITS_R = _digit_flags(True)
-# the digit ranges read --b: cross-flag checks of every subcommand with DIGITS
+# the digit ranges read --b: command() adds them to every digit-group subcommand
 DIGIT_RANGES = (
     (lambda args: 0 <= args.a0 < args.b, "--a0 must be in [0, --b), got a0={a0}, b={b}"),
     (lambda args: args.r is None or 0 <= args.r < args.b,
@@ -130,7 +133,7 @@ def _p3_set(b: int):
     ("count", "int"), ("count_positive", "int"), ("zeta", "float"), ("kappa", "rational"),
     ("brute_count", "int", "with --check"), ("prime_count", "int", "with --primes"),
     ("prime_predicted", "float", "with --primes"), ("prime_ratio", "float", "with --primes"),
-), checks=DIGIT_RANGES)
+))
 def run_count(args):
     ds = _digit_system(args)
     X = _X(args)
@@ -156,7 +159,7 @@ def run_count(args):
     return results, None
 
 
-@command("density", DIGITS, checks=DIGIT_RANGES,
+@command("density", DIGITS,
          scalars=(("zeta", "float"), ("kappa", "rational"), ("kappa_float", "float")))
 def run_density(args):
     ds = _digit_system(args)
@@ -168,7 +171,7 @@ def run_density(args):
 ), scalars=(
     ("k", "int"), ("l1_total", "float"), ("c_b_estimate", "float"),
     ("alpha_b_estimate", "float"), ("inversion_max_error", "float", "with --check-inversion"),
-), checks=DIGIT_RANGES)
+))
 def run_fourier_stats(args):
     ds = _digit_system(args)
     _X(args)
@@ -186,7 +189,7 @@ def run_fourier_stats(args):
 ), scalars=(
     ("value", "float"), ("points", "int"), ("bound", "float", "unit implicit constant"),
     ("ratio", "float", "value/bound"),
-), checks=DIGIT_RANGES)
+))
 def run_hybrid(args):
     ds = _digit_system(args)
     _X(args)
@@ -200,7 +203,7 @@ def run_hybrid(args):
     ("minor", "int", "frequencies"), ("major1", "int"), ("major2", "int"), ("major3", "int"),
     ("direct", "float"), ("main_term", "float"), ("residual", "float", "relative"),
     ("abs_major_minus_main", "float"), ("abs_minor", "float"),
-), rows=(("kind", "str"), ("re", "float"), ("im", "float"), ("abs", "float")), checks=DIGIT_RANGES)
+), rows=(("kind", "str"), ("re", "float"), ("im", "float"), ("abs", "float")))
 def run_arcs(args):
     ds = _digit_system(args)
     X = _X(args)
@@ -228,7 +231,7 @@ def run_arcs(args):
 
 
 @command("bv-table", DIGITS_R + K + (("--D", dict(type=int, required=True)),),
-         scalars=(("aggregate", "float"), ("rows_count", "int")), checks=DIGIT_RANGES,
+         scalars=(("aggregate", "float"), ("rows_count", "int")),
          rows=(("d", "int"), ("c_star", "int"), ("E", "float"), ("abs_E", "float")))
 def run_bv_table(args):
     ds = _digit_system(args)
@@ -251,7 +254,7 @@ def run_bv_table(args):
     ("aggregate", "float"), ("kind", "str"), ("rows_count", "int"),
 ), rows=(("d", "int"), ("c", "int"), ("E", "float"), ("weight", "float")),
    # only the kinds that build sieve weights (wellfac, semi, lin) read --delta/--eps
-   checks=DIGIT_RANGES + tuple(
+   checks=tuple(
        (lambda args, test=test: args.kind in ("fixed", "pairs") or test(args), text)
        for test, text in SIEVE_RANGES))
 def run_weighted_bv(args):
@@ -519,7 +522,7 @@ def run_mikawa(args):
 ), scalars=(
     ("S", "int"), ("T", "int"), ("total", "int"), ("identity_ok", "bool"),
     ("app_count", "int"), ("predicted_scale", "float"), ("ratio", "float"), ("z", "float"),
-), checks=DIGIT_RANGES)
+))
 def run_buchstab_app(args):
     ds = _digit_system(args)
     X = _X(args)
