@@ -220,7 +220,8 @@ class ProgressionCounts:
         = 1: a masked (pairwise) sum in member order."""
         if math.gcd(c, d) != 1 or math.gcd(d, self.ds.base) != 1:
             raise PreconditionError("need gcd(c, d) = gcd(d, b) = 1")
-        return float(self.logs[self.ns % d == c % d].sum())
+        ns = self.ns  # d >= X leaves c mod d alone in its class, and may pass int64
+        return float(self.logs[ns % d == c % d if d < self.X else ns == c % d].sum())
 
     def lam_mod(self, d: int) -> np.ndarray:
         """The member log sums of every residue class mod d by one bincount,

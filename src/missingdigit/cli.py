@@ -338,7 +338,8 @@ def run_sieve_fns(args):
         X = args.wellfactor_X
         specs = (sieveweights.semi_linear_lower(X, args.delta, args.eps),
                  sieveweights.linear_upper(X, args.delta, args.eps))
-        tables = PrimeTables(max(int(X**0.5) + 10, 1000))  # covers d <= X^rho
+        # build_weights reads the primes up to z; well_factor only factors
+        tables = PrimeTables(math.ceil(max(spec.z for spec in specs)))
         checked = 0
         for spec in specs:
             w = sieveweights.build_weights(spec, tables)
@@ -398,7 +399,7 @@ def run_integrals(args):
     ("tweight_ratio", "float", "with --tweight-X"),
 ), checks=((lambda args: args.tweight_X is None or args.b is not None, "--tweight-X needs --b"),))
 def run_constants(args):
-    tables = PrimeTables(max(args.plimit, args.y or 0, 10**4))
+    tables = PrimeTables(max(args.plimit, args.y or 0))
     consts = sievenumerics.euler_constants(tables, args.plimit)
     results = {
         "C1": consts.C1, "C2": consts.C2, "C3": consts.C3, "frakS": consts.frakS,
@@ -507,9 +508,8 @@ def run_vaughan_check(args):
     ("a", "int"), ("q", "int"), ("beta", "float"), ("H", "float"),
 ))
 def run_mikawa(args):
-    tables = PrimeTables(max(2 * args.N, 100))
     ta = expsums.dirichlet_approx(args.theta, args.Q, args.X)
-    res = expsums.mikawa_w(tables, args.M, args.N, args.X, ta)
+    res = expsums.mikawa_w(args.M, args.N, args.X, ta)
     return {
         "W": res.value, "bound": res.bound,
         "ratio": res.value / res.bound if res.bound else math.inf,

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._budget import SCAN_BLOCK, check_budget
 from .errors import InternalCheckError, PreconditionError
-from .primetables import PrimeTables, units
+from .primetables import PrimeTables, tau, units
 
 TWO_PI = 2.0 * math.pi
 _INT64_MAX = np.iinfo(np.int64).max
@@ -270,7 +270,7 @@ def bilinear_sum(
         row = np.searchsorted(starts, pair, side="right") - 1
         col = pair - starts[row]
         mn = ms[row] * ns[col]
-        keep = mn % d == c % d
+        keep = mn % d == c % d if d < X else mn == c % d  # mn < X; d may pass int64
         row, col, mn = row[keep], col[keep], mn[keep]
         total += complex((w1[row] * w2[col] * _pair_phases(mn, ta)).sum())
     norm1 = math.sqrt(sum(abs(w) ** 2 for w in alpha1.values()))
@@ -370,7 +370,8 @@ def vaughan_decompose(
     """Five component sums whose signed total equals lambda_hat(X, d, c, theta).
 
     The split is exact as an algebraic identity; only floating rounding
-    separates total from the direct transform.
+    separates total from the direct transform.  tables is not read: the
+    arrays read a table of their own, so any limit gives the same sums.
     """
     if U < 2:
         raise PreconditionError("U must be >= 2")
@@ -378,8 +379,6 @@ def vaughan_decompose(
         raise PreconditionError("U must be below X")
     if d < 1:
         raise PreconditionError("d must be >= 1")
-    if X - 1 > tables.limit:
-        raise PreconditionError("X exceeds table limit")
     arrays = [arr[c % d :: d] for arr in _vaughan_arrays(X, U)]
     ns = np.arange(c % d, X, d, dtype=np.int64)
     phases = _phases(ns * theta)
@@ -395,11 +394,11 @@ class WeylSum(NamedTuple):
     bound: float
 
 
-def mikawa_w(tables: PrimeTables, M: int, N: int, X: int, ta: ThetaApprox) -> WeylSum:
+def mikawa_w(M: int, N: int, X: int, ta: ThetaApprox) -> WeylSum:
     """M * sum_{m ~ M} sum_{n ~ N} tau_3(n) min(X/(m^2 n) + 1, 1/||m^2 n theta||).
 
-    The exact double loop, next to the bound shape
-    M^2 N (log X)^3 + X (1/M + qH/X + 1/(qH))^(1/4) (log X)^8.
+    The exact double loop (tau_3 by trial division: no table), next to the
+    bound shape M^2 N (log X)^3 + X (1/M + qH/X + 1/(qH))^(1/4) (log X)^8.
     """
     if M < 1 or N < 1:
         raise PreconditionError("M and N must be >= 1")
@@ -409,7 +408,7 @@ def mikawa_w(tables: PrimeTables, M: int, N: int, X: int, ta: ThetaApprox) -> We
         raise PreconditionError("X and 8 M^2 N must be below 2^53")
     check_budget(M * N * 4, f"weyl double sum M={M} N={N}")
     ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
-    tau3 = np.array([tables.tau(n, 3) for n in ns.tolist()], dtype=np.float64)
+    tau3 = np.array([tau(n, 3) for n in ns.tolist()], dtype=np.float64)
     total = 0.0
     for lo in range(0, M * N, SCAN_BLOCK):  # the pairs (m, n) in loop order
         m, i = np.divmod(np.arange(lo, min(lo + SCAN_BLOCK, M * N), dtype=np.int64), N)

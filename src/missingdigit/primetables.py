@@ -16,10 +16,11 @@ Lambda of one value is its entry in the record.  Factoring one value (mu,
 phi and the h-fold divisor function tau_h of n, its quadratic class) goes
 through factor(n), trial division by 2 and then the odd numbers up to the
 square root of what is left: the values factored are moduli, bases and sieve
-chains of desk size, and each call claims sqrt(n) steps from the budget.
-The reduced residues come from units(d) for one modulus and from
-reduced_fractions(qs) for all the fractions a/q over many, which factors
-nothing.  The two quadratic classes are
+chains of desk size, and each call claims sqrt(n) steps from the budget; it
+reads no table, so neither do the PrimeTables methods that factor.  The
+reduced residues come from units(d) for one modulus and from
+reduced_fractions(qs) for the fractions a/q over many, which factors nothing.
+The two quadratic classes are
 
     B    = {n : n = n1^2 + n2^2 with gcd(n1, n2) = 1}
          = {2^e * m : e in {0, 1}, p | m => p = 1 mod 4},
@@ -27,8 +28,9 @@ nothing.  The two quadratic classes are
 
 Over a range they need no factoring: one sift by the primes = 3 (mod 4) up
 to the square root of its end gives Bcal (in_bcal_array), and B over [1, N]
-is counted from it, with no copy, as Bcal there plus Bcal over [1, N/2].  A
-read of the primes or prime powers up to y refuses y past the limit.
+is counted from it, with no copy, as Bcal there plus Bcal over [1, N/2].  The
+limit bounds reads alone: one of the primes or prime powers up to y refuses y
+past it.
 
 The arrays are read-only.  Growth replaces the shared record whole, so the
 tables are safe to share and a caller holding an older array still reads
@@ -117,13 +119,18 @@ def _sift_1mod4(ok: np.ndarray, primes: np.ndarray) -> None:
         ok[3 * p :: 4 * p] = False
 
 
+def _at_least_one(n: int) -> int:
+    n = int(n)
+    if n < 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
+    return n
+
+
 def factor(n: int) -> list[tuple[int, int]]:
     """(prime, exponent) pairs of n >= 1 in increasing prime order, by trial
     division: 2, then the odd numbers up to the square root of what is left.
     Claims sqrt(n) steps from the budget."""
-    n = int(n)
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
+    n = _at_least_one(n)
     check_budget(math.isqrt(n), f"trial division of {n}")
     out = []
     p, step = 2, 1
@@ -146,6 +153,13 @@ def totient(n: int) -> int:
     for p, _ in factor(n):
         phi -= phi // p
     return phi
+
+
+def tau(n: int, h: int = 2) -> int:
+    """Ordered factorizations of n >= 1 into h >= 1 parts: prod C(e + h - 1, h - 1)."""
+    if h < 1:
+        raise PreconditionError("h must be >= 1")
+    return math.prod(math.comb(e + h - 1, h - 1) for _, e in factor(n))
 
 
 def units(d: int) -> np.ndarray:
@@ -200,15 +214,12 @@ def _classify(n: int) -> QuadClass:
 def quadratic_class_of(n: int) -> QuadClass:
     """quadratic_class of one n >= 1 without a table, by trial division of
     its odd part."""
-    n = int(n)
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
-    return _classify(n)
+    return _classify(_at_least_one(n))
 
 
 class PrimeTables:
     """The primes up to limit and their powers (slices of the shared sieve),
-    with the arithmetic of one value in [1, limit]."""
+    and the arithmetic of one n >= 1 (Lambda and primality only up to limit)."""
 
     def __init__(self, limit: int):
         if limit < 2:
@@ -225,12 +236,6 @@ class PrimeTables:
 
     # -- factorization ------------------------------------------------------
 
-    def _check(self, n: int) -> int:
-        n = int(n)
-        if not 1 <= n <= self.limit:
-            raise PreconditionError(f"{n} outside table range [1, {self.limit}]")
-        return n
-
     def _check_upto(self, y: int) -> int:
         if int(y) > self.limit:
             raise PreconditionError(f"y={int(y)} exceeds table limit {self.limit}")
@@ -238,13 +243,12 @@ class PrimeTables:
 
     def factor(self, n: int) -> list[tuple[int, int]]:
         """(prime, exponent) pairs of n in increasing prime order."""
-        return factor(self._check(n))
+        return factor(n)
 
     def is_prime(self, n: int) -> bool:
-        n = self._check(n)
-        pr = self._primes
-        i = int(np.searchsorted(pr, n))
-        return i < pr.size and int(pr[i]) == n
+        n = _at_least_one(n)
+        primes = self.primes_upto(n)
+        return primes.size > 0 and int(primes[-1]) == n
 
     @property
     def primes(self) -> np.ndarray:
@@ -271,7 +275,8 @@ class PrimeTables:
         ns, logs = pp_n[:cut], pp_log[:cut]
         if d == 1:
             return ns, logs
-        keep = np.flatnonzero(ns % d == c % d)
+        # a modulus past y leaves c mod d alone in its class (and may pass int64)
+        keep = np.flatnonzero(ns % d == c % d if d <= y else ns == c % d)
         return ns[keep], logs[keep]
 
     # -- arithmetic functions ------------------------------------------------
@@ -279,21 +284,15 @@ class PrimeTables:
     def mangoldt(self, n: int) -> float:
         """log p when n = p^m, else 0: the prime-power record's entry, so it
         equals mangoldt_range to the bit."""
-        ns, logs = self.prime_powers_upto(self._check(n))
+        n = _at_least_one(n)
+        ns, logs = self.prime_powers_upto(n)
         return float(logs[-1]) if ns.size and ns[-1] == n else 0.0
 
     def mobius(self, n: int) -> int:
-        pairs = factor(self._check(n))
-        return 0 if any(e > 1 for _, e in pairs) else (-1) ** len(pairs)
-
-    def totient(self, n: int) -> int:
-        return totient(self._check(n))
+        return math.prod(0 if e > 1 else -1 for _, e in factor(n))
 
     def tau(self, n: int, h: int = 2) -> int:
-        """Ordered factorizations of n into h parts: prod C(e + h - 1, h - 1)."""
-        if h < 1:
-            raise PreconditionError("h must be >= 1")
-        return math.prod(math.comb(e + h - 1, h - 1) for _, e in factor(self._check(n)))
+        return tau(n, h)
 
     def mobius_range(self, size: int) -> np.ndarray:
         """mu(n) for 0 <= n < size as int8 (mu(0) set to 0)."""
@@ -337,7 +336,7 @@ class PrimeTables:
 
     def quadratic_class(self, n: int) -> QuadClass:
         """(n in B, n in Bcal) via the primitive two-squares criterion."""
-        return _classify(self._check(n))
+        return quadratic_class_of(n)
 
     def in_bcal_array(self, size: int) -> np.ndarray:
         """Boolean array: n in Bcal for 0 <= n < size.

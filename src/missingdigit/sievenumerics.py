@@ -208,13 +208,13 @@ def t_multiplier(tables: PrimeTables, n: int) -> float:
 
 
 def t_weight_limit(X: int, alpha: float) -> int:
-    """The table limit t_weight_sum needs: its primes lie below sqrt(X) and
-    its n1 up to X^(1-2/alpha)."""
+    """The table limit t_weight_sum needs: its primes p1 lie below sqrt(X), and
+    its n1 < sqrt(X) (alpha < 4) are sifted by the primes below their root."""
     if not 2.0 <= alpha < 4.0:
         raise PreconditionError("alpha must lie in [2, 4)")
     if X < 2:
         raise PreconditionError("X must be >= 2")
-    return max(math.isqrt(X), int(X ** (1.0 - 2.0 / alpha))) + 1
+    return math.isqrt(X) + 1
 
 
 def t_weight_sum(tables: PrimeTables, X: int, alpha: float, b: int,

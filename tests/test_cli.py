@@ -11,7 +11,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from missingdigit import circle, cli, digitset, expsums, fourier, sieveweights
+from missingdigit import circle, cli, digitset, expsums, fourier, primetables, sieveweights
 from missingdigit.cli import SCHEMAS, build_parser, main, report_schema
 from missingdigit.digitset import member_mask
 from missingdigit.errors import PreconditionError
@@ -189,6 +189,44 @@ def test_vaughan_check(capsys):
     )
     assert code == 0
     assert json.loads(out)["results"]["max_residual"] <= 1e-6
+
+
+def test_a_modulus_past_int64_selects_its_residue(capsys):
+    # every d drawn is above each n < X, so its class holds c mod d alone
+    code, out, _ = run_cli(capsys, "vaughan-check", "--X", "8", "--trials", "3",
+                           "--dmax", str(10**30))
+    assert code == 0
+    assert json.loads(out)["results"]["max_residual"] <= 1e-6
+
+
+@pytest.mark.parametrize("line, code", [
+    ("mikawa --M 8 --N 8 --X 5000 --theta 0.333333 --Q 100", 0),
+    ("mikawa --M 2 --N 50000000 --X 1000 --theta 0.3", 3),  # the Weyl-sum claim
+])
+def test_mikawa_builds_no_prime_table(capsys, line, code):
+    held = primetables._held
+    assert run_cli(capsys, *line.split())[0] == code
+    assert primetables._held is held
+
+
+def test_runners_size_their_tables_by_what_they_read(capsys, monkeypatch):
+    made = []
+
+    def new_tables(limit):
+        made.append(limit)
+        return PrimeTables(limit)
+
+    monkeypatch.setattr(cli, "PrimeTables", new_tables)
+    lines = {
+        # the primes up to the larger z feed build_weights; well_factor factors
+        "sieve-fns --wellfactor-X 1000000": [math.ceil(sieveweights.semi_linear_lower(10**6).z)],
+        "constants --plimit 1000 --b 10 --y 5000": [5000],
+        "constants --plimit 1000 --b 10 --tweight-X 100000000": [1000, 10**4 + 1],
+    }
+    for line, limits in lines.items():
+        made.clear()
+        assert run_cli(capsys, *line.split())[0] == 0
+        assert made == limits, line
 
 
 def test_output_file(tmp_path, capsys):
@@ -631,6 +669,8 @@ def test_sieve_fns_claims_its_grid(capsys, monkeypatch):
     "density --b 2305843009213693951 --a0 7",
     "count --b 2305843009213693951 --a0 7 --k 1",
     "constants --b 2305843009213693951",
+    # a modulus past int64 reaches the trial division of phi(d) in the main term
+    "arcs --b 10 --a0 7 --r 3 --k 2 --d 1000000000000000000000000000001 --c 1",
 ])
 def test_sizes_past_the_budget_exit_3(capsys, line):
     previous = signal.signal(signal.SIGALRM, _raise_timeout)

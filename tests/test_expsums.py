@@ -123,6 +123,9 @@ def test_bilinear_progression_and_convolution(tables):
         w1 * w2 for m, w1 in alpha1.items() for n, w2 in alpha2.items() if m * n < X
     )
     assert got0.value == pytest.approx(want0, abs=1e-12)
+    # a modulus d >= X (here past int64) leaves the products m n = c alone
+    assert bilinear_sum(alpha1, alpha2, X, ta, 10**30, 36) == bilinear_sum(
+        alpha1, alpha2, X, ta, X - 1, 36)
 
 
 def test_bilinear_and_type_one_reject_X_below_1_and_d_below_1(tables):
@@ -184,6 +187,8 @@ def test_vaughan_cache_keeps_no_table():
     hits = expsums._vaughan_arrays.cache_info().hits
     assert vaughan_decompose(PrimeTables(1000), 777, 9, 1, 0, 0.3) == parts
     assert expsums._vaughan_arrays.cache_info().hits == hits + 1
+    # the arrays read their own table, so a caller's limit changes nothing
+    assert vaughan_decompose(PrimeTables(2), 777, 9, 1, 0, 0.3) == parts
 
 
 def test_vaughan_rejects_U_past_X_and_d_below_1(tables):
@@ -331,12 +336,12 @@ def test_divisor_sums_equal_the_loop_in_increasing_m(n_ms, n_seq, dtype):
 
 def test_mikawa_examples(tables):
     ta0 = dirichlet_approx(0.0, 5, 100)
-    res = mikawa_w(tables, 1, 1, 100, ta0)
+    res = mikawa_w(1, 1, 100, ta0)
     # single term m = 2, n = 2: tau_3(2) = 3, min picks X/(m^2 n) + 1 = 13.5
     assert res.value == pytest.approx(1 * 3 * 13.5)
     # theta = 0: every min picks the hyperbola side; closed double sum
     M, N, X = 3, 4, 500
-    res = mikawa_w(tables, M, N, X, ta0)
+    res = mikawa_w(M, N, X, ta0)
     expect = M * sum(
         tables.tau(n, 3) * (X / (m * m * n) + 1.0)
         for m in range(M + 1, 2 * M + 1)
@@ -344,7 +349,7 @@ def test_mikawa_examples(tables):
     )
     assert res.value == pytest.approx(expect, rel=1e-12)
     ta = dirichlet_approx(0.31, 20, 500)
-    assert mikawa_w(tables, 2, 3, 500, ta).value >= 0.0
+    assert mikawa_w(2, 3, 500, ta).value >= 0.0
 
 
 def test_min_sum_and_mikawa_inputs_below_2_53(tables):
@@ -356,14 +361,14 @@ def test_min_sum_and_mikawa_inputs_below_2_53(tables):
         assert min_sum(mode, 50, top, ta).value == oracles.min_sum_value(mode, 50, top, ta)
         with pytest.raises(PreconditionError):
             min_sum(mode, 50, top + 1, ta)
-    assert mikawa_w(tables, 3, 4, top, ta).value == oracles.mikawa_value(tables, 3, 4, top, ta)
+    assert mikawa_w(3, 4, top, ta).value == oracles.mikawa_value(tables, 3, 4, top, ta)
     with pytest.raises(PreconditionError):
-        mikawa_w(tables, 3, 4, top + 1, ta)
+        mikawa_w(3, 4, top + 1, ta)
     M, N = 2**20, 2**10  # 8 M^2 N = 2^53
     with pytest.raises(PreconditionError):
-        mikawa_w(tables, M, N, 10**6, ta)
+        mikawa_w(M, N, 10**6, ta)
     with pytest.raises(BudgetError):  # just below 2^53: on to the budget
-        mikawa_w(tables, M, N - 1, 10**6, ta)
+        mikawa_w(M, N - 1, 10**6, ta)
 
 
 def test_mikawa_exact_where_q_squared_overflows_int64(tables):
@@ -373,7 +378,7 @@ def test_mikawa_exact_where_q_squared_overflows_int64(tables):
     ta = ThetaApprox(theta=a / q, a=a, q=q, beta=0.0, X=X)
     M, N = 200, 100  # m^2 n up to 3.2e7, so (m^2 n mod q) a passes 2^63
     assert (2 * M) ** 2 * (2 * N) * a > 2**63
-    assert mikawa_w(tables, M, N, X, ta).value == oracles.mikawa_value(tables, M, N, X, ta)
+    assert mikawa_w(M, N, X, ta).value == oracles.mikawa_value(tables, M, N, X, ta)
 
 
 def test_type_one_aggregates(tables):

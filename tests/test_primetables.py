@@ -93,7 +93,7 @@ def test_mobius_phi_divisor_identities(tables):
     phi_csum = np.zeros(nmax + 1)
     for d in range(1, nmax + 1):
         mu_csum[d::d] += tables.mobius(d)
-        phi_csum[d::d] += tables.totient(d)
+        phi_csum[d::d] += primetables.totient(d)
     assert mu_csum[1] == 1
     assert not mu_csum[2:].any()
     assert (phi_csum[1:] == np.arange(1, nmax + 1)).all()

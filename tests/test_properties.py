@@ -222,21 +222,27 @@ def test_factor_matches_the_oracles(n):
 @example(1)
 @example(3000)
 @example(3001)
+@example(10**6 + 3)  # a prime far past the limit
 def test_prime_tables_read_the_factor_helper(n):
+    # factoring reads no table, so only Lambda and primality (which read the
+    # slices) refuse n past the limit; every method refuses n < 1
     tables = PrimeTables(3000)
-    methods = (tables.factor, tables.mangoldt, tables.mobius, tables.totient, tables.tau,
-               tables.quadratic_class)
-    if n > tables.limit:
-        for method in methods:
-            with pytest.raises(PreconditionError):
-                method(n)
-        return
+    reads = (tables.mangoldt, tables.is_prime)
+    for method in reads + (tables.factor, tables.mobius, tables.tau, tables.quadratic_class):
+        with pytest.raises(PreconditionError, match=f"n must be >= 1, got {1 - n}"):
+            method(1 - n)
     pairs = primetables.factor(n)
+    if n > tables.limit:
+        for method in reads:
+            with pytest.raises(PreconditionError, match=f"y={n} exceeds table limit 3000"):
+                method(n)
+    else:
+        assert tables.mangoldt(n) == oracles.mangoldt(n)
+        assert tables.is_prime(n) == (pairs == [(n, 1)])
     assert tables.factor(n) == pairs
-    assert tables.mangoldt(n) == oracles.mangoldt(n)
     assert tables.mobius(n) == oracles.mobius(n)
-    assert tables.totient(n) == primetables.totient(n)
-    assert tables.tau(n, 3) == math.prod(math.comb(e + 2, 2) for _, e in pairs)
+    assert tables.tau(n, 3) == primetables.tau(n, 3) == math.prod(
+        math.comb(e + 2, 2) for _, e in pairs)
     assert tables.quadratic_class(n) == primetables.quadratic_class_of(n)
 
 
@@ -245,6 +251,8 @@ def test_prime_tables_read_the_factor_helper(n):
 @example(3000, 1, 0)
 @example(3000, 60, 7)
 @example(3001, 1, 0)
+@example(100, 101, -4)  # d > y: the class holds c mod d = 97 alone
+@example(3000, 10**30, 7)  # d past int64
 def test_prime_powers_upto_matches_trial_division(y, d, c):
     tables = PrimeTables(3000)
     if y > tables.limit:
@@ -375,7 +383,7 @@ def per_pair_sieve_lin_rows(tables, ds, k, weights, L, h):
             if keep.any():
                 member = contains_array(ds, 2 * ell * nn[keep] + 1)
                 inner += h(ell) * float(pp_log[:cut][keep][member].sum())
-        phi_d = tables.totient(d)
+        phi_d = primetables.totient(d)
         rows.append((d, inner - b * cnt * main_sum / (4.0 * phi_d * phi_b)))
     return rows
 
@@ -504,7 +512,7 @@ def test_min_sum_exact_where_m_times_a_overflows_int64():
 def test_mikawa_w_equals_loop(tables, theta, M, N, X, block):
     ta = dirichlet_approx(theta, 100, X)
     with mock.patch.object(expsums, "SCAN_BLOCK", block):
-        got = mikawa_w(tables, M, N, X, ta).value
+        got = mikawa_w(M, N, X, ta).value
     assert got == oracles.mikawa_value(tables, M, N, X, ta), (ta, M, N, X)
 
 
