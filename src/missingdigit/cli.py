@@ -89,6 +89,8 @@ DIGIT_RANGES = (
     (lambda args: 0 <= args.a0 < args.b, "--a0 must be in [0, --b), got a0={a0}, b={b}"),
     (lambda args: args.r is None or 0 <= args.r < args.b,
      "--r must be in [0, --b), got r={r}, b={b}"),
+    # the last digit r would be the excluded one: the set is empty
+    (lambda args: args.r != args.a0, "--r must differ from --a0, got r={r}, a0={a0}"),
 )
 K = (("--k", dict(type=int, required=True), AT_LEAST_1),)
 DELTA_EPS = (("--delta", dict(type=float, default=1e-3)),
@@ -485,12 +487,13 @@ def run_vaughan_check(args):
     check_budget(args.trials * X, f"{args.trials} Vaughan trials at X={X}")
     U = args.U if args.U is not None else max(2, math.ceil(X ** (1 / 3)))
     rng = random.Random(args.seed)
+    split = expsums.VaughanSplit(X, U)  # one set of buffers for every trial
     worst = 0.0
     for _ in range(args.trials):
         d = rng.randrange(1, args.dmax + 1)
         c = rng.randrange(d)
         theta = rng.random()
-        parts = expsums.vaughan_decompose(tables, X, U, d, c, theta)
+        parts = split(d, c, theta)
         direct = expsums.lambda_hat(tables, X, d, c, theta)
         worst = max(worst, abs(parts.total - direct))
     results = {"X": X, "U": U, "trials": args.trials, "max_residual": worst}

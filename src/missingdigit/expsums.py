@@ -83,17 +83,22 @@ class ThetaApprox:
         return np.abs(x - np.rint(x))
 
 
-def _phases(x: np.ndarray) -> np.ndarray:
+def _phases(x: np.ndarray, out: np.ndarray | None = None,
+            ang: np.ndarray | None = None) -> np.ndarray:
     """e(x) = exp(2 pi i x) for a float64 array, each x first reduced mod 1.
 
     x - floor(x) equals numpy's float remainder of x by 1 to the last bit
     (both are exact, or both round r + 1 once for a negative x) at a fraction
     of its cost, and the cos and sin of the angle fill the parts that the
-    complex exponential of 2 pi i times that remainder would give.
+    complex exponential of 2 pi i times that remainder would give.  The angle
+    is reduced in place, in ang (float64, x's shape, not x itself); a caller
+    that repeats the call passes ang and out (complex128) to reuse them.
     """
-    ang = x - np.floor(x)
+    ang = np.floor(x, out=ang)
+    np.subtract(x, ang, out=ang)
     ang *= TWO_PI
-    out = np.empty(ang.shape, dtype=np.complex128)
+    if out is None:
+        out = np.empty(ang.shape, dtype=np.complex128)
     np.cos(ang, out=out.real)
     np.sin(ang, out=out.imag)
     return out
@@ -302,10 +307,13 @@ def _divisor_sums(out: np.ndarray, coeffs: np.ndarray, ms: np.ndarray, seq: np.n
     1 <= j < len(seq) with m j < len(out).
 
     Each entry receives its terms in increasing m, as a loop over ms would add
-    them, whichever loop runs: one strided add per m when the ms are no more
-    than the cofactors j, else one fancy-indexed add per nonzero seq[j] from
-    the largest j down (for a fixed n = m j, descending j means ascending m,
-    and each add touches an entry at most once).
+    them, whichever branch runs.  When the ms are no more than the cofactors j:
+    one strided add per m.  Else the (m, j) pairs with nonzero seq[j] are laid
+    out from the largest j down, each j with its ascending ms, and added in
+    blocks of at most SCAN_BLOCK pairs by np.add.at, which applies repeated
+    indices one after another in the order given: for a fixed n = m j,
+    descending j means ascending m.  Each term is the same product as the
+    loop's, so the sums are the loop's to the last bit.
     """
     last, top = len(out) - 1, len(seq) - 1
     if len(ms) <= top:
@@ -313,10 +321,20 @@ def _divisor_sums(out: np.ndarray, coeffs: np.ndarray, ms: np.ndarray, seq: np.n
             t = min(top, last // m)
             out[m : m * t + 1 : m] += coeffs[m] * seq[1 : t + 1]
         return
-    values = coeffs[ms]
-    for j in (np.flatnonzero(seq[1:]) + 1)[::-1].tolist():
-        cut = np.searchsorted(ms, last // j, side="right")
-        out[ms[:cut] * j] += values[:cut] * seq[j]
+    js = (np.flatnonzero(seq[1:]) + 1)[::-1]
+    cuts = np.searchsorted(ms, last // js, side="right")  # row i pairs js[i] with ms[:cuts[i]]
+    ends = np.cumsum(cuts)
+    starts = ends - cuts
+    values, factors = coeffs[ms], seq[js]
+    pairs = int(cuts.sum())
+    for lo in range(0, pairs, SCAN_BLOCK):
+        hi = min(lo + SCAN_BLOCK, pairs)
+        first = np.searchsorted(ends, lo, side="right")  # rows first..stop-1 meet [lo, hi)
+        stop = np.searchsorted(ends, hi, side="left") + 1
+        spans = np.minimum(ends[first:stop], hi) - np.maximum(starts[first:stop], lo)
+        row = np.repeat(np.arange(first, stop), spans)
+        col = np.arange(lo, hi) - starts[row]
+        np.add.at(out, ms[col] * js[row], values[col] * factors[row])
 
 
 @lru_cache(maxsize=4)
@@ -364,6 +382,43 @@ def _vaughan_arrays(X: int, U: int):
     return arrays
 
 
+class VaughanSplit:
+    """The five sums of the split at (X, U), one call per draw (d, c, theta):
+    split(d, c, theta) is vaughan_decompose(tables, X, U, d, c, theta).
+
+    The calls share their buffers (n, n theta, its angle, its phases and one
+    product), made for d = 1 at the first call and sliced to the
+    n = c (mod d) below X of each draw.  Each sum is formed as a fresh
+    evaluation would form it, the same products summed over a contiguous
+    array of the same length, so a call's sums do not depend on the calls
+    before it.
+    """
+
+    def __init__(self, X: int, U: int):
+        if U < 2:
+            raise PreconditionError("U must be >= 2")
+        if U >= X:
+            raise PreconditionError("U must be below X")
+        self.X, self.U = X, U
+        self._buffers = None
+
+    def __call__(self, d: int, c: int, theta: float) -> VaughanSums:
+        if d < 1:
+            raise PreconditionError("d must be >= 1")
+        arrays = _vaughan_arrays(self.X, self.U)  # claims the budget before the buffers are made
+        if self._buffers is None:
+            X = self.X
+            self._buffers = (np.arange(X, dtype=np.int64), *np.empty((2, X)),
+                             *np.empty((2, X), dtype=np.complex128))
+        ns, x, ang, phases, prod = self._buffers
+        r = c % d
+        ns = ns[r::d]
+        size = ns.size
+        e = _phases(np.multiply(ns, theta, out=x[:size]), phases[:size], ang[:size])
+        return VaughanSums(*(complex(np.multiply(arr[r::d], e, out=prod[:size]).sum())
+                             for arr in arrays))
+
+
 def vaughan_decompose(
     tables: PrimeTables, X: int, U: int, d: int, c: int, theta: float
 ) -> VaughanSums:
@@ -372,18 +427,12 @@ def vaughan_decompose(
     The split is exact as an algebraic identity; only floating rounding
     separates total from the direct transform.  tables is not read: the
     arrays read a table of their own, so any limit gives the same sums.
+    Each sum adds arr[n] e(n theta) over n = c (mod d) below X, one product
+    per n and numpy's sum of those products, so equal arrays give equal
+    sums to the bit; the arrays take their divisor-sum terms in increasing
+    m (see _divisor_sums).  This is one call of VaughanSplit(X, U).
     """
-    if U < 2:
-        raise PreconditionError("U must be >= 2")
-    if U >= X:
-        raise PreconditionError("U must be below X")
-    if d < 1:
-        raise PreconditionError("d must be >= 1")
-    arrays = [arr[c % d :: d] for arr in _vaughan_arrays(X, U)]
-    ns = np.arange(c % d, X, d, dtype=np.int64)
-    phases = _phases(ns * theta)
-    sums = [complex((arr * phases).sum()) for arr in arrays]
-    return VaughanSums(*sums)
+    return VaughanSplit(X, U)(d, c, theta)
 
 
 # -- Weyl-differenced double sum ----------------------------------------------
@@ -399,6 +448,7 @@ def mikawa_w(M: int, N: int, X: int, ta: ThetaApprox) -> WeylSum:
 
     The exact double loop (tau_3 by trial division: no table), next to the
     bound shape M^2 N (log X)^3 + X (1/M + qH/X + 1/(qH))^(1/4) (log X)^8.
+    Claims 4 steps per pair (m, n) and isqrt(2N) per tau_3(n), up front.
     """
     if M < 1 or N < 1:
         raise PreconditionError("M and N must be >= 1")
@@ -406,7 +456,7 @@ def mikawa_w(M: int, N: int, X: int, ta: ThetaApprox) -> WeylSum:
         raise PreconditionError("X must be >= 1")
     if X >= _EXACT_FLOAT_INT or 8 * M * M * N >= _EXACT_FLOAT_INT:
         raise PreconditionError("X and 8 M^2 N must be below 2^53")
-    check_budget(M * N * 4, f"weyl double sum M={M} N={N}")
+    check_budget(M * N * 4 + N * math.isqrt(2 * N), f"weyl double sum M={M} N={N}")
     ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
     tau3 = np.array([tau(n, 3) for n in ns.tolist()], dtype=np.float64)
     total = 0.0
@@ -493,6 +543,7 @@ def type_one_max(
     The max enumerates every reduced residue; no shortcuts.  The n-terms of
     each m are computed once and split into every residue class mod d by one
     bincount per d <= D: about X H_M D steps, H_M the harmonic number.
+    tables is not read: tau_{h3}(d) is trial division.
     """
     _check_type_one(j, X, ())
     support = [(m, w) for m, w in alpha.items() if w != 0 and 1 <= m <= M]
@@ -509,5 +560,5 @@ def type_one_max(
             sums += w * (np.bincount(c, terms.real, d) + 1j * np.bincount(c, terms.imag, d))
     total = 0.0
     for d, sums in enumerate(inner, start=1):
-        total += tables.tau(d, h3) * float(np.abs(sums[units(d)]).max())
+        total += tau(d, h3) * float(np.abs(sums[units(d)]).max())
     return total

@@ -209,6 +209,18 @@ def test_mikawa_builds_no_prime_table(capsys, line, code):
     assert primetables._held is held
 
 
+def test_mikawa_claims_its_tau_3_trial_divisions(capsys, monkeypatch):
+    # 4 steps for each of the M N = 2000 pairs, and isqrt(2N) = 63 for each tau_3(n)
+    argv = ("mikawa", "--M", "1", "--N", "2000", "--X", "1000", "--theta", "0.3")
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", "10000")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["message"] == (
+        "weyl double sum M=1 N=2000 needs ~1.34e+05 steps, budget is 10000")
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", str(4 * 2000 + 2000 * 63))
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_runners_size_their_tables_by_what_they_read(capsys, monkeypatch):
     made = []
 
@@ -639,6 +651,8 @@ def test_a_sandwich_level_below_z_is_refused_naming_both_flags(capsys, D, z):
     ("density --b 10 --a0 12", "--a0 must be in [0, --b), got a0=12, b=10"),
     ("count --b 10 --a0 7 --r -1 --k 2", "--r must be in [0, --b), got r=-1, b=10"),
     ("arcs --b 7 --a0 3 --r 7 --k 2", "--r must be in [0, --b), got r=7, b=7"),
+    ("count --b 10 --a0 7 --r 7 --k 2", "--r must differ from --a0, got r=7, a0=7"),
+    ("bv-table --b 3 --a0 0 --r 0 --k 2 --D 5", "--r must differ from --a0, got r=0, a0=0"),
     ("vaughan-check --X 30 --U 50 --trials 1", "--U must be below --X, got U=50, X=30"),
     ("vaughan-check --X 2", "--X must be >= 3, got 2"),  # the default U = 2 is not below 2
 ])

@@ -3,9 +3,11 @@ import gc
 import math
 import random
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import oracles
 from missingdigit import (
@@ -20,7 +22,7 @@ from missingdigit import (
     min_sum,
     vaughan_decompose,
 )
-from missingdigit import expsums
+from missingdigit import cli, expsums
 from missingdigit.expsums import type_one_inner, type_one_max, type_one_sum
 
 
@@ -332,6 +334,110 @@ def test_divisor_sums_equal_the_loop_in_increasing_m(n_ms, n_seq, dtype):
     _divisor_sums_loop(want, coeffs, ms, seq)
     expsums._divisor_sums(out, coeffs, ms, seq)
     assert out.dtype == dtype and out.tobytes() == want.tobytes()
+
+
+# -- batched divisor sums and shared trial buffers, against what they replaced ----
+
+
+def _divisor_sums_per_j(out, coeffs, ms, seq):
+    """The divisor-sum kernel before its pairs were batched: one strided add
+    per m, else one searchsorted and one fancy-indexed add per nonzero seq[j],
+    from the largest j down."""
+    last, top = len(out) - 1, len(seq) - 1
+    if len(ms) <= top:
+        for m in ms.tolist():
+            t = min(top, last // m)
+            out[m : m * t + 1 : m] += coeffs[m] * seq[1 : t + 1]
+        return
+    values = coeffs[ms]
+    for j in (np.flatnonzero(seq[1:]) + 1)[::-1].tolist():
+        cut = np.searchsorted(ms, last // j, side="right")
+        out[ms[:cut] * j] += values[:cut] * seq[j]
+
+
+def _fresh_vaughan_sums(X, U, d, c, theta):
+    """vaughan_decompose before its trials shared buffers: every array made
+    afresh, the angle reduced out of place."""
+    arrays = [arr[c % d :: d] for arr in expsums._vaughan_arrays(X, U)]
+    ns = np.arange(c % d, X, d, dtype=np.int64)
+    x = ns * theta
+    ang = x - np.floor(x)
+    ang *= expsums.TWO_PI
+    phases = np.empty(ang.shape, dtype=np.complex128)
+    np.cos(ang, out=phases.real)
+    np.sin(ang, out=phases.imag)
+    return expsums.VaughanSums(*[complex((arr * phases).sum()) for arr in arrays])
+
+
+@pytest.mark.parametrize("X, U, block", [
+    (400_372, 74, None), (150_671, 54, None),  # the kernels workload's vaughan-check sizes
+    (20_011, 2, None), (20_011, 20_010, None), (3, 2, None),  # U at its edges
+    (20_011, 2, 1000), (3_000, 14, 7), (500, 2, 1),  # many blocks of pairs
+])
+def test_vaughan_arrays_equal_the_per_j_build_byte_for_byte(monkeypatch, X, U, block):
+    build = expsums._vaughan_arrays.__wrapped__  # past the cache
+    with monkeypatch.context() as patch:
+        patch.setattr(expsums, "_divisor_sums", _divisor_sums_per_j)
+        want = build(X, U)
+    if block is not None:
+        monkeypatch.setattr(expsums, "SCAN_BLOCK", block)
+    got = build(X, U)
+    for name, g, w in zip(("a1", "a2", "a3", "a4", "a5"), got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (X, U, name)
+
+
+@pytest.mark.parametrize("X, U", [(400_372, 74), (150_671, 54), (10_000, 22), (3_001, 2)])
+def test_shared_trial_buffers_give_the_fresh_sums(X, U):
+    rng = random.Random(X)
+    draws = [(1, 0, rng.random())]
+    for _ in range(12):
+        d = rng.randrange(1, 51)
+        draws.append((d, rng.randrange(d), rng.random()))
+    # a short class after a long one, a class past X, a negative c and theta
+    draws += [(1, 0, -rng.random()), (10**30, X - 1, 0.25), (7, -3, 1e6 * rng.random())]
+    split = expsums.VaughanSplit(X, U)
+    for d, c, theta in draws:
+        want = _fresh_vaughan_sums(X, U, d, c, theta)
+        assert split(d, c, theta) == want, (d, c, theta)
+        assert vaughan_decompose(None, X, U, d, c, theta) == want, (d, c, theta)
+
+
+@pytest.mark.parametrize("argv, residual", [
+    # the kernels workload's seed-1 configs: the residuals the per-trial temporaries gave
+    ("--X 400372 --trials 8 --dmax 1 --seed 413629", 5.4569682106375694e-12),
+    ("--X 150671 --trials 8 --dmax 1 --seed 171814", 1.5389771727633256e-12),
+    ("--X 10000 --trials 100 --seed 1", 1.5106345774618504e-13),  # the README line
+])
+def test_vaughan_check_residual_to_the_last_bit(argv, residual):
+    runner = cli._COMMANDS["vaughan-check"][0]
+    args = cli.build_parser().parse_args(["vaughan-check", *argv.split()])
+    results, _ = runner(args)
+    assert results["max_residual"] == residual
+
+
+@given(st.data(), st.integers(1, 300), st.integers(0, 60), st.integers(1, 40),
+       st.sampled_from([np.float64, np.int64]))
+@example(None, 200, 30, 3, np.float64)
+def test_batched_divisor_sums_equal_the_loop(data, size, n_ms, n_seq, dtype):
+    if data is None:  # every m, and one pair per block
+        ms, seq_values, block = np.arange(1, 31), list(range(-1, n_seq - 1)), 1
+    else:
+        ms = np.array(sorted(data.draw(st.sets(st.integers(1, 2 * size), max_size=n_ms))),
+                      dtype=np.int64)
+        seq_values = data.draw(st.lists(st.integers(-3, 3), min_size=n_seq, max_size=n_seq))
+        block = data.draw(st.integers(1, 64))
+    rng = np.random.default_rng(size * 100 + n_seq)
+    if dtype is np.float64:
+        coeffs, out = rng.standard_normal(2 * size + 1), rng.standard_normal(size)
+        seq = np.array(seq_values, dtype=np.float64) * rng.standard_normal(n_seq)
+    else:
+        coeffs, out = rng.integers(-50, 50, 2 * size + 1), rng.integers(-50, 50, size)
+        seq = np.array(seq_values, dtype=np.int64)
+    want = out.copy()
+    _divisor_sums_loop(want, coeffs, ms, seq)
+    with mock.patch.object(expsums, "SCAN_BLOCK", block):
+        expsums._divisor_sums(out, coeffs, ms, seq)
+    assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
 
 
 def test_mikawa_examples(tables):
