@@ -32,7 +32,7 @@ from .digitset import DigitSystem, contains_array, count, member_mask
 from .errors import InternalCheckError, PreconditionError
 from .expsums import _phases
 from .fourier import spectrum
-from .primetables import PrimeTables, _sift_1mod4, reduced_fractions, totient, units
+from .primetables import PrimeTables, _sift_1mod4, in_class, reduced_fractions, totient, units
 
 KIND_MINOR = "Minor"
 KIND_M1 = "Major1"
@@ -197,7 +197,8 @@ class ProgressionCounts:
     order; cnt = count(ds, k) counts all members below X ending in r, not only
     prime powers.  mask is the membership mask of [0, X), built once here for
     every row that reads membership; it lives as long as the counts.  A
-    modulus q > 1 must be prime to every d read.
+    modulus q > 1 must be prime to every d read.  The member classes take
+    q and d past int64; the main term still factors them.
     """
 
     def __init__(self, tables: PrimeTables, ds: DigitSystem, X: int, q: int = 1, a: int = 0):
@@ -212,7 +213,7 @@ class ProgressionCounts:
         self.cnt = count(ds, self.k)
         self.mask = member_mask(ds, self.k)
         keep = np.flatnonzero(self.mask[ns])  # the mask first: it keeps the fewer
-        keep = keep[ns[keep] % q == a]
+        keep = keep[in_class(ns[keep], q, a)]
         self.ns, self.logs = ns[keep], logs[keep]
 
     def lam(self, d: int, c: int) -> float:
@@ -220,8 +221,7 @@ class ProgressionCounts:
         = 1: a masked (pairwise) sum in member order."""
         if math.gcd(c, d) != 1 or math.gcd(d, self.ds.base) != 1:
             raise PreconditionError("need gcd(c, d) = gcd(d, b) = 1")
-        ns = self.ns  # d >= X leaves c mod d alone in its class, and may pass int64
-        return float(self.logs[ns % d == c % d if d < self.X else ns == c % d].sum())
+        return float(self.logs[in_class(self.ns, d, c)].sum())
 
     def lam_mod(self, d: int) -> np.ndarray:
         """The member log sums of every residue class mod d by one bincount,
@@ -272,7 +272,7 @@ def _rechecked(counts: ProgressionCounts, rows: list[Row], rel: float = 0.0) -> 
     if rows:
         row = max(rows, key=lambda row: row.d)
         ns, logs = counts.tables.prime_powers_upto(counts.X - 1, row.d, row.c)
-        keep = np.flatnonzero(ns % counts.q == counts.a)
+        keep = np.flatnonzero(in_class(ns, counts.q, counts.a))
         ns, logs = ns[keep], logs[keep]
         lam = float(logs[contains_array(counts.ds, ns)].sum())
         E = lam - counts.main(row.d)
@@ -361,7 +361,7 @@ def _sieve_lin(counts: ProgressionCounts, *, weights, L: int,
         for ell, h_ell, vals, val_logs in terms:
             if math.gcd(ell, d) == 1:
                 main_sum += h_ell / ell
-            keep = vals % d == 0
+            keep = in_class(vals, d, 0)
             if keep.any():
                 inner += h_ell * float(val_logs[keep].sum())
         # l n = 1 (mod 4) holds a quarter of the main term (an exact division)
@@ -385,7 +385,7 @@ def _rechecked_lin(counts: ProgressionCounts, rows: list[Row],
         for (ell, h_ell), (nn, logs) in zip(ells, ranges):
             if math.gcd(ell, row.d) == 1:
                 main_sum += h_ell / ell
-            keep = ((2 * ell * nn + 1) % row.d == 0) & ((ell * nn) % 4 == 1)
+            keep = in_class(2 * ell * nn + 1, row.d, 0) & ((ell * nn) % 4 == 1)
             if keep.any():
                 member = contains_array(counts.ds, 2 * ell * nn[keep] + 1)
                 inner += h_ell * float(logs[keep][member].sum())

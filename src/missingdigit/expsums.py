@@ -16,16 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from ._budget import SCAN_BLOCK, check_budget
 from .errors import InternalCheckError, PreconditionError
-from .primetables import PrimeTables, tau, units
+from .primetables import INT64_MAX, PrimeTables, in_class, tau, units
 
 TWO_PI = 2.0 * math.pi
-_INT64_MAX = np.iinfo(np.int64).max
 # The array sums convert their integer inputs to float64, which equals the
 # exact int/int division of a loop while every integer stays below 2^53.
 _EXACT_FLOAT_INT = 2**53
@@ -65,7 +64,7 @@ class ThetaApprox:
         The product of residues stays below 2^63 while (q - 1)^2 does, and
         Python ints (an object array) take over past that.
         """
-        if (self.q - 1) ** 2 > _INT64_MAX:
+        if (self.q - 1) ** 2 > INT64_MAX:
             ms = ms.astype(object)
         return (ms % self.q) * (self.a % self.q) % self.q
 
@@ -228,6 +227,22 @@ def _pair_phases(mn: np.ndarray, ta: ThetaApprox) -> np.ndarray:
     return _phases(rational + (drift - np.floor(drift)))
 
 
+def _ragged_pairs(cuts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(row, col) int64 arrays over the pairs 0 <= col < cuts[row], in
+    row-major order, in blocks of at most SCAN_BLOCK pairs (rows with no
+    pairs are skipped)."""
+    ends = np.cumsum(cuts)
+    starts = ends - cuts
+    pairs = int(cuts.sum())
+    for lo in range(0, pairs, SCAN_BLOCK):
+        hi = min(lo + SCAN_BLOCK, pairs)
+        first = np.searchsorted(ends, lo, side="right")  # rows first..stop-1 meet [lo, hi)
+        stop = np.searchsorted(ends, hi, side="left") + 1
+        spans = np.minimum(ends[first:stop], hi) - np.maximum(starts[first:stop], lo)
+        row = np.repeat(np.arange(first, stop, dtype=np.int64), spans)
+        yield row, np.arange(lo, hi, dtype=np.int64) - starts[row]
+
+
 def _support(alpha: Mapping[int, complex], below: int) -> tuple[np.ndarray, np.ndarray]:
     """Keys and weights of the nonzero entries with key < below, in mapping order."""
     items = [(m, w) for m, w in alpha.items() if w != 0 and m < below]
@@ -254,7 +269,7 @@ def bilinear_sum(
     """
     if X < 1:
         raise PreconditionError("X must be >= 1")
-    if X - 1 > _INT64_MAX:
+    if X - 1 > INT64_MAX:
         raise PreconditionError("X - 1 must fit in int64")
     if d < 1:
         raise PreconditionError("d must be >= 1")
@@ -265,17 +280,11 @@ def bilinear_sum(
     ns, w2 = _support(alpha2, X)
     order = np.argsort(ns, kind="stable")
     ns, w2 = ns[order], w2[order]
-    # row i holds the pairs (ms[i], ns[:cuts[i]]), at flat indices from starts[i]
-    cuts = np.searchsorted(ns, (X - 1) // ms, side="right")
-    starts = np.concatenate(([0], np.cumsum(cuts)))
-    pairs = int(starts[-1])
+    cuts = np.searchsorted(ns, (X - 1) // ms, side="right")  # row i pairs ms[i] with ns[:cuts[i]]
     total = 0.0 + 0.0j
-    for lo in range(0, pairs, SCAN_BLOCK):
-        pair = np.arange(lo, min(lo + SCAN_BLOCK, pairs), dtype=np.int64)
-        row = np.searchsorted(starts, pair, side="right") - 1
-        col = pair - starts[row]
+    for row, col in _ragged_pairs(cuts):
         mn = ms[row] * ns[col]
-        keep = mn % d == c % d if d < X else mn == c % d  # mn < X; d may pass int64
+        keep = in_class(mn, d, c)
         row, col, mn = row[keep], col[keep], mn[keep]
         total += complex((w1[row] * w2[col] * _pair_phases(mn, ta)).sum())
     norm1 = math.sqrt(sum(abs(w) ** 2 for w in alpha1.values()))
@@ -323,17 +332,8 @@ def _divisor_sums(out: np.ndarray, coeffs: np.ndarray, ms: np.ndarray, seq: np.n
         return
     js = (np.flatnonzero(seq[1:]) + 1)[::-1]
     cuts = np.searchsorted(ms, last // js, side="right")  # row i pairs js[i] with ms[:cuts[i]]
-    ends = np.cumsum(cuts)
-    starts = ends - cuts
     values, factors = coeffs[ms], seq[js]
-    pairs = int(cuts.sum())
-    for lo in range(0, pairs, SCAN_BLOCK):
-        hi = min(lo + SCAN_BLOCK, pairs)
-        first = np.searchsorted(ends, lo, side="right")  # rows first..stop-1 meet [lo, hi)
-        stop = np.searchsorted(ends, hi, side="left") + 1
-        spans = np.minimum(ends[first:stop], hi) - np.maximum(starts[first:stop], lo)
-        row = np.repeat(np.arange(first, stop), spans)
-        col = np.arange(lo, hi) - starts[row]
+    for row, col in _ragged_pairs(cuts):
         np.add.at(out, ms[col] * js[row], values[col] * factors[row])
 
 

@@ -47,6 +47,14 @@ import numpy as np
 from ._budget import SCAN_BLOCK, check_budget
 from .errors import PreconditionError
 
+INT64_MAX = np.iinfo(np.int64).max
+
+
+def in_class(ns: np.ndarray, d: int, c: int) -> np.ndarray:
+    """Bool mask of n = c (mod d) over the int64 array ns, d >= 1: a modulus
+    past int64 exceeds every n, so its class holds c mod d alone."""
+    return ns % d == c % d if d <= INT64_MAX else ns == c % d
+
 
 class QuadClass(NamedTuple):
     in_B: bool
@@ -275,8 +283,7 @@ class PrimeTables:
         ns, logs = pp_n[:cut], pp_log[:cut]
         if d == 1:
             return ns, logs
-        # a modulus past y leaves c mod d alone in its class (and may pass int64)
-        keep = np.flatnonzero(ns % d == c % d if d <= y else ns == c % d)
+        keep = np.flatnonzero(in_class(ns, d, c))
         return ns[keep], logs[keep]
 
     # -- arithmetic functions ------------------------------------------------
@@ -325,12 +332,13 @@ class PrimeTables:
     def psi_progression(self, y: int, d: int, c: int, q: int = 1, m: int = 0) -> float:
         """Sum of Lambda(n) over n <= y with n = c (mod d) and n = m (mod q).
 
-        Empty progressions are allowed and give 0.
+        Empty progressions are allowed and give 0.  Either modulus may pass
+        int64.
         """
         if d < 1 or q < 1:
             raise PreconditionError("moduli must be >= 1")
         ns, logs = self.prime_powers_upto(y, d, c)
-        return float(logs[ns % q == m % q].sum())
+        return float(logs[in_class(ns, q, m)].sum())
 
     # -- quadratic classes ----------------------------------------------------
 

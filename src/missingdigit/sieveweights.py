@@ -59,8 +59,13 @@ class SieveSpec:
         if not (2 <= self.D < math.inf and 2 <= self.z < math.inf):
             raise PreconditionError("D and z must be finite and >= 2")
 
-    def _parity_checked(self, index: int) -> bool:
-        return index % 2 == (1 if self.side == "upper" else 0)
+    def admits(self, log_prefix: float, log_p: float, index: int, log_d: float) -> bool:
+        """Whether a chain whose primes before index l have log sum log_prefix
+        takes p_l of log log_p: p1 ... p_l <= D, and p1 ... p_{l-1}
+        p_l^(beta+1) <= D (which implies it) at an l of the side's parity.
+        log_d is log D with the slack, taken once by the caller."""
+        power = self.degree + 1 if index % 2 == (self.side == "upper") else 1
+        return log_prefix + power * log_p <= log_d
 
 
 def _check_level(X: float) -> None:
@@ -123,13 +128,10 @@ def support_member(spec: SieveSpec, d: int, tables: PrimeTables) -> bool:
     if any(not spec.prime_set(p) for p in chain):
         return False
     log_d = math.log(spec.D) + _SLACK
-    if sum(math.log(p) for p in chain) > log_d:
-        return False
     prefix = 0.0
     for index, p in enumerate(chain, start=1):
-        if spec._parity_checked(index):
-            if prefix + (spec.degree + 1) * math.log(p) > log_d:
-                return False
+        if not spec.admits(prefix, math.log(p), index, log_d):
+            return False
         prefix += math.log(p)
     return True
 
@@ -148,9 +150,7 @@ def build_weights(spec: SieveSpec, tables: PrimeTables) -> SieveWeight:
         for i in range(start_idx, len(primes)):
             p = primes[i]
             lp = logs[p]
-            if log_prefix + lp > log_d:
-                continue
-            if spec._parity_checked(index) and log_prefix + (spec.degree + 1) * lp > log_d:
+            if not spec.admits(log_prefix, lp, index, log_d):
                 continue
             d = product * p
             weight.values[d] = -sign

@@ -9,6 +9,7 @@ import oracles
 from missingdigit import (
     DigitSystem,
     PreconditionError,
+    ProgressionCounts,
     arc_split,
     buchstab_and_app,
     classify_arc,
@@ -176,6 +177,14 @@ def test_discrepancy_d1_identity(tables):
     )
     # main term at d = 1 is (b/phi(b)) * (b-1)^(k-1)
     assert e + (10 / 4) * 729 == pytest.approx(raw, rel=1e-12)
+    # the members = a (mod q), q past int64 included
+    for q, a in ((8, 3), (10**30, 13), (10**30, -1), (2**63, 2**63 + 113)):
+        counts = ProgressionCounts(tables, ds, 1000, q, a)
+        assert counts.ns.tolist() == [
+            n for n in range(1, 1000)
+            if n % q == a % q and n % 10 == 3 and oracles.digits_avoid(n, 10, 7)
+            and oracles.mangoldt(n) > 0
+        ], (q, a)
 
 
 def test_discrepancy_crude_bound_and_oracle(tables):

@@ -440,6 +440,22 @@ def test_batched_divisor_sums_equal_the_loop(data, size, n_ms, n_seq, dtype):
     assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
 
 
+@given(st.lists(st.one_of(st.just(0), st.integers(1, 12)), max_size=30),
+       st.sampled_from([1, 7, 1000]))
+@example([], 1)
+@example([0, 0, 3, 0, 0, 5, 0, 0], 7)  # rows with no pairs at the start, middle and end
+@example([0, 2, 0, 9, 0], 1)
+def test_ragged_pairs_walk_the_nested_loop(cuts, block):
+    want = [(i, j) for i, n in enumerate(cuts) for j in range(n)]
+    with mock.patch.object(expsums, "SCAN_BLOCK", block):
+        blocks = list(expsums._ragged_pairs(np.array(cuts, dtype=np.int64)))
+    assert [row.size for row, _ in blocks] == [
+        min(block, len(want) - lo) for lo in range(0, len(want), block)]
+    assert all(row.dtype == col.dtype == np.int64 for row, col in blocks)
+    assert [(i, j) for row, col in blocks
+            for i, j in zip(row.tolist(), col.tolist())] == want
+
+
 def test_mikawa_examples(tables):
     ta0 = dirichlet_approx(0.0, 5, 100)
     res = mikawa_w(1, 1, 100, ta0)

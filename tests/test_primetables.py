@@ -125,6 +125,10 @@ def test_psi_progression_against_direct_sum(tables):
         m = rng.randrange(q)
         got = tables.psi_progression(y, d, c, q, m)
         assert got == pytest.approx(oracles.brute_psi(y, d, c, q, m), abs=1e-9)
+    for q in (10**30, 2**63):  # past int64: the class mod q holds m alone
+        for d, c, m in ((1, 0, 7), (3, 1, 7), (4, 1, -1)):
+            got = tables.psi_progression(800, d, c, q, m)
+            assert got == pytest.approx(oracles.brute_psi(800, d, c, q, m), abs=1e-9)
     full = tables.psi_progression(10_000, 1, 0)
     assert full == pytest.approx(oracles.brute_psi(10_000, 1, 0), rel=1e-9)
 

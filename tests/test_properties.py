@@ -253,6 +253,8 @@ def test_prime_tables_read_the_factor_helper(n):
 @example(3001, 1, 0)
 @example(100, 101, -4)  # d > y: the class holds c mod d = 97 alone
 @example(3000, 10**30, 7)  # d past int64
+@example(3000, 2**63, -1)  # the first d past int64: c mod d is INT64_MAX
+@example(3000, 2**63 - 1, 2**62)  # the last d within it
 def test_prime_powers_upto_matches_trial_division(y, d, c):
     tables = PrimeTables(3000)
     if y > tables.limit:
