@@ -98,25 +98,37 @@ DELTA_EPS = (("--delta", dict(type=float, default=1e-3)),
 # The ranges of --delta and --eps are cross-flag checks, so that weighted-bv
 # can apply them only to the kinds that read the two flags.
 SIEVE_RANGES = (
-    # at delta = 1/6 the sifting exponent 1/3 - 2 delta - 2 eps^2 reaches 0
+    # at delta = 1/6 the semi-linear sifting exponent reaches 0 (sieve_exponents)
     (lambda args: 0 <= args.delta < 1 / 6, "--delta must be in [0, 1/6), got {delta}"),
-    # below 1/7 both sieve levels 3(1 - 4 delta)/7 - eps and 1/2 - 2 delta - eps
-    # stay positive for every delta in [0, 1/6)
+    # below 1/7 both sieve levels rho stay positive for every delta in [0, 1/6)
     (lambda args: 0 < args.eps < 1 / 7, "--eps must be in (0, 1/7), got {eps}"),
-    (lambda args: 2 * args.delta + 2 * args.eps**2 < 1 / 3,
+    # the very float the semi-linear spec raises X to
+    (lambda args: sieveweights.sieve_exponents(1, args.delta, args.eps)[1] > 0,
      "--eps must keep the sifting exponent 1/3 - 2 delta - 2 eps^2 above 0,"
      " got delta={delta}, eps={eps}"),
 )
+
+
+def _levels_reach_2(X, args, *degrees) -> bool:
+    """Whether the level X^rho and the sifting limit X^s of the sieve of each
+    degree reach 2 at --delta and --eps, computed as the specs compute them."""
+    return all(X**e >= 2 for degree in degrees
+               for e in sieveweights.sieve_exponents(degree, args.delta, args.eps))
 
 
 def _digit_system(args) -> DigitSystem:
     return DigitSystem(args.b, args.a0, args.r)
 
 
+def _X_fits(args) -> bool:
+    """Whether X = b^k <= 2^62, for a checked base and k >= 1, without forming
+    the power (past 2^62 no int64 array can index X)."""
+    return args.k * math.log2(args.b) <= 62
+
+
 def _X(args) -> int:
-    """X = b^k for a checked base and k >= 1, refused before the power is
-    formed unless X <= 2^62 (past that no int64 array can index it)."""
-    if args.k * math.log2(args.b) > 62:
+    """X = b^k, refused before the power is formed unless it fits."""
+    if not _X_fits(args):
         raise PreconditionError(f"{args.b}^{args.k} exceeds 2^62")
     return args.b**args.k
 
@@ -258,7 +270,12 @@ def run_bv_table(args):
    # only the kinds that build sieve weights (wellfac, semi, lin) read --delta/--eps
    checks=tuple(
        (lambda args, test=test: args.kind in ("fixed", "pairs") or test(args), text)
-       for test, text in SIEVE_RANGES))
+       for test, text in SIEVE_RANGES + ((
+           # past 2^62 _X refuses X = b^k in the runner
+           lambda args: not _X_fits(args)
+           or _levels_reach_2(args.b**args.k, args, 2 if args.kind == "lin" else 1),
+           "--kind {kind} needs its sieve level X^rho and sifting limit X^s >= 2 at"
+           " X = --b^--k, --delta and --eps, got b={b}, k={k}, delta={delta}, eps={eps}"),)))
 def run_weighted_bv(args):
     ds = _digit_system(args)
     X = _X(args)
@@ -305,6 +322,11 @@ def run_weighted_bv(args):
     ("wellfactor_checked", "int", "with --wellfactor-X"),
     ("wellfactor_failures", "int", "with --wellfactor-X"),
 ), rows=(("kind", "str"), ("u", "float"), ("value", "float")), checks=SIEVE_RANGES + (
+    (lambda args: args.wellfactor_X is None or _levels_reach_2(args.wellfactor_X, args, 1, 2),
+     "--wellfactor-X needs both sieve levels X^rho and sifting limits X^s >= 2 at"
+     " --delta and --eps, got X={wellfactor_X}, delta={delta}, eps={eps}"),
+    (lambda args: args.sandwich_nmax is None or args.sandwich_z >= 2,
+     "--sandwich-z must be >= 2 with --sandwich-nmax, got z={sandwich_z}"),
     # a prime p in (D, z] has lambda^- * 1 (p) = 1, above its sifted indicator 0
     (lambda args: args.sandwich_nmax is None or args.sandwich_D >= args.sandwich_z,
      "--sandwich-D must be >= --sandwich-z with --sandwich-nmax,"
@@ -323,14 +345,16 @@ def run_sieve_fns(args):
         u += args.ustep
     results = {"grid_points": len(rows)}
     if args.sandwich_nmax is not None:
-        tables = PrimeTables(args.sandwich_nmax)
+        # no d <= nmax has a prime factor above nmax: sifting past it changes no row
+        z = min(args.sandwich_z, args.sandwich_nmax)
+        tables = PrimeTables(math.ceil(z))
         total_bad = 0
         for degree in (1, 2):
             wm, wp = (sieveweights.build_weights(
-                sieveweights.SieveSpec(degree, side, args.sandwich_D, args.sandwich_z), tables
+                sieveweights.SieveSpec(degree, side, args.sandwich_D, z), tables
             ) for side in ("lower", "upper"))
             bad = sieveweights.sandwich_check(
-                wm, wp, tables, args.sandwich_z, lambda p: True, args.sandwich_nmax
+                wm, wp, tables, z, lambda p: True, args.sandwich_nmax
             )
             total_bad += len(bad)
         results["sandwich_violations"] = total_bad

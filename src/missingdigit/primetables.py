@@ -19,7 +19,8 @@ square root of what is left: the values factored are moduli, bases and sieve
 chains of desk size, and each call claims sqrt(n) steps from the budget; it
 reads no table, so neither do the PrimeTables methods that factor.  The
 reduced residues come from units(d) for one modulus and from
-reduced_fractions(qs) for the fractions a/q over many, which factors nothing.
+reduced_fractions(qs) for the fractions a/q over many, which factors nothing
+and reads its primes from the held record.
 The two quadratic classes are
 
     B    = {n : n = n1^2 + n2^2 with gcd(n1, n2) = 1}
@@ -189,12 +190,13 @@ def reduced_fractions(qs: np.ndarray, a_min: int = 1,
     time, each row over the numerators below the block's last q (up to half
     of it with half); a block yields its reduced cells in row order (q, then
     a), possibly none.  No gcd is taken: along each row the multiples of each
-    prime of its q are cleared (so a = 0 survives at q = 1 alone).
+    prime of its q, read from the held record, are cleared (so a = 0 survives
+    at q = 1 alone).
     """
     if not qs.size or qs[-1] <= a_min:
         return
     q_block = max(1, SCAN_BLOCK // int(qs[-1] - a_min))
-    primes = _odd_sieve_primes(max(2, int(qs[-1])))
+    primes = _shared_sieve(max(2, int(qs[-1]))).primes
     for lo in range(0, qs.size, q_block):
         block = qs[lo : lo + q_block]
         top = int(block[-1])

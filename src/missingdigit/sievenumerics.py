@@ -35,6 +35,7 @@ import numpy as np
 from ._budget import check_budget
 from .errors import PreconditionError
 from .primetables import PrimeTables, factor, totient
+from .sieveweights import sieve_exponents
 
 # Euler-Mascheroni constant, 20 digits; e^gamma is derived from it.
 EULER_GAMMA = 0.57721566490153286061
@@ -281,12 +282,12 @@ def b_over_phi(b: int) -> Fraction:
 def lower_bound_margin(delta: float = 1e-3, eps: float = 1e-6) -> dict:
     """The decisive positivity check of the two-squares lower bound.
 
-    At rho_sem = 3(1-4 delta)/7 - eps, rho_lin = 1/2 - 2 delta - eps and
-    alpha = (1/3 - 2 delta)^-1 + eps the difference
+    At the levels rho_sem and rho_lin of the two sieves (sieve_exponents)
+    and alpha = (1/3 - 2 delta)^-1 + eps the difference
     I_sem - (10/9) I_lin must stay positive with a solid margin.
     """
-    rho_sem = 3.0 * (1.0 - 4.0 * delta) / 7.0 - eps
-    rho_lin = 0.5 - 2.0 * delta - eps
+    rho_sem = sieve_exponents(1, delta, eps)[0]
+    rho_lin = sieve_exponents(2, delta, eps)[0]
     alpha = 1.0 / (1.0 / 3.0 - 2.0 * delta) + eps
     i_sem = I_sem(rho_sem, alpha)
     i_lin = I_lin(rho_lin, alpha)

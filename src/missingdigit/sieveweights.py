@@ -9,9 +9,16 @@ lower bounds)
 
 with beta = 1 for the semi-linear sieve and beta = 2 for the linear sieve.
 These supports make the sandwich (lambda^- * 1)(n) <= 1_{(n, P(z)) = 1}
-<= (lambda^+ * 1)(n) hold pointwise, and in the ranges used here every
-support element in [X^(1/10), X^rho] splits as d = d1 d2 with d1 in
-[X^(1/10), D0] and d1 d2^2 <= X^(1 - 4 delta - 2 eps^2)/D0.
+<= (lambda^+ * 1)(n) hold pointwise.
+
+The paper's two sieves run at level D = X^rho and sifting limit z = X^s,
+both exponents fixed by (delta, eps) in sieve_exponents alone: the
+semi-linear lower sieve (Iwaniec, Acta Arith. 21, 1972) at
+rho = 3(1 - 4 delta)/7 - eps, s = 1/3 - 2 delta - 2 eps^2, and the linear
+upper beta-sieve (Friedlander and Iwaniec, Opera de Cribro, 2010) at
+rho = 1/2 - 2 delta - eps, s = 1/5.  In the ranges used here every support
+element in [X^(1/10), X^rho] splits as d = d1 d2 with d1 in [X^(1/10), D0]
+and d1 d2^2 <= X^(1 - 4 delta - 2 eps^2)/D0, for D0 in [X^s, X^rho].
 
 P(z) multiplies over p <= z (both conventions appear in the literature; this
 module standardizes on <=).  Prefix comparisons run in log space with 1e-12
@@ -73,21 +80,29 @@ def _check_level(X: float) -> None:
         raise PreconditionError(f"X must be > 0, got {X}")
 
 
+def sieve_exponents(degree: int, delta: float, eps: float) -> tuple[float, float]:
+    """(rho, s) of the paper's sieve of this degree: level D = X^rho and
+    sifting limit z = X^s, for the semi-linear lower sieve (degree 1) and the
+    linear upper sieve (degree 2)."""
+    if degree == 1:
+        return 3.0 * (1.0 - 4.0 * delta) / 7.0 - eps, 1.0 / 3.0 - 2.0 * delta - 2.0 * eps * eps
+    return 0.5 - 2.0 * delta - eps, 0.2
+
+
 def semi_linear_lower(X: float, delta: float = 1e-3, eps: float = 1e-6,
                       prime_set: Callable[[int], bool] = _all_primes) -> SieveSpec:
-    """Lower-bound semi-linear spec at level X^rho, rho = 3(1-4 delta)/7 - eps."""
+    """Lower-bound semi-linear spec at the degree-1 exponents of sieve_exponents."""
     _check_level(X)
-    rho = 3.0 * (1.0 - 4.0 * delta) / 7.0 - eps
-    z = X ** (1.0 / 3.0 - 2.0 * delta - 2.0 * eps * eps)
-    return SieveSpec(1, "lower", X**rho, z, prime_set, rho=rho, delta=delta, eps=eps)
+    rho, s = sieve_exponents(1, delta, eps)
+    return SieveSpec(1, "lower", X**rho, X**s, prime_set, rho=rho, delta=delta, eps=eps)
 
 
 def linear_upper(X: float, delta: float = 1e-3, eps: float = 1e-6,
                  prime_set: Callable[[int], bool] = _all_primes) -> SieveSpec:
-    """Upper-bound linear spec at level X^rho, rho = 1/2 - 2 delta - eps."""
+    """Upper-bound linear spec at the degree-2 exponents of sieve_exponents."""
     _check_level(X)
-    rho = 0.5 - 2.0 * delta - eps
-    return SieveSpec(2, "upper", X**rho, X**0.2, prime_set, rho=rho, delta=delta, eps=eps)
+    rho, s = sieve_exponents(2, delta, eps)
+    return SieveSpec(2, "upper", X**rho, X**s, prime_set, rho=rho, delta=delta, eps=eps)
 
 
 @dataclass
@@ -122,9 +137,11 @@ def _chain_of(tables: PrimeTables, d: int, z: float) -> list[int]:
 
 def support_member(spec: SieveSpec, d: int, tables: PrimeTables) -> bool:
     """Whether d belongs to the spec's combinatorial support."""
-    if d == 1:
-        return True
-    chain = _chain_of(tables, d, spec.z)
+    return _admits_chain(spec, _chain_of(tables, d, spec.z))
+
+
+def _admits_chain(spec: SieveSpec, chain: list[int]) -> bool:
+    """Whether the decreasing prime chain of a d lies in the spec's support."""
     if any(not spec.prime_set(p) for p in chain):
         return False
     log_d = math.log(spec.D) + _SLACK
@@ -138,7 +155,7 @@ def support_member(spec: SieveSpec, d: int, tables: PrimeTables) -> bool:
 
 def build_weights(spec: SieveSpec, tables: PrimeTables) -> SieveWeight:
     """lambda_d = mu(d) over the support, by descending-chain DFS."""
-    zcap = min(int(spec.z + _SLACK), int(spec.D + _SLACK), tables.limit)
+    zcap = min(int(spec.z + _SLACK), int(spec.D + _SLACK))
     primes = [int(p) for p in tables.primes_upto(zcap) if spec.prime_set(int(p))]
     primes.sort(reverse=True)
     log_d = math.log(spec.D) + _SLACK
@@ -171,8 +188,10 @@ def sandwich_check(
     """Pointwise check of lower <= indicator <= upper on 1 <= n <= n_max.
 
     Returns violating rows (n, lower, indicator, upper); exact integer
-    arithmetic throughout.  Expected empty.
+    arithmetic throughout.  Expected empty.  Claims n_max steps before it
+    allocates its three arrays.
     """
+    check_budget(n_max, f"sandwich check over n <= {n_max}")
     conv_minus = np.zeros(n_max + 1, dtype=np.int64)
     conv_plus = np.zeros(n_max + 1, dtype=np.int64)
     for weight, conv in ((w_minus, conv_minus), (w_plus, conv_plus)):
@@ -226,17 +245,14 @@ def well_factor(
     rho = spec.rho if spec.rho is not None else math.log(spec.D) / math.log(X)
     delta, eps = spec.delta, spec.eps
     lo_exp = X**0.1
-    if not support_member(spec, d, tables):
+    chain = _chain_of(tables, d, spec.z)
+    if not _admits_chain(spec, chain):
         raise PreconditionError(f"{d} is not in the sieve support")
     if not lo_exp - _SLACK <= d <= X**rho * (1 + _SLACK):
         raise PreconditionError(f"{d} outside [X^0.1, X^rho]")
-    if spec.degree == 1:
-        d0_lo = X ** (1.0 / 3.0 - 2.0 * delta - 2.0 * eps * eps)
-    else:
-        d0_lo = X**0.2
+    d0_lo = X ** sieve_exponents(spec.degree, delta, eps)[1]
     if not d0_lo * (1 - 1e-9) <= D0 <= X**rho * (1 + 1e-9):
         raise PreconditionError(f"D0={D0} outside the admissible interval")
-    chain = _chain_of(tables, d, spec.z)
     cap = (1.0 - 4.0 * delta - 2.0 * eps * eps) * math.log(X) - math.log(D0)
     d1 = 1
     for p in chain:

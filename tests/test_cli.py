@@ -232,6 +232,9 @@ def test_runners_size_their_tables_by_what_they_read(capsys, monkeypatch):
     lines = {
         # the primes up to the larger z feed build_weights; well_factor factors
         "sieve-fns --wellfactor-X 1000000": [math.ceil(sieveweights.semi_linear_lower(10**6).z)],
+        # no d <= nmax has a prime factor above nmax: the primes up to min(z, nmax)
+        "sieve-fns --sandwich-nmax 1000": [30],
+        "sieve-fns --sandwich-nmax 20 --sandwich-z 30": [20],
         "constants --plimit 1000 --b 10 --y 5000": [5000],
         "constants --plimit 1000 --b 10 --tweight-X 100000000": [1000, 10**4 + 1],
     }
@@ -655,6 +658,18 @@ def test_a_sandwich_level_below_z_is_refused_naming_both_flags(capsys, D, z):
     ("bv-table --b 3 --a0 0 --r 0 --k 2 --D 5", "--r must differ from --a0, got r=0, a0=0"),
     ("vaughan-check --X 30 --U 50 --trials 1", "--U must be below --X, got U=50, X=30"),
     ("vaughan-check --X 2", "--X must be >= 3, got 2"),  # the default U = 2 is not below 2
+    # sieve levels X^rho and sifting limits X^s below 2
+    ("weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind semi --delta 0.15 --eps 0.1",
+     "--kind semi needs its sieve level X^rho and sifting limit X^s >= 2 at X = --b^--k,"
+     " --delta and --eps, got b=10, k=4, delta=0.15, eps=0.1"),
+    ("weighted-bv --b 3 --a0 1 --r 2 --k 3 --kind lin",
+     "--kind lin needs its sieve level X^rho and sifting limit X^s >= 2 at X = --b^--k,"
+     " --delta and --eps, got b=3, k=3, delta=0.001, eps=1e-06"),
+    ("sieve-fns --wellfactor-X 31",
+     "--wellfactor-X needs both sieve levels X^rho and sifting limits X^s >= 2 at"
+     " --delta and --eps, got X=31, delta=0.001, eps=1e-06"),
+    ("sieve-fns --sandwich-nmax 100 --sandwich-z 1.5",
+     "--sandwich-z must be >= 2 with --sandwich-nmax, got z=1.5"),
 ])
 def test_flag_relations_are_refused_before_the_runner(capsys, monkeypatch, line, message):
     # a check left in a runner would come after a table claim past this budget (exit 3)

@@ -623,6 +623,21 @@ def test_sandwich_rows_equal_divisor_sums(tables, degree, n_max, bump_minus, bum
     assert got == oracles.sandwich_rows(*weights, z, odd, n_max)
 
 
+@given(st.sampled_from([1, 2]), st.sampled_from(["lower", "upper"]), st.floats(2.0, 400.0),
+       st.floats(2.0, 4000.0), st.integers(2, 300), st.booleans())
+@example(1, "lower", 30.0, 1000.0, 29, False)  # z past nmax by one prime
+def test_weights_at_z_and_at_nmax_agree_below_nmax(tables, degree, side, z, D, n_max, odd):
+    """No d <= n_max has a prime factor above n_max: the sieve at min(z, n_max)
+    has the same weights there and the same sandwich rows."""
+    prime_set = (lambda p: p != 2) if odd else (lambda p: True)
+    full, cut = (build_weights(SieveSpec(degree, side, D, zz, prime_set), tables)
+                 for zz in (z, min(z, n_max)))
+    assert ({d: v for d, v in full.values.items() if d <= n_max}
+            == {d: v for d, v in cut.values.items() if d <= n_max})
+    assert (sandwich_check(full, full, tables, z, prime_set, n_max)
+            == sandwich_check(cut, cut, tables, min(z, n_max), prime_set, n_max))
+
+
 @given(st.sampled_from((3, 4, 5, 7, 10)), st.data())
 @example(3, None)
 def test_members_equal_digit_tuples(b, data):

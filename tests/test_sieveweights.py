@@ -1,19 +1,52 @@
 import math
+import random
 
 import pytest
 
 from missingdigit import (
+    BudgetError,
     InternalCheckError,
     PreconditionError,
+    PrimeTables,
     SieveSpec,
     build_weights,
     linear_upper,
+    lower_bound_margin,
     sandwich_check,
     semi_linear_lower,
     sift_direct,
     support_member,
     well_factor,
 )
+from missingdigit import sieveweights
+
+
+def _paper_exponents(delta, eps):
+    """(rho, s) of the semi-linear lower and the linear upper sieve, as the paper writes them."""
+    return ((3.0 * (1.0 - 4.0 * delta) / 7.0 - eps, 1.0 / 3.0 - 2.0 * delta - 2.0 * eps * eps),
+            (0.5 - 2.0 * delta - eps, 0.2))
+
+
+def test_sieve_exponents_are_the_papers_formulas_bit_for_bit():
+    rng = random.Random(25)
+    for i in range(400):
+        delta, eps = rng.uniform(0, 1 / 6), rng.uniform(0, 1 / 7)
+        X = rng.choice((10**3, 10**6, 7**9, 2.5e7))
+        semi, lin = _paper_exponents(delta, eps)
+        assert sieveweights.sieve_exponents(1, delta, eps) == semi
+        assert sieveweights.sieve_exponents(2, delta, eps) == lin
+        for make, (rho, s) in ((semi_linear_lower, semi), (linear_upper, lin)):
+            if min(X**rho, X**s) < 2:
+                with pytest.raises(PreconditionError):
+                    make(X, delta, eps)
+                continue
+            spec = make(X, delta, eps)
+            assert (spec.rho, spec.D, spec.z) == (rho, X**rho, X**s)
+        if i % 20 == 0:  # the integrals hold only for small delta and eps
+            delta, eps = delta / 20, eps / 20
+            margin = lower_bound_margin(delta, eps)
+            semi, lin = _paper_exponents(delta, eps)
+            assert (margin["rho_sem"], margin["rho_lin"]) == (semi[0], lin[0])
 
 
 def test_support_examples(tables):
@@ -45,6 +78,9 @@ def test_build_weights_basics(tables):
     # every single prime p <= z is in the lower support (even-index rule is vacuous)
     for p in (2, 3, 29):
         assert w(p) == -1
+    # the primes up to z = (10^6)^(1/3 - ...) ~ 97 are past a table to 50: refused, not cut
+    with pytest.raises(PreconditionError, match="exceeds table limit 50"):
+        build_weights(semi_linear_lower(10**6), PrimeTables(50))
 
 
 def test_support_downward_closed(tables):
@@ -69,6 +105,14 @@ def test_sandwich_small(tables, degree):
     wp = build_weights(SieveSpec(degree, "upper", D, z), tables)
     bad = sandwich_check(wm, wp, tables, z, lambda p: True, nmax)
     assert bad == []
+
+
+def test_sandwich_claims_its_rows_before_it_allocates(tables, monkeypatch):
+    w = build_weights(SieveSpec(1, "lower", 1000.0, 30.0), tables)
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000")
+    monkeypatch.setattr(sieveweights, "np", None)  # any array built would raise AttributeError
+    with pytest.raises(BudgetError, match="sandwich check over n <= 1000000"):
+        sandwich_check(w, w, tables, 30.0, lambda p: True, 10**6)
 
 
 def test_sandwich_pointwise_values(tables):
@@ -97,13 +141,17 @@ def test_sift_direct_examples(tables):
     )
 
 
-def test_well_factor_single_prime(tables):
+def test_well_factor_single_prime(tables, monkeypatch):
     X = 10**5
     spec = semi_linear_lower(X)
     D0 = X ** (1 / 3 - 2e-3)
     d = 37  # prime, X^0.1 = 3.16 <= 37 <= D0
+    chains, real = [], sieveweights._chain_of
+    monkeypatch.setattr(sieveweights, "_chain_of",
+                        lambda tables, d, z: chains.append(d) or real(tables, d, z))
     d1, d2 = well_factor(d, spec, D0, X, tables)
     assert (d1, d2) == (37, 1)
+    assert chains == [37]  # d is factored once
 
 
 def test_well_factor_three_prime_example(tables):
