@@ -8,7 +8,7 @@ from .errors import BudgetError, InternalCheckError, PreconditionError
 from .primetables import PrimeTables
 from .expsums import ThetaApprox, dirichlet_approx, lambda_hat, min_sum, bilinear_sum, vaughan_decompose, mikawa_w
 from .fourier import FourierStats, eval_hat, hybrid_sum, inversion_indicator, l1_and_cb, linf_probe
-from .sieveweights import SieveSpec, SieveWeight, build_weights, sandwich_check, semi_linear_lower, linear_upper, sift_direct, support_member, well_factor
+from .sieveweights import SieveSpec, SieveWeight, build_weights, sandwich_check, semi_linear_lower, linear_upper, support_member, well_factor
 from .sievenumerics import EULER_GAMMA, I_lin, I_sem, SieveConstants, b_over_phi, euler_constants, lower_bound_margin, mertens_3mod4, sieve_fn, t_weight_sum
 from .circle import ArcLabel, ArcSplit, BuchstabResult, DiscrepancyReport, ProgressionCounts, arc_split, buchstab_and_app, classify_arc, count_missing_digit_primes, discrepancy_E, ramanujan_sum, weighted_discrepancy
 
@@ -22,8 +22,7 @@ __all__ = [
     "FourierStats", "eval_hat", "hybrid_sum", "inversion_indicator", "l1_and_cb",
     "linf_probe",
     "SieveSpec", "SieveWeight", "build_weights", "sandwich_check",
-    "semi_linear_lower", "linear_upper", "sift_direct", "support_member",
-    "well_factor",
+    "semi_linear_lower", "linear_upper", "support_member", "well_factor",
     "EULER_GAMMA", "I_lin", "I_sem", "SieveConstants", "b_over_phi",
     "euler_constants", "lower_bound_margin", "mertens_3mod4", "sieve_fn",
     "t_weight_sum",

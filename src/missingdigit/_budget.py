@@ -7,6 +7,7 @@ for desk scale; override with the MISSINGDIGIT_BUDGET environment variable.
 
 import math
 import os
+from decimal import Context, Decimal
 
 from .errors import BudgetError
 
@@ -35,4 +36,8 @@ def budget_limit() -> float:
 def check_budget(steps: float, what: str) -> None:
     limit = budget_limit()
     if steps > limit:
-        raise BudgetError(f"{what} needs ~{steps:.3g} steps, budget is {limit}")
+        try:
+            shown = f"{steps:.3g}"
+        except OverflowError:  # an int past the float range: 10^400 shows as 1e+400
+            shown = f"{Decimal(steps).normalize(Context(prec=3)):g}"
+        raise BudgetError(f"{what} needs ~{shown} steps, budget is {limit}")

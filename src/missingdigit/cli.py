@@ -81,6 +81,8 @@ AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 AT_LEAST_2 = (lambda v: v >= 2, ">= 2")
 AT_LEAST_3 = (lambda v: v >= 3, ">= 3")
 POSITIVE = (lambda v: v > 0, "> 0")
+# an int that a float operand meets must convert: 2^1024 - 2^970 rounds past the largest float
+FLOAT_SIZED = (lambda v: v < 2**1024 - 2**970, "below 2^1024, the float range")
 
 DIGITS = _digit_flags(False)
 DIGITS_R = _digit_flags(True)
@@ -122,8 +124,9 @@ def _digit_system(args) -> DigitSystem:
 
 def _X_fits(args) -> bool:
     """Whether X = b^k <= 2^62, for a checked base and k >= 1, without forming
-    the power (past 2^62 no int64 array can index X)."""
-    return args.k * math.log2(args.b) <= 62
+    the power (past 2^62 no int64 array can index X); b >= 3 puts every
+    k > 62 past it, and k past the float range never meets log2 b."""
+    return args.k <= 62 and args.k * math.log2(args.b) <= 62
 
 
 def _X(args) -> int:
@@ -316,7 +319,7 @@ def run_weighted_bv(args):
     ("--sandwich-z", dict(type=float, default=30.0)),
     ("--sandwich-D", dict(type=float, default=1000.0)),
     ("--sandwich-nmax", dict(type=int, default=None), AT_LEAST_2),
-    ("--wellfactor-X", dict(type=int, default=None), AT_LEAST_1),
+    ("--wellfactor-X", dict(type=int, default=None), AT_LEAST_1, FLOAT_SIZED),
 ) + DELTA_EPS, scalars=(
     ("grid_points", "int"), ("sandwich_violations", "int", "with --sandwich-nmax"),
     ("wellfactor_checked", "int", "with --wellfactor-X"),
@@ -529,7 +532,7 @@ def run_vaughan_check(args):
 @command("mikawa", (
     ("--M", dict(type=int, required=True)), ("--N", dict(type=int, required=True)),
     ("--X", dict(type=int, required=True)), ("--theta", dict(type=float, required=True)),
-    ("--Q", dict(type=int, default=100)),
+    ("--Q", dict(type=int, default=100), FLOAT_SIZED),
 ), scalars=(
     ("W", "float"), ("bound", "float", "unit implicit constant"), ("ratio", "float"),
     ("a", "int"), ("q", "int"), ("beta", "float"), ("H", "float"),

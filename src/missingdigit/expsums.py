@@ -140,6 +140,14 @@ def _convergents(theta: float, max_q: int):
     return out
 
 
+def _inverse(q: int, Q: int) -> float:
+    """1.0 / (q * Q), refusing a product past the float range."""
+    try:
+        return 1.0 / (q * Q)
+    except OverflowError:
+        raise PreconditionError(f"Q={Q} takes q Q past the float range at q={q}") from None
+
+
 def dirichlet_approx(theta: float, Q: int, X: int) -> ThetaApprox:
     """Reduced a/q with q <= Q and |theta - a/q| <= 1/(qQ).
 
@@ -153,14 +161,14 @@ def dirichlet_approx(theta: float, Q: int, X: int) -> ThetaApprox:
     convs = _convergents(theta, Q)
     chosen = None
     for p, q in convs:
-        if abs(theta - p / q) <= 1.0 / (q * Q):
+        if abs(theta - p / q) <= _inverse(q, Q):
             chosen = (p, q)
             break
     if chosen is None:
         chosen = convs[-1]
     a, q = chosen
     beta = theta - a / q
-    if abs(beta) > 1.0 / (q * Q) + 1e-15:
+    if abs(beta) > _inverse(q, Q) + 1e-15:
         raise InternalCheckError("Dirichlet approximation failed its own guarantee")
     return ThetaApprox(theta=theta, a=a, q=q, beta=beta, X=X)
 

@@ -9,15 +9,15 @@ Eratosthenes sieve over the odd numbers, with the few higher powers p^m,
 m >= 2, sorted alone and merged into the sorted primes), and tables made
 earlier keep the slices they hold.  The primes and prime powers serve the
 range functions (Lambda and mu over 0..size-1, Bcal over a range) and the
-Chebyshev-type sums over double progressions without any factorization; the
-prime powers are read through prime_powers_upto(y, d, c) alone.
+callers' progression sums without any factorization; the prime powers are
+read through prime_powers_upto(y, d, c) alone.
 
-Lambda of one value is its entry in the record.  Factoring one value (mu,
-phi and the h-fold divisor function tau_h of n, its quadratic class) goes
-through factor(n), trial division by 2 and then the odd numbers up to the
-square root of what is left: the values factored are moduli, bases and sieve
-chains of desk size, and each call claims sqrt(n) steps from the budget; it
-reads no table, so neither do the PrimeTables methods that factor.  The
+Factoring one value (mu, phi and the h-fold divisor function tau_h of n, its
+quadratic class) goes through factor(n), trial division by 2 and then the odd
+numbers up to the square root of what is left: the values factored are
+moduli, bases and sieve chains of desk size, and each call claims sqrt(n)
+steps from the budget; it reads no table, so neither do the PrimeTables
+methods that factor.  The
 reduced residues come from units(d) for one modulus and from
 reduced_fractions(qs) for the fractions a/q over many, which factors nothing
 and reads its primes from the held record.
@@ -229,7 +229,7 @@ def quadratic_class_of(n: int) -> QuadClass:
 
 class PrimeTables:
     """The primes up to limit and their powers (slices of the shared sieve),
-    and the arithmetic of one n >= 1 (Lambda and primality only up to limit)."""
+    and the arithmetic of one n >= 1."""
 
     def __init__(self, limit: int):
         if limit < 2:
@@ -254,11 +254,6 @@ class PrimeTables:
     def factor(self, n: int) -> list[tuple[int, int]]:
         """(prime, exponent) pairs of n in increasing prime order."""
         return factor(n)
-
-    def is_prime(self, n: int) -> bool:
-        n = _at_least_one(n)
-        primes = self.primes_upto(n)
-        return primes.size > 0 and int(primes[-1]) == n
 
     @property
     def primes(self) -> np.ndarray:
@@ -289,13 +284,6 @@ class PrimeTables:
         return ns[keep], logs[keep]
 
     # -- arithmetic functions ------------------------------------------------
-
-    def mangoldt(self, n: int) -> float:
-        """log p when n = p^m, else 0: the prime-power record's entry, so it
-        equals mangoldt_range to the bit."""
-        n = _at_least_one(n)
-        ns, logs = self.prime_powers_upto(n)
-        return float(logs[-1]) if ns.size and ns[-1] == n else 0.0
 
     def mobius(self, n: int) -> int:
         return math.prod(0 if e > 1 else -1 for _, e in factor(n))
@@ -328,19 +316,6 @@ class PrimeTables:
         lam = np.zeros(size, dtype=np.float64)
         lam[ns] = logs
         return lam
-
-    # -- progression psi sums -------------------------------------------------
-
-    def psi_progression(self, y: int, d: int, c: int, q: int = 1, m: int = 0) -> float:
-        """Sum of Lambda(n) over n <= y with n = c (mod d) and n = m (mod q).
-
-        Empty progressions are allowed and give 0.  Either modulus may pass
-        int64.
-        """
-        if d < 1 or q < 1:
-            raise PreconditionError("moduli must be >= 1")
-        ns, logs = self.prime_powers_upto(y, d, c)
-        return float(logs[in_class(ns, q, m)].sum())
 
     # -- quadratic classes ----------------------------------------------------
 

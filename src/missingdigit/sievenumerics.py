@@ -140,10 +140,6 @@ class SieveConstants:
     p_limit: int
     intervals: dict[str, tuple[float, float]]
 
-    def width(self, name: str) -> float:
-        lo, hi = self.intervals[name]
-        return hi - lo
-
 
 def euler_constants(tables: PrimeTables, p_limit: int) -> SieveConstants:
     """C1, C2, C3 and frakS = C2 C3 / 2 from products over p <= p_limit.
@@ -231,9 +227,7 @@ def t_weight_sum(tables: PrimeTables, X: int, alpha: float, b: int,
         (C2 / (2 C1)) prod_{p | b, p = 1 (4)} (1 + 1/(p-2))^-1
         * int_2^alpha log(y-1)/(y sqrt(1-y/alpha)) dy / sqrt(log X).
     """
-    need = t_weight_limit(X, alpha)
-    if need > tables.limit:
-        raise PreconditionError(f"X={X} needs a table up to {need}")
+    t_weight_limit(X, alpha)  # refuses alpha and X outside their ranges
     n1_cap = int(X ** (1.0 - 2.0 / alpha))
     check_budget(n1_cap * 40, "two-factor set enumeration")
     # every prime list below starts with the same primes; p1 >= X^(1/alpha) from index first

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -210,27 +210,6 @@ def sandwich_check(
         (n, int(conv_minus[n]), int(coprime[n]), int(conv_plus[n]))
         for n in np.flatnonzero(violated).tolist()
     ]
-
-
-def sift_direct(
-    weights: Mapping[int, float],
-    prime_set: Callable[[int], bool],
-    z: float,
-    tables: PrimeTables,
-) -> float:
-    """S(C, P, z) = sum of c(n) over n coprime to every sieve prime p <= z."""
-    total = 0.0
-    for n, c in weights.items():
-        if c == 0:
-            continue
-        ok = True
-        for p, _ in tables.factor(n):
-            if p <= z + _SLACK and prime_set(p):
-                ok = False
-                break
-        if ok:
-            total += c
-    return float(total)
 
 
 def well_factor(

@@ -11,15 +11,16 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from missingdigit import circle, cli, digitset, expsums, fourier, primetables, sieveweights
+from missingdigit import _budget, circle, cli, digitset, expsums, fourier, primetables, sieveweights
 from missingdigit.cli import SCHEMAS, build_parser, main, report_schema
 from missingdigit.digitset import member_mask
-from missingdigit.errors import PreconditionError
+from missingdigit.errors import BudgetError, PreconditionError
 from missingdigit.primetables import PrimeTables
 from missingdigit.reporting import canonical_json, render
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 README = pathlib.Path(__file__).parents[1] / "README.md"
+BIG = str(10**400)  # past the float range
 
 
 def run_cli(capsys, *argv):
@@ -252,6 +253,17 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     report = json.loads(path.read_text())
     assert report["results"]["kappa"] == "5/6"
+
+
+@pytest.mark.parametrize("steps, shown", [
+    (123456, "1.23e+05"), (2.5e7, "2.5e+07"), (2**63, "9.22e+18"), (10**400, "1e+400"),
+    (2 * 10**401 // 3, "6.67e+400"), (2**1100, "1.36e+331"),
+])
+def test_a_claim_shows_its_steps_to_three_digits(monkeypatch, steps, shown):
+    # an int past the float range is shown without converting it to a float
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000")
+    with pytest.raises(BudgetError, match=re.escape(f"work needs ~{shown} steps, budget is 1000")):
+        _budget.check_budget(steps, "work")
 
 
 @pytest.mark.parametrize("raw,code", [("inf", 0), ("nan", 3), ("ten", 3)])
@@ -498,6 +510,26 @@ def _raise_timeout(signum, frame):
     raise TimeoutError
 
 
+def _swept_exit(capsys, argv):
+    """(exit code, stdout, stderr) of one argv, under a SIGALRM handler that
+    raises TimeoutError; the code is "argparse" when argparse refuses a value
+    itself (exit 2 with its usage text), and a description when the run
+    raises or takes more than 5 s."""
+    signal.alarm(5)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = "argparse" if exc.code == 2 else exc.code
+    except TimeoutError:
+        code = "no exit within 5 s"
+    except Exception as exc:
+        code = repr(exc)
+    finally:
+        signal.alarm(0)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
 def test_no_flag_value_ends_in_a_traceback(capsys, monkeypatch):
     """Each argv exits 0, 2, 3 or 4 within 5 s."""
     monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000000")
@@ -505,22 +537,60 @@ def test_no_flag_value_ends_in_a_traceback(capsys, monkeypatch):
     failures = []
     try:
         for argv in _flag_sweep():
-            signal.alarm(5)
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse refuses the value itself
-                code = exc.code
-            except TimeoutError:
-                code = "no exit within 5 s"
-            except Exception as exc:
-                code = repr(exc)
-            finally:
-                signal.alarm(0)
-            if code not in (0, 2, 3, 4):
+            code = _swept_exit(capsys, argv)[0]
+            if code not in (0, 2, 3, 4, "argparse"):
                 failures.append((" ".join(argv), code))
     finally:
         signal.signal(signal.SIGALRM, previous)
-    capsys.readouterr()
+    assert not failures
+
+
+# values past every range a flag's type or the float range holds
+EXTREMES = (BIG, f"-{BIG}", str(2**63), "1e308", "-1e308", "inf", "-inf", "nan",
+            "0", "-1", "1e-320")
+
+
+def _extreme_sweep(line):
+    """The golden line with each numeric flag of its subcommand, whether the
+    line sets it or not, set to each of EXTREMES."""
+    argv = line.split()
+    for flag, keywords, *_ in cli._COMMANDS[argv[0]][1]:
+        if keywords.get("type") in (int, float):
+            for value in EXTREMES:
+                if flag in argv:
+                    at = argv.index(flag) + 1
+                    yield argv[:at] + [value] + argv[at + 1:]
+                else:
+                    yield argv + [flag, value]
+
+
+def _one_record(err: str, code: int) -> bool:
+    try:
+        return err.count("\n") == 1 and json.loads(err)["error"]["code"] == code
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("line", GOLDEN_CONFIGS)
+def test_extreme_values_end_in_a_report_or_one_error_record(capsys, monkeypatch, line):
+    """Each argv that argparse parses exits 0 with a report, or 2, 3 or 4
+    with one JSON error record on stderr and nothing on stdout."""
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000000")
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    failures = []
+    try:
+        for argv in _extreme_sweep(line):
+            code, out, err = _swept_exit(capsys, argv)
+            if code == "argparse":
+                ok = err.startswith("usage: ")
+            elif code == 0:
+                ok = out != "" and err == ""
+            else:
+                ok = code in (2, 3, 4) and out == "" and _one_record(err, code)
+            if not ok:
+                failures.append((" ".join(argv), code, err[-300:]))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
     assert not failures
 
 
@@ -536,12 +606,15 @@ def test_no_flag_value_ends_in_a_traceback(capsys, monkeypatch):
     "vaughan-check --X 100 --dmax -1",
     "mikawa --M 8 --N 8 --X 0 --theta 0.3",
     "mikawa --M 8 --N 8 --X -1 --theta 0.3",
+    # 2^1023 is a float, but not q Q = 2^1024 at the second convergent q = 2
+    f"mikawa --M 8 --N 8 --X 5000 --theta 0.4142135623730951 --Q {2**1023}",
     "sieve-fns --ustep 0",
     "sieve-fns --ustep -1",
     # b^k is refused before it is formed: k < 1, or past 2^62
     "count --b 10 --a0 7 --k 0",
     "count --b 10 --a0 7 --k 19",
     "count --b 10 --a0 7 --k 1000000000000",
+    f"count --b 3 --a0 0 --k {BIG}",
     "fourier-stats --b 10 --a0 7 --r 3 --k 1000000000000",
     "hybrid --b 10 --a0 7 --r 3 --k 9223372036854775808 --Q 4 --B 4",
     "arcs --b 10 --a0 7 --r 3 --k 1000000000000",
@@ -670,6 +743,11 @@ def test_a_sandwich_level_below_z_is_refused_naming_both_flags(capsys, D, z):
      " --delta and --eps, got X=31, delta=0.001, eps=1e-06"),
     ("sieve-fns --sandwich-nmax 100 --sandwich-z 1.5",
      "--sandwich-z must be >= 2 with --sandwich-nmax, got z=1.5"),
+    # ints that a float operand meets
+    (f"mikawa --M 8 --N 8 --X 5000 --theta 0.333333 --Q {BIG}",
+     f"--Q must be below 2^1024, the float range, got {BIG}"),
+    (f"sieve-fns --wellfactor-X {BIG}",
+     f"--wellfactor-X must be below 2^1024, the float range, got {BIG}"),
 ])
 def test_flag_relations_are_refused_before_the_runner(capsys, monkeypatch, line, message):
     # a check left in a runner would come after a table claim past this budget (exit 3)
@@ -694,6 +772,7 @@ def test_sieve_fns_claims_its_grid(capsys, monkeypatch):
     "arcs --b 10 --a0 7 --r 3 --k 4 --C 1e308",
     "vaughan-check --X 10000 --trials 1000000000000",
     "vaughan-check --X 10000 --trials 9223372036854775808 --U 30",
+    f"vaughan-check --X 10000 --trials {BIG}",  # a claim past the float range
     # trial division of the prime base 2^61 - 1 claims sqrt(b) steps
     "density --b 2305843009213693951 --a0 7",
     "count --b 2305843009213693951 --a0 7 --k 1",

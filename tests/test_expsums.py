@@ -47,6 +47,13 @@ def test_dirichlet_guarantees_random():
         assert math.gcd(ta.a, ta.q) == 1
 
 
+def test_dirichlet_refuses_q_Q_past_the_float_range():
+    # 2^1023 converts to a float, the second convergent's q Q = 2^1024 does not
+    with pytest.raises(PreconditionError, match="takes q Q past the float range at q=2"):
+        dirichlet_approx(0.4142135623730951, 2**1023, 100)
+    assert dirichlet_approx(0.0, 2**1023, 100).q == 1
+
+
 def test_theta_approx_validation():
     with pytest.raises(PreconditionError):
         ThetaApprox(theta=0.5, a=2, q=4, beta=0.0, X=100)  # not reduced
@@ -87,7 +94,7 @@ def test_min_sum_bound_shapes():
 
 def test_lambda_hat_matches_psi_and_oracle(tables):
     assert lambda_hat(tables, 10**4, 7, 3, 0.0).real == pytest.approx(
-        tables.psi_progression(10**4 - 1, 7, 3), rel=1e-12
+        oracles.brute_psi(10**4 - 1, 7, 3), rel=1e-12
     )
     got = lambda_hat(tables, 30, 1, 0, 0.5)
     want = sum(oracles.mangoldt(n) * cmath.exp(2j * math.pi * n * 0.5) for n in range(1, 30))

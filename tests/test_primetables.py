@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -67,24 +66,9 @@ def test_factor_multiplies_back(tables):
     for n in range(1, 10_001):
         prod = 1
         for p, e in tables.factor(n):
-            assert tables.is_prime(p)
+            assert oracles.is_prime(p)
             prod *= p**e
         assert prod == n
-
-
-def test_mangoldt_examples(tables):
-    assert tables.mangoldt(8) == pytest.approx(math.log(2), rel=1e-15)
-    assert tables.mangoldt(6) == 0.0
-    assert tables.mangoldt(97) == pytest.approx(math.log(97), rel=1e-15)
-
-
-def test_mangoldt_reads_the_record_bit_for_bit():
-    # the record takes np.log at the primes, which can differ from math.log in
-    # the last bit (at 285343, for one): the scalar must give the range's float
-    tables = PrimeTables(10**6)
-    want = tables.mangoldt_range(10**6 + 1).tolist()
-    mangoldt = tables.mangoldt
-    assert [mangoldt(n) for n in range(1, 10**6 + 1)] == want[1:]
 
 
 def test_mobius_phi_divisor_identities(tables):
@@ -105,38 +89,6 @@ def test_tau_examples(tables):
     for n in range(1, 40):
         assert tables.tau(n, 3) == oracles.brute_tau(n, 3)
         assert tables.tau(n, 2) == oracles.brute_tau(n, 2)
-
-
-def test_psi_progression_examples(tables):
-    assert tables.psi_progression(20, 1, 0) == pytest.approx(19.26565833, abs=1e-6)
-    # n = 1 mod 4 prime powers up to 20: 5, 9, 13, 17
-    expect = math.log(5) + math.log(3) + math.log(13) + math.log(17)
-    assert tables.psi_progression(20, 4, 1) == pytest.approx(expect, rel=1e-12)
-    assert tables.psi_progression(10, 2, 0) == pytest.approx(3 * math.log(2), rel=1e-12)
-
-
-def test_psi_progression_against_direct_sum(tables):
-    rng = random.Random(11)
-    for _ in range(15):
-        y = rng.randrange(50, 800)
-        d = rng.randrange(1, 12)
-        c = rng.randrange(d)
-        q = rng.choice([1, 2, 4, 8])
-        m = rng.randrange(q)
-        got = tables.psi_progression(y, d, c, q, m)
-        assert got == pytest.approx(oracles.brute_psi(y, d, c, q, m), abs=1e-9)
-    for q in (10**30, 2**63):  # past int64: the class mod q holds m alone
-        for d, c, m in ((1, 0, 7), (3, 1, 7), (4, 1, -1)):
-            got = tables.psi_progression(800, d, c, q, m)
-            assert got == pytest.approx(oracles.brute_psi(800, d, c, q, m), abs=1e-9)
-    full = tables.psi_progression(10_000, 1, 0)
-    assert full == pytest.approx(oracles.brute_psi(10_000, 1, 0), rel=1e-9)
-
-
-def test_psi_three_mod_eight_progression(tables):
-    got = tables.psi_progression(100, 1, 0, q=8, m=3)
-    expect = sum(oracles.mangoldt(n) for n in range(1, 101) if n % 8 == 3)
-    assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_units_agree_with_gcd():
@@ -205,9 +157,5 @@ def test_primes_upto_refuses_past_the_limit(tables):
 
 
 def test_range_errors(tables):
-    with pytest.raises(PreconditionError):
-        tables.mangoldt(tables.limit + 1)
-    with pytest.raises(PreconditionError):
-        tables.psi_progression(tables.limit + 1, 1, 0)
     with pytest.raises(PreconditionError):
         tables.factor(0)

@@ -224,21 +224,13 @@ def test_factor_matches_the_oracles(n):
 @example(3001)
 @example(10**6 + 3)  # a prime far past the limit
 def test_prime_tables_read_the_factor_helper(n):
-    # factoring reads no table, so only Lambda and primality (which read the
-    # slices) refuse n past the limit; every method refuses n < 1
+    # factoring reads no table, so every method takes n past the limit and
+    # refuses n < 1
     tables = PrimeTables(3000)
-    reads = (tables.mangoldt, tables.is_prime)
-    for method in reads + (tables.factor, tables.mobius, tables.tau, tables.quadratic_class):
+    for method in (tables.factor, tables.mobius, tables.tau, tables.quadratic_class):
         with pytest.raises(PreconditionError, match=f"n must be >= 1, got {1 - n}"):
             method(1 - n)
     pairs = primetables.factor(n)
-    if n > tables.limit:
-        for method in reads:
-            with pytest.raises(PreconditionError, match=f"y={n} exceeds table limit 3000"):
-                method(n)
-    else:
-        assert tables.mangoldt(n) == oracles.mangoldt(n)
-        assert tables.is_prime(n) == (pairs == [(n, 1)])
     assert tables.factor(n) == pairs
     assert tables.mobius(n) == oracles.mobius(n)
     assert tables.tau(n, 3) == primetables.tau(n, 3) == math.prod(
@@ -262,9 +254,10 @@ def test_prime_powers_upto_matches_trial_division(y, d, c):
             tables.prime_powers_upto(y, d, c)
         return
     ns, logs = tables.prime_powers_upto(y, d, c)
-    want = [n for n in range(2, y + 1) if n % d == c % d and tables.mangoldt(n) > 0]
+    lam = tables.mangoldt_range(y + 1).tolist()
+    want = [n for n in range(2, y + 1) if n % d == c % d and lam[n] > 0]
     assert ns.tolist() == want
-    assert logs.tolist() == [tables.mangoldt(n) for n in want]
+    assert logs.tolist() == [lam[n] for n in want]
 
 
 # sizes where the sqrt cutoff of the sift bites: p^2 and 2 p^2, each +- 1, for p = 3 (mod 4)

@@ -92,9 +92,9 @@ def test_euler_constants(tables):
     assert c.frakS == pytest.approx(c.C2 * c.C3 / 2, rel=1e-15)
     small = euler_constants(tables, 10**3)
     for name in ("C1", "C2", "C3", "frakS"):
-        assert c.width(name) < small.width(name)
         lo_s, hi_s = small.intervals[name]
         lo_b, hi_b = c.intervals[name]
+        assert hi_b - lo_b < hi_s - lo_s
         # the two truncations agree within their combined tails
         assert lo_s - 1e-12 <= hi_b and lo_b <= hi_s + 1e-12
 
@@ -160,10 +160,12 @@ def test_t_weight_sum_reads_a_table_sized_by_need(tables):
     need = t_weight_limit(X, alpha)
     assert need == math.isqrt(X) + 1
     consts = euler_constants(tables, 10**4)
-    assert t_weight_sum(PrimeTables(need), X, alpha, b, consts) == t_weight_sum(
-        tables, X, alpha, b, consts)
-    with pytest.raises(PreconditionError, match="needs a table"):
-        t_weight_sum(PrimeTables(need - 1), X, alpha, b, consts)
+    full = t_weight_sum(tables, X, alpha, b, consts)
+    # the first read, the primes up to sqrt(X) at n1 = 1, is the largest
+    for limit in (need, need - 1):
+        assert t_weight_sum(PrimeTables(limit), X, alpha, b, consts) == full
+    with pytest.raises(PreconditionError, match="exceeds table limit"):
+        t_weight_sum(PrimeTables(need - 2), X, alpha, b, consts)
     with pytest.raises(PreconditionError, match="alpha"):
         t_weight_limit(X, 4.0)
 

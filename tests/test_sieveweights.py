@@ -14,7 +14,6 @@ from missingdigit import (
     lower_bound_margin,
     sandwich_check,
     semi_linear_lower,
-    sift_direct,
     support_member,
     well_factor,
 )
@@ -129,16 +128,6 @@ def test_sandwich_pointwise_values(tables):
     lo = sum(v for d, v in wm.values.items() if n % d == 0)
     hi = sum(v for d, v in wp.values.items() if n % d == 0)
     assert lo <= 0 <= hi
-
-
-def test_sift_direct_examples(tables):
-    weights = {n: 1.0 for n in range(1, 11)}
-    assert sift_direct(weights, lambda p: True, 3.0, tables) == 3.0  # {1, 5, 7}
-    assert sift_direct(weights, lambda p: True, 1.5, tables) == 10.0  # nothing sifted
-    composed = {n: 0.5 for n in range(1, 21)}
-    assert sift_direct(composed, lambda p: p % 4 == 3, 3.0, tables) == pytest.approx(
-        0.5 * sum(1 for n in range(1, 21) if n % 3 != 0)
-    )
 
 
 def test_well_factor_single_prime(tables, monkeypatch):
