@@ -33,6 +33,7 @@ from .errors import InternalCheckError, PreconditionError
 from .expsums import _phases
 from .fourier import spectrum
 from .primetables import PrimeTables, _sift_1mod4, in_class, reduced_fractions, totient, units
+from .sieveweights import sifting_prime
 
 KIND_MINOR = "Minor"
 KIND_M1 = "Major1"
@@ -180,12 +181,18 @@ def ramanujan_sum(q: int, a: int) -> complex:
 # -- discrepancy ----------------------------------------------------------------
 
 
-def _mask_below(ds: DigitSystem, X: int) -> np.ndarray:
-    """The membership mask of the least k with b^k >= X: it covers every n < X."""
+def _digits(b: int, X: int) -> int:
+    """The least k >= 1 with b^k >= X: the masks of k digits cover every n < X."""
     k = 1
-    while ds.base**k < X:
+    while b**k < X:
         k += 1
-    return member_mask(ds, k)
+    return k
+
+
+def _member_primes(tables: PrimeTables, ds: DigitSystem, X: int) -> np.ndarray:
+    """The primes p < X in the digit set, read from the table before the mask is built."""
+    primes = tables.primes_upto(X - 1)
+    return primes[member_mask(ds, _digits(ds.base, X))[primes]]
 
 
 class ProgressionCounts:
@@ -205,7 +212,7 @@ class ProgressionCounts:
         b, r = ds.base, ds.residue
         if r is None or math.gcd(r, b) != 1:
             raise PreconditionError("need a residue r with gcd(r, b) = 1")
-        self.k = round(math.log(X) / math.log(b))
+        self.k = _digits(b, X)
         if b**self.k != X:
             raise PreconditionError(f"X={X} is not a power of the base {b}")
         ns, logs = tables.prime_powers_upto(X - 1)
@@ -487,8 +494,7 @@ def count_missing_digit_primes(
     """(#primes p < X in the digit set, kappa X^zeta / log X)."""
     if X < 2:
         raise PreconditionError("X must be >= 2")
-    primes = tables.primes_upto(X - 1)
-    cnt = int(_mask_below(ds, X)[primes].sum())
+    cnt = _member_primes(tables, ds, X).size
     predicted = float(ds.kappa) * X**ds.zeta / math.log(X)
     return cnt, predicted
 
@@ -525,14 +531,13 @@ def buchstab_and_app(
     if not alpha > 2:
         raise PreconditionError("alpha must exceed 2")
     z = X ** (1.0 / alpha)
-    primes = tables.primes_upto(X - 1)
-    members = primes[_mask_below(ds, X)[primes]]
+    members = _member_primes(tables, ds, X)
     half = members[members > 2] // 2  # m = (p - 1) / 2; p - 1 is in B iff m is in Bcal
     in_bcal = tables.in_bcal_array(X // 2)
     app_count = int(in_bcal[half].sum()) + members.size - half.size  # p = 2: 1 is in B
     m = half[half % 4 == 1]  # p = 3 (mod 8)
     sieve = tables.primes_upto(math.isqrt(X))
-    sieve = sieve[(sieve % 4 == 3) & (b % sieve != 0)]
+    sieve = sieve[sifting_prime(sieve, b)]
     free = np.ones(X // 2, dtype=bool)  # read only at the m = 1 (mod 4)
     _sift_1mod4(free, sieve[sieve <= z])
     S = int(free[m].sum())

@@ -95,8 +95,8 @@ DIGIT_RANGES = (
     (lambda args: args.r != args.a0, "--r must differ from --a0, got r={r}, a0={a0}"),
 )
 K = (("--k", dict(type=int, required=True), AT_LEAST_1),)
-DELTA_EPS = (("--delta", dict(type=float, default=1e-3)),
-             ("--eps", dict(type=float, default=1e-6)))
+DELTA_EPS = (("--delta", dict(type=float, default=sieveweights.DELTA)),
+             ("--eps", dict(type=float, default=sieveweights.EPS)))
 # The ranges of --delta and --eps are cross-flag checks, so that weighted-bv
 # can apply them only to the kinds that read the two flags.
 SIEVE_RANGES = (
@@ -118,10 +118,6 @@ def _levels_reach_2(X, args, *degrees) -> bool:
                for e in sieveweights.sieve_exponents(degree, args.delta, args.eps))
 
 
-def _digit_system(args) -> DigitSystem:
-    return DigitSystem(args.b, args.a0, args.r)
-
-
 def _X_fits(args) -> bool:
     """Whether X = b^k <= 2^62, for a checked base and k >= 1, without forming
     the power (past 2^62 no int64 array can index X); b >= 3 puts every
@@ -129,15 +125,12 @@ def _X_fits(args) -> bool:
     return args.k <= 62 and args.k * math.log2(args.b) <= 62
 
 
-def _X(args) -> int:
-    """X = b^k, refused before the power is formed unless it fits."""
+def _system(args) -> tuple[DigitSystem, int]:
+    """The flags' digit system and X = b^k, refused before the power is formed unless it fits."""
+    ds = DigitSystem(args.b, args.a0, args.r)
     if not _X_fits(args):
-        raise PreconditionError(f"{args.b}^{args.k} exceeds 2^62")
-    return args.b**args.k
-
-
-def _p3_set(b: int):
-    return lambda p: p % 4 == 3 and b % p != 0
+        raise PreconditionError(f"--b^--k must be at most 2^62, got b={args.b}, k={args.k}")
+    return ds, args.b**args.k
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -152,8 +145,7 @@ def _p3_set(b: int):
     ("prime_predicted", "float", "with --primes"), ("prime_ratio", "float", "with --primes"),
 ))
 def run_count(args):
-    ds = _digit_system(args)
-    X = _X(args)
+    ds, X = _system(args)
     results = {
         "count": digitset.count(ds, args.k),
         "count_positive": digitset.count_positive(ds, args.k),
@@ -179,7 +171,7 @@ def run_count(args):
 @command("density", DIGITS,
          scalars=(("zeta", "float"), ("kappa", "rational"), ("kappa_float", "float")))
 def run_density(args):
-    ds = _digit_system(args)
+    ds = DigitSystem(args.b, args.a0, args.r)
     return {"zeta": ds.zeta, "kappa": ds.kappa, "kappa_float": float(ds.kappa)}, None
 
 
@@ -190,8 +182,7 @@ def run_density(args):
     ("alpha_b_estimate", "float"), ("inversion_max_error", "float", "with --check-inversion"),
 ))
 def run_fourier_stats(args):
-    ds = _digit_system(args)
-    _X(args)
+    ds, _ = _system(args)
     results = dataclasses.asdict(fourier.l1_and_cb(ds, args.k))
     if args.check_inversion:
         worst = fourier.inversion_max_error(ds, args.k)
@@ -208,8 +199,7 @@ def run_fourier_stats(args):
     ("ratio", "float", "value/bound"),
 ))
 def run_hybrid(args):
-    ds = _digit_system(args)
-    _X(args)
+    ds, _ = _system(args)
     return fourier.hybrid_sum(ds, args.k, args.Q, args.B), None
 
 
@@ -222,8 +212,7 @@ def run_hybrid(args):
     ("abs_major_minus_main", "float"), ("abs_minor", "float"),
 ), rows=(("kind", "str"), ("re", "float"), ("im", "float"), ("abs", "float")))
 def run_arcs(args):
-    ds = _digit_system(args)
-    X = _X(args)
+    ds, X = _system(args)
     codes = circle.arc_codes(X, args.C)
     census = dict(zip(("minor", "major1", "major2", "major3"),
                       np.bincount(codes, minlength=4).tolist()))
@@ -251,8 +240,7 @@ def run_arcs(args):
          scalars=(("aggregate", "float"), ("rows_count", "int")),
          rows=(("d", "int"), ("c_star", "int"), ("E", "float"), ("abs_E", "float")))
 def run_bv_table(args):
-    ds = _digit_system(args)
-    X = _X(args)
+    ds, X = _system(args)
     tables = PrimeTables(X)
     rep = circle.weighted_discrepancy(tables, ds, X, "abs_max_c", D=args.D)
     rows = [
@@ -274,14 +262,13 @@ def run_bv_table(args):
    checks=tuple(
        (lambda args, test=test: args.kind in ("fixed", "pairs") or test(args), text)
        for test, text in SIEVE_RANGES + ((
-           # past 2^62 _X refuses X = b^k in the runner
+           # past 2^62 _system refuses X = b^k in the runner
            lambda args: not _X_fits(args)
            or _levels_reach_2(args.b**args.k, args, 2 if args.kind == "lin" else 1),
            "--kind {kind} needs its sieve level X^rho and sifting limit X^s >= 2 at"
            " X = --b^--k, --delta and --eps, got b={b}, k={k}, delta={delta}, eps={eps}"),)))
 def run_weighted_bv(args):
-    ds = _digit_system(args)
-    X = _X(args)
+    ds, X = _system(args)
     tables = PrimeTables(X)
     kind = args.kind
     if kind == "fixed":
@@ -291,7 +278,8 @@ def run_weighted_bv(args):
             tables, ds, X, "factorable_pair", D1=args.D1, D2=args.D2, c=args.c
         )
     elif kind in ("semi", "wellfac"):
-        spec = sieveweights.semi_linear_lower(X, args.delta, args.eps, _p3_set(ds.base))
+        spec = sieveweights.semi_linear_lower(
+            X, args.delta, args.eps, lambda p: sieveweights.sifting_prime(p, ds.base))
         w = sieveweights.build_weights(spec, tables)
         if kind == "semi":
             rep = circle.weighted_discrepancy(tables, ds, X, "sieve_semi", weights=w)
@@ -554,8 +542,7 @@ def run_mikawa(args):
     ("app_count", "int"), ("predicted_scale", "float"), ("ratio", "float"), ("z", "float"),
 ))
 def run_buchstab_app(args):
-    ds = _digit_system(args)
-    X = _X(args)
+    ds, X = _system(args)
     tables = PrimeTables(X)
     res = circle.buchstab_and_app(tables, ds, X, args.alpha)
     return {**res._asdict(), "identity_ok": res.total == res.S - res.T,
@@ -565,11 +552,18 @@ def run_buchstab_app(args):
 # -- wiring --------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals (and its subparsers') end in one error record."""
+
+    def error(self, message):
+        raise PreconditionError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every registered subcommand, built on first use and
     shared by every later call in the process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="missingdigit",
         description="Exact desk-scale computations on integers with a missing digit.",
     )
@@ -609,13 +603,14 @@ def _check_domains(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.schema:
-        sys.stdout.write(canonical_json(
-            {"subcommand": args.subcommand, **report_schema(args.subcommand)}
-        ) + "\n")
-        return 0
+    args = argparse.Namespace()  # an argv refused by the parse has the config {}
     try:
+        args = build_parser().parse_args(argv)
+        if args.schema:
+            sys.stdout.write(canonical_json(
+                {"subcommand": args.subcommand, **report_schema(args.subcommand)}
+            ) + "\n")
+            return 0
         _check_domains(args)
         results, rows = args.func(args)
     except (PreconditionError, BudgetError, InternalCheckError, MemoryError) as exc:

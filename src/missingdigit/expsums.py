@@ -180,6 +180,8 @@ def lambda_hat(tables: PrimeTables, X: int, d: int, c: int, theta: float) -> com
 
 
 class MinSum(NamedTuple):
+    """An exact sum of minima next to its bound shape (min_sum, mikawa_w)."""
+
     value: float
     bound: float
 
@@ -446,12 +448,7 @@ def vaughan_decompose(
 # -- Weyl-differenced double sum ----------------------------------------------
 
 
-class WeylSum(NamedTuple):
-    value: float
-    bound: float
-
-
-def mikawa_w(M: int, N: int, X: int, ta: ThetaApprox) -> WeylSum:
+def mikawa_w(M: int, N: int, X: int, ta: ThetaApprox) -> MinSum:
     """M * sum_{m ~ M} sum_{n ~ N} tau_3(n) min(X/(m^2 n) + 1, 1/||m^2 n theta||).
 
     The exact double loop (tau_3 by trial division: no table), next to the
@@ -477,7 +474,7 @@ def mikawa_w(M: int, N: int, X: int, ta: ThetaApprox) -> WeylSum:
     value = M * total
     lx = math.log(X)
     bound = M * M * N * lx**3 + X * (1.0 / M + ta.qH / X + 1.0 / ta.qH) ** 0.25 * lx**8
-    return WeylSum(value, bound)
+    return MinSum(value, bound)
 
 
 # -- Type I aggregates ---------------------------------------------------------

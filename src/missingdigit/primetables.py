@@ -3,11 +3,11 @@ factorization, and derived arithmetic.
 
 The process holds one record of the primes up to the largest limit asked
 for so far, with their prime powers and logs, all read-only.  The
-constructor claims its limit from the budget and keeps slices of that record
-to its own limit; a limit past the record's rebuilds it there (an
+constructor claims its limit from the budget and keeps that record, read
+only up to its own limit; a limit past the record's rebuilds it there (an
 Eratosthenes sieve over the odd numbers, with the few higher powers p^m,
 m >= 2, sorted alone and merged into the sorted primes), and tables made
-earlier keep the slices they hold.  The primes and prime powers serve the
+earlier keep the record they hold.  The primes and prime powers serve the
 range functions (Lambda and mu over 0..size-1, Bcal over a range) and the
 callers' progression sums without any factorization; the prime powers are
 read through prime_powers_upto(y, d, c) alone.
@@ -228,7 +228,7 @@ def quadratic_class_of(n: int) -> QuadClass:
 
 
 class PrimeTables:
-    """The primes up to limit and their powers (slices of the shared sieve),
+    """The primes up to limit and their powers (read from the shared sieve),
     and the arithmetic of one n >= 1."""
 
     def __init__(self, limit: int):
@@ -237,12 +237,9 @@ class PrimeTables:
         self.limit = int(limit)
         check_budget(self.limit, f"prime tables up to {self.limit}")
         try:
-            sieve = _shared_sieve(self.limit)
+            self._sieve = _shared_sieve(self.limit)
         except MemoryError as exc:
             raise MemoryError(f"prime sieve for limit {limit} does not fit in memory") from exc
-        self._primes = sieve.primes[: np.searchsorted(sieve.primes, self.limit, side="right")]
-        cut = np.searchsorted(sieve.pp_n, self.limit, side="right")
-        self._pp = (sieve.pp_n[:cut], sieve.pp_log[:cut])
 
     # -- factorization ------------------------------------------------------
 
@@ -257,16 +254,17 @@ class PrimeTables:
 
     @property
     def primes(self) -> np.ndarray:
-        return self._primes
+        return self.primes_upto(self.limit)
 
     def primes_upto(self, y: int) -> np.ndarray:
         """The primes p <= y; y past the limit is refused."""
-        return self._primes[: np.searchsorted(self._primes, self._check_upto(y), side="right")]
+        primes = self._sieve.primes
+        return primes[: np.searchsorted(primes, self._check_upto(y), side="right")]
 
     @property
     def prime_powers(self) -> tuple[np.ndarray, np.ndarray]:
         """(n-array, log p-array) over all prime powers n = p^m <= limit."""
-        return self._pp
+        return self.prime_powers_upto(self.limit)
 
     def prime_powers_upto(self, y: int, d: int = 1, c: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """(n-array, log p-array) over the prime powers n <= y with n = c (mod d),
@@ -275,9 +273,8 @@ class PrimeTables:
         y = self._check_upto(y)
         if d < 1:
             raise PreconditionError("d must be >= 1")
-        pp_n, pp_log = self._pp
-        cut = np.searchsorted(pp_n, y, side="right")
-        ns, logs = pp_n[:cut], pp_log[:cut]
+        cut = np.searchsorted(self._sieve.pp_n, y, side="right")
+        ns, logs = self._sieve.pp_n[:cut], self._sieve.pp_log[:cut]
         if d == 1:
             return ns, logs
         keep = np.flatnonzero(in_class(ns, d, c))

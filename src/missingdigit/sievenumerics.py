@@ -33,9 +33,9 @@ from typing import Callable
 import numpy as np
 
 from ._budget import check_budget
-from .errors import PreconditionError
+from .errors import InternalCheckError, PreconditionError
 from .primetables import PrimeTables, factor, totient
-from .sieveweights import sieve_exponents
+from .sieveweights import DELTA, EPS, sieve_exponents, sifting_prime
 
 # Euler-Mascheroni constant, 20 digits; e^gamma is derived from it.
 EULER_GAMMA = 0.57721566490153286061
@@ -230,19 +230,16 @@ def t_weight_sum(tables: PrimeTables, X: int, alpha: float, b: int,
     t_weight_limit(X, alpha)  # refuses alpha and X outside their ranges
     n1_cap = int(X ** (1.0 - 2.0 / alpha))
     check_budget(n1_cap * 40, "two-factor set enumeration")
-    # every prime list below starts with the same primes; p1 >= X^(1/alpha) from index first
-    first = int(np.searchsorted(tables.primes, X ** (1.0 / alpha), side="left"))
-    total = 0.0
     bcal = tables.in_bcal_array(n1_cap + 1)
+    p1s = tables.primes_upto(int(math.sqrt(X)))  # sqrt(X/n1) at n1 = 1 bounds every p1
+    p1s = p1s[(p1s >= X ** (1.0 / alpha)) & sifting_prime(p1s, b)]
+    total = 0.0
     for n1 in range(1, n1_cap + 1):
         if not bcal[n1] or math.gcd(n1, 2 * b) != 1:
             continue
         tn1 = t_multiplier(tables, n1)
         p1_hi = math.sqrt(X / n1)
-        for p in tables.primes_upto(int(p1_hi))[first:]:
-            p = int(p)
-            if p >= p1_hi or p % 4 != 3 or b % p == 0:
-                continue
+        for p in p1s[: np.searchsorted(p1s, p1_hi, side="left")].tolist():
             ell = n1 * p
             total += tn1 * ((p - 1.0) / (p - 2.0)) / (ell * math.log(X / ell))
     integral = I_lin(1.0, alpha)  # rho = 1 leaves the bare integral
@@ -269,11 +266,11 @@ def b_over_phi(b: int) -> Fraction:
         lhs *= 1 + Fraction(1, p - 1)  # sum over q | b squarefree of 1/phi(q)
     rhs = Fraction(b, totient(b))
     if lhs != rhs:
-        raise AssertionError(f"identity failed at b={b}: {lhs} != {rhs}")
+        raise InternalCheckError(f"identity failed at b={b}: {lhs} != {rhs}")
     return rhs
 
 
-def lower_bound_margin(delta: float = 1e-3, eps: float = 1e-6) -> dict:
+def lower_bound_margin(delta: float = DELTA, eps: float = EPS) -> dict:
     """The decisive positivity check of the two-squares lower bound.
 
     At the levels rho_sem and rho_lin of the two sieves (sieve_exponents)

@@ -38,10 +38,17 @@ from .errors import InternalCheckError, PreconditionError
 from .primetables import PrimeTables
 
 _SLACK = 1e-12
+DELTA, EPS = 1e-3, 1e-6  # the paper's (delta, eps)
 
 
 def _all_primes(_p: int) -> bool:
     return True
+
+
+def sifting_prime(p, b: int):
+    """Whether p is one of the application's sifting primes, p = 3 (mod 4)
+    and p not dividing b; p an int or an int64 array (then elementwise)."""
+    return (p % 4 == 3) & (b % p != 0)
 
 
 @dataclass(frozen=True)
@@ -55,8 +62,8 @@ class SieveSpec:
     z: float
     prime_set: Callable[[int], bool] = _all_primes
     rho: float | None = None
-    delta: float = 1e-3
-    eps: float = 1e-6
+    delta: float = DELTA
+    eps: float = EPS
 
     def __post_init__(self):
         if self.degree not in (1, 2):
@@ -75,11 +82,6 @@ class SieveSpec:
         return log_prefix + power * log_p <= log_d
 
 
-def _check_level(X: float) -> None:
-    if not X > 0:  # X^rho of a negative X is complex
-        raise PreconditionError(f"X must be > 0, got {X}")
-
-
 def sieve_exponents(degree: int, delta: float, eps: float) -> tuple[float, float]:
     """(rho, s) of the paper's sieve of this degree: level D = X^rho and
     sifting limit z = X^s, for the semi-linear lower sieve (degree 1) and the
@@ -89,20 +91,25 @@ def sieve_exponents(degree: int, delta: float, eps: float) -> tuple[float, float
     return 0.5 - 2.0 * delta - eps, 0.2
 
 
-def semi_linear_lower(X: float, delta: float = 1e-3, eps: float = 1e-6,
+def _paper_sieve(degree: int, side: str, X: float, delta: float, eps: float,
+                 prime_set: Callable[[int], bool]) -> SieveSpec:
+    """The paper's sieve of this degree: level X^rho, sifting limit X^s (sieve_exponents)."""
+    if not X > 0:  # X^rho of a negative X is complex
+        raise PreconditionError(f"X must be > 0, got {X}")
+    rho, s = sieve_exponents(degree, delta, eps)
+    return SieveSpec(degree, side, X**rho, X**s, prime_set, rho=rho, delta=delta, eps=eps)
+
+
+def semi_linear_lower(X: float, delta: float = DELTA, eps: float = EPS,
                       prime_set: Callable[[int], bool] = _all_primes) -> SieveSpec:
     """Lower-bound semi-linear spec at the degree-1 exponents of sieve_exponents."""
-    _check_level(X)
-    rho, s = sieve_exponents(1, delta, eps)
-    return SieveSpec(1, "lower", X**rho, X**s, prime_set, rho=rho, delta=delta, eps=eps)
+    return _paper_sieve(1, "lower", X, delta, eps, prime_set)
 
 
-def linear_upper(X: float, delta: float = 1e-3, eps: float = 1e-6,
+def linear_upper(X: float, delta: float = DELTA, eps: float = EPS,
                  prime_set: Callable[[int], bool] = _all_primes) -> SieveSpec:
     """Upper-bound linear spec at the degree-2 exponents of sieve_exponents."""
-    _check_level(X)
-    rho, s = sieve_exponents(2, delta, eps)
-    return SieveSpec(2, "upper", X**rho, X**s, prime_set, rho=rho, delta=delta, eps=eps)
+    return _paper_sieve(2, "upper", X, delta, eps, prime_set)
 
 
 @dataclass

@@ -11,7 +11,8 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from missingdigit import _budget, circle, cli, digitset, expsums, fourier, primetables, sieveweights
+from missingdigit import (_budget, circle, cli, digitset, expsums, fourier, primetables,
+                          sievenumerics, sieveweights)
 from missingdigit.cli import SCHEMAS, build_parser, main, report_schema
 from missingdigit.digitset import member_mask
 from missingdigit.errors import BudgetError, PreconditionError
@@ -453,6 +454,9 @@ def test_a_wrong_membership_mask_exits_4(capsys, monkeypatch, argv):
     # a row (n, lower, indicator, upper) with the lower sieve above the indicator
     (("sieve-fns", "--umax", "1.2", "--sandwich-nmax", "1000"), sieveweights, "sandwich_check",
      lambda real: lambda *args: real(*args) + [(1, 2, 1, 1)]),
+    # the two sides of b/phi(b) = sum over squarefree q | b of 1/phi(q)
+    (("constants", "--plimit", "1000", "--b", "10"), sievenumerics, "totient",
+     lambda real: lambda n: real(n) + 1),
 ])
 def test_two_routes_disagreeing_exits_4(capsys, monkeypatch, argv, target, name, wrong):
     code, _, _ = run_cli(capsys, *argv)
@@ -512,17 +516,14 @@ def _raise_timeout(signum, frame):
 
 def _swept_exit(capsys, argv):
     """(exit code, stdout, stderr) of one argv, under a SIGALRM handler that
-    raises TimeoutError; the code is "argparse" when argparse refuses a value
-    itself (exit 2 with its usage text), and a description when the run
-    raises or takes more than 5 s."""
+    raises TimeoutError; the code is a description when the run raises
+    (SystemExit included) or takes more than 5 s."""
     signal.alarm(5)
     try:
         code = main(argv)
-    except SystemExit as exc:
-        code = "argparse" if exc.code == 2 else exc.code
     except TimeoutError:
         code = "no exit within 5 s"
-    except Exception as exc:
+    except (Exception, SystemExit) as exc:
         code = repr(exc)
     finally:
         signal.alarm(0)
@@ -538,7 +539,7 @@ def test_no_flag_value_ends_in_a_traceback(capsys, monkeypatch):
     try:
         for argv in _flag_sweep():
             code = _swept_exit(capsys, argv)[0]
-            if code not in (0, 2, 3, 4, "argparse"):
+            if code not in (0, 2, 3, 4):
                 failures.append((" ".join(argv), code))
     finally:
         signal.signal(signal.SIGALRM, previous)
@@ -573,17 +574,15 @@ def _one_record(err: str, code: int) -> bool:
 
 @pytest.mark.parametrize("line", GOLDEN_CONFIGS)
 def test_extreme_values_end_in_a_report_or_one_error_record(capsys, monkeypatch, line):
-    """Each argv that argparse parses exits 0 with a report, or 2, 3 or 4
-    with one JSON error record on stderr and nothing on stdout."""
+    """Each argv exits 0 with a report, or 2, 3 or 4 with one JSON error
+    record on stderr and nothing on stdout."""
     monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000000")
     previous = signal.signal(signal.SIGALRM, _raise_timeout)
     failures = []
     try:
         for argv in _extreme_sweep(line):
             code, out, err = _swept_exit(capsys, argv)
-            if code == "argparse":
-                ok = err.startswith("usage: ")
-            elif code == 0:
+            if code == 0:
                 ok = out != "" and err == ""
             else:
                 ok = code in (2, 3, 4) and out == "" and _one_record(err, code)
@@ -654,6 +653,31 @@ def test_values_outside_a_formula_exit_2(capsys, line):
     code, out, err = run_cli(capsys, *line.split())
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["kind"] == "PreconditionError"
+
+
+@pytest.mark.parametrize("line", [
+    "",  # no subcommand
+    "count --b 10 --a0 7",  # no --k
+    "count --b 10 --a0 7 --k 1e308",
+    "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind bogus",
+])
+def test_a_refused_parse_is_one_error_record_with_an_empty_config(capsys, line):
+    code, out, err = run_cli(capsys, *line.split())
+    assert code == 2 and out == "" and err.count("\n") == 1
+    record = json.loads(err)
+    assert record["config"] == {} and record["error"]["kind"] == "PreconditionError"
+
+
+def test_help_still_prints_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: ")
+
+
+def test_a_power_past_2_62_is_refused_naming_b_and_k(capsys):
+    code, _, err = run_cli(capsys, "count", "--b", "3", "--a0", "0", "--k", "100")
+    assert code == 2
+    assert json.loads(err)["error"]["message"] == "--b^--k must be at most 2^62, got b=3, k=100"
 
 
 @pytest.mark.parametrize("line", [

@@ -1,6 +1,7 @@
 """Every function in src/missingdigit has a reader.
 
-A function has one when the CLI runs it on a golden config or a `--schema`,
+A function has one when the CLI runs it on a golden config or a `--schema`
+(or it is the parser's refusal hook, which a refused argv reaches alone),
 or when a file that does not change with the library reads it by name: the
 oracles, the acceptance suite, or the benchmark's ops and tracer.  READERS
 lists the second kind, each with the file and the name read there, so a
@@ -39,6 +40,7 @@ READERS = {
     "expsums.vaughan_decompose": ("tests/test_acceptance.py", "vaughan_decompose"),
     "fourier.inversion_indicator": ("tests/test_acceptance.py", "inversion_indicator"),
     # the tracer rebinds these by name and fails when one is missing
+    "primetables.PrimeTables.primes": ("perfbench/tracer.py", "primes"),
     "circle.classify_arc": ("perfbench/tracer.py", "classify_arc"),
     "circle.discrepancy_E": ("perfbench/tracer.py", "discrepancy_E"),
     "expsums.type_one_sum": ("perfbench/tracer.py", "type_one_sum"),
@@ -64,7 +66,7 @@ READERS = {
 # filled hides a call.
 PROBE = """
 import io, json, sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 src, reached = sys.argv[2], set()
 def record(frame, event, arg):
     if event == "call" and frame.f_code.co_filename.startswith(src):
@@ -76,8 +78,11 @@ for line in json.loads(sys.argv[1]):
         assert cli.main(line.split()) == 0, line
 for name in cli._COMMANDS:
     cli.report_schema(name)
+golden = set(reached)
+with redirect_stderr(io.StringIO()):
+    assert cli.main(["count"]) == 2
 sys.setprofile(None)
-print(json.dumps(sorted(reached)))
+print(json.dumps([sorted(golden), sorted(reached - golden)]))
 """
 
 
@@ -103,16 +108,27 @@ def defined_functions() -> dict:
 
 
 @pytest.fixture(scope="module")
-def reached() -> set:
-    """The functions that the golden configs and every --schema call."""
+def probe() -> tuple[set, set]:
+    """(the functions that the golden configs and every --schema call, those
+    that a refused argv calls besides)."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     env.pop("MISSINGDIGIT_BUDGET", None)
     out = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps(CONFIGS), str(SRC)],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
-    starts = {tuple(entry) for entry in json.loads(out)}
-    return {name for name, start in defined_functions().items() if start in starts}
+    starts = [{tuple(entry) for entry in entries} for entries in json.loads(out)]
+    return tuple({name for name, start in defined_functions().items() if start in calls}
+                 for calls in starts)
+
+
+@pytest.fixture(scope="module")
+def reached(probe) -> set:
+    return probe[0] | probe[1]
+
+
+def test_a_refused_argv_reaches_the_refusal_hook_alone(probe):
+    assert probe[1] == {"cli._Parser.error"}
 
 
 def test_every_function_has_a_reader(reached):

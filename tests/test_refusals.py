@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from missingdigit import circle, digitset, expsums, fourier, primetables, sievenumerics, sieveweights
+from missingdigit import (circle, digitset, expsums, fourier, primetables, sievenumerics,
+                          sieveweights)
 from missingdigit.digitset import DigitSystem
 from missingdigit.errors import PreconditionError
 from missingdigit.reporting import canonical_json, render
