@@ -94,6 +94,9 @@ DIGIT_RANGES = (
     # the last digit r would be the excluded one: the set is empty
     (lambda args: args.r != args.a0, "--r must differ from --a0, got r={r}, a0={a0}"),
 )
+# the progression subcommands read the members n = r (mod b) that can be prime
+UNIT_RESIDUE = ((lambda args: math.gcd(args.r, args.b) == 1,
+                 "--r must be prime to --b, got r={r}, b={b}"),)
 K = (("--k", dict(type=int, required=True), AT_LEAST_1),)
 DELTA_EPS = (("--delta", dict(type=float, default=sieveweights.DELTA)),
              ("--eps", dict(type=float, default=sieveweights.EPS)))
@@ -210,7 +213,8 @@ def run_hybrid(args):
     ("minor", "int", "frequencies"), ("major1", "int"), ("major2", "int"), ("major3", "int"),
     ("direct", "float"), ("main_term", "float"), ("residual", "float", "relative"),
     ("abs_major_minus_main", "float"), ("abs_minor", "float"),
-), rows=(("kind", "str"), ("re", "float"), ("im", "float"), ("abs", "float")))
+), rows=(("kind", "str"), ("re", "float"), ("im", "float"), ("abs", "float")),
+   checks=UNIT_RESIDUE)
 def run_arcs(args):
     ds, X = _system(args)
     codes = circle.arc_codes(X, args.C)
@@ -238,7 +242,8 @@ def run_arcs(args):
 
 @command("bv-table", DIGITS_R + K + (("--D", dict(type=int, required=True)),),
          scalars=(("aggregate", "float"), ("rows_count", "int")),
-         rows=(("d", "int"), ("c_star", "int"), ("E", "float"), ("abs_E", "float")))
+         rows=(("d", "int"), ("c_star", "int"), ("E", "float"), ("abs_E", "float")),
+         checks=UNIT_RESIDUE)
 def run_bv_table(args):
     ds, X = _system(args)
     tables = PrimeTables(X)
@@ -259,7 +264,7 @@ def run_bv_table(args):
     ("aggregate", "float"), ("kind", "str"), ("rows_count", "int"),
 ), rows=(("d", "int"), ("c", "int"), ("E", "float"), ("weight", "float")),
    # only the kinds that build sieve weights (wellfac, semi, lin) read --delta/--eps
-   checks=tuple(
+   checks=UNIT_RESIDUE + tuple(
        (lambda args, test=test: args.kind in ("fixed", "pairs") or test(args), text)
        for test, text in SIEVE_RANGES + ((
            # past 2^62 _system refuses X = b^k in the runner
@@ -363,7 +368,12 @@ def run_sieve_fns(args):
             for d in w.support:
                 if X**0.1 <= d <= X**spec.rho:
                     # the well-factor range starts at the spec's sifting limit
-                    sieveweights.well_factor(d, spec, spec.z, X, tables)
+                    try:
+                        sieveweights.well_factor(d, spec, spec.z, X, tables)
+                    except PreconditionError as exc:
+                        raise PreconditionError(
+                            f"--wellfactor-X, --delta and --eps: {exc},"
+                            f" got X={X}, delta={args.delta}, eps={args.eps}") from exc
                     checked += 1
         results["wellfactor_checked"] = checked
         results["wellfactor_failures"] = 0
@@ -540,6 +550,11 @@ def run_mikawa(args):
 ), scalars=(
     ("S", "int"), ("T", "int"), ("total", "int"), ("identity_ok", "bool"),
     ("app_count", "int"), ("predicted_scale", "float"), ("ratio", "float"), ("z", "float"),
+), checks=(
+    (lambda args: args.b % 2 == 1, "--b must be odd for buchstab-app, got {b}"),
+    # p ends in r and p - 1 in r - 1: the split needs both prime to b
+    (lambda args: math.gcd(args.r * (args.r - 1), args.b) == 1,
+     "--r and --r - 1 must be prime to --b, got r={r}, b={b}"),
 ))
 def run_buchstab_app(args):
     ds, X = _system(args)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -347,18 +346,16 @@ def _divisor_sums(out: np.ndarray, coeffs: np.ndarray, ms: np.ndarray, seq: np.n
         np.add.at(out, ms[col] * js[row], values[col] * factors[row])
 
 
-@lru_cache(maxsize=4)
 def _vaughan_arrays(X: int, U: int):
-    """Pointwise component arrays of the split, cached per (X, U).
+    """Pointwise component arrays of the split at (X, U).
 
     a1 = Lambda_{<=U};      a2 = mu_{<=U} * log;
     a3 = (f 1_{<=U}) * 1;   a4 = (f 1_{>U}) * 1   with f = mu_{<=U} * Lambda_{<=U};
     a5 = mu_{>U} * Lambda_{>U} * 1.
     Identity: a1 + a2 - a3 - a4 + a5 = Lambda pointwise on [1, X).
     Each convolution is one _divisor_sums call over the m of nonzero
-    coefficient.  The arrays are read-only: callers share the cached copies.
-    mu and Lambda come from a prime table made here, so the cache holds no
-    caller's table.
+    coefficient.  The arrays are read-only, and mu and Lambda come from a
+    prime table made here, so they hold no caller's table.
     """
     check_budget(X * (math.log(X) + 2) * 4, f"Vaughan arrays at X={X}")
     tables = PrimeTables(X)
@@ -396,12 +393,12 @@ class VaughanSplit:
     """The five sums of the split at (X, U), one call per draw (d, c, theta):
     split(d, c, theta) is vaughan_decompose(tables, X, U, d, c, theta).
 
-    The calls share their buffers (n, n theta, its angle, its phases and one
-    product), made for d = 1 at the first call and sliced to the
-    n = c (mod d) below X of each draw.  Each sum is formed as a fresh
-    evaluation would form it, the same products summed over a contiguous
-    array of the same length, so a call's sums do not depend on the calls
-    before it.
+    The split holds the arrays, built once here, and the buffers its calls
+    share (n, n theta, its angle, its phases and one product), made for
+    d = 1 and sliced to the n = c (mod d) below X of each draw.  Each sum is
+    formed as a fresh evaluation would form it, the same products summed
+    over a contiguous array of the same length, so a call's sums do not
+    depend on the calls before it.
     """
 
     def __init__(self, X: int, U: int):
@@ -409,24 +406,20 @@ class VaughanSplit:
             raise PreconditionError("U must be >= 2")
         if U >= X:
             raise PreconditionError("U must be below X")
-        self.X, self.U = X, U
-        self._buffers = None
+        self._arrays = _vaughan_arrays(X, U)  # claims the budget before the buffers are made
+        self._buffers = (np.arange(X, dtype=np.int64), *np.empty((2, X)),
+                         *np.empty((2, X), dtype=np.complex128))
 
     def __call__(self, d: int, c: int, theta: float) -> VaughanSums:
         if d < 1:
             raise PreconditionError("d must be >= 1")
-        arrays = _vaughan_arrays(self.X, self.U)  # claims the budget before the buffers are made
-        if self._buffers is None:
-            X = self.X
-            self._buffers = (np.arange(X, dtype=np.int64), *np.empty((2, X)),
-                             *np.empty((2, X), dtype=np.complex128))
         ns, x, ang, phases, prod = self._buffers
         r = c % d
         ns = ns[r::d]
         size = ns.size
         e = _phases(np.multiply(ns, theta, out=x[:size]), phases[:size], ang[:size])
         return VaughanSums(*(complex(np.multiply(arr[r::d], e, out=prod[:size]).sum())
-                             for arr in arrays))
+                             for arr in self._arrays))
 
 
 def vaughan_decompose(

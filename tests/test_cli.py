@@ -681,6 +681,24 @@ def test_a_power_past_2_62_is_refused_naming_b_and_k(capsys):
 
 
 @pytest.mark.parametrize("line", [
+    "count --b 10 --a0 7 --r 5 --k 3",
+    "fourier-stats --b 10 --a0 7 --r 2 --k 3",
+    "hybrid --b 10 --a0 7 --r 0 --k 3 --Q 4 --B 4",
+])
+def test_the_subcommands_without_progressions_take_any_residue(capsys, line):
+    assert run_cli(capsys, *line.split())[0] == 0
+
+
+@pytest.mark.parametrize("eps", ["0.13", "0.14"])
+def test_a_sifting_limit_above_the_level_names_the_sieve_flags(capsys, eps):
+    # for eps in about (0.1286, 1/7) the semi-linear X^s lies above X^rho, where D0 = X^s must not
+    code, out, err = run_cli(capsys, "sieve-fns", "--wellfactor-X", "100000", "--eps", eps)
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert all(flag in message for flag in ("--wellfactor-X", "--delta", "--eps")), message
+
+
+@pytest.mark.parametrize("line", [
     "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind semi --eps 0.5",
     "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind lin --eps 1e308",
     "sieve-fns --wellfactor-X 100000 --eps 0.5",
@@ -753,6 +771,14 @@ def test_a_sandwich_level_below_z_is_refused_naming_both_flags(capsys, D, z):
     ("arcs --b 7 --a0 3 --r 7 --k 2", "--r must be in [0, --b), got r=7, b=7"),
     ("count --b 10 --a0 7 --r 7 --k 2", "--r must differ from --a0, got r=7, a0=7"),
     ("bv-table --b 3 --a0 0 --r 0 --k 2 --D 5", "--r must differ from --a0, got r=0, a0=0"),
+    # a residue whose members the progressions cannot read as primes
+    ("arcs --b 10 --a0 7 --r 5 --k 3", "--r must be prime to --b, got r=5, b=10"),
+    ("bv-table --b 10 --a0 7 --r 2 --k 3 --D 5", "--r must be prime to --b, got r=2, b=10"),
+    ("weighted-bv --b 10 --a0 7 --r 4 --k 3 --kind fixed",
+     "--r must be prime to --b, got r=4, b=10"),
+    ("buchstab-app --b 10 --a0 7 --r 3 --k 4", "--b must be odd for buchstab-app, got 10"),
+    ("buchstab-app --b 7 --a0 4 --r 1 --k 4",
+     "--r and --r - 1 must be prime to --b, got r=1, b=7"),
     ("vaughan-check --X 30 --U 50 --trials 1", "--U must be below --X, got U=50, X=30"),
     ("vaughan-check --X 2", "--X must be >= 3, got 2"),  # the default U = 2 is not below 2
     # sieve levels X^rho and sifting limits X^s below 2

@@ -173,31 +173,36 @@ def test_vaughan_identity_seeded_trials(tables):
     assert worst <= 1e-6
 
 
-def test_vaughan_cached_arrays_are_read_only(tables):
-    parts = vaughan_decompose(tables, 500, 8, 1, 0, 0.3)  # fills the cache
-    hits = expsums._vaughan_arrays.cache_info().hits
-    arrays = expsums._vaughan_arrays(500, 8)
-    assert expsums._vaughan_arrays.cache_info().hits == hits + 1
-    assert expsums._vaughan_arrays(500, 8) is arrays
-    assert expsums._vaughan_arrays.cache_info().maxsize == 4
-    for arr in arrays:
+def test_vaughan_arrays_are_read_only(tables):
+    split = expsums.VaughanSplit(500, 8)
+    parts = split(1, 0, 0.3)
+    for arr in split._arrays + expsums._vaughan_arrays(500, 8):
         with pytest.raises(ValueError):
             arr[1] = 1.0
+    assert split(1, 0, 0.3) == parts
+    assert vaughan_decompose(tables, 500, 8, 1, 0, 0.3) == parts  # each call builds its own
     assert vaughan_decompose(tables, 500, 8, 1, 0, 0.3) == parts
 
 
-def test_vaughan_cache_keeps_no_table():
+def test_vaughan_split_keeps_no_table():
     table = PrimeTables(1000)
     alive = weakref.ref(table)
     parts = vaughan_decompose(table, 777, 9, 1, 0, 0.3)
     del table
     gc.collect()
     assert alive() is None
-    hits = expsums._vaughan_arrays.cache_info().hits
     assert vaughan_decompose(PrimeTables(1000), 777, 9, 1, 0, 0.3) == parts
-    assert expsums._vaughan_arrays.cache_info().hits == hits + 1
     # the arrays read their own table, so a caller's limit changes nothing
     assert vaughan_decompose(PrimeTables(2), 777, 9, 1, 0, 0.3) == parts
+
+
+def test_a_dropped_split_frees_its_arrays():
+    split = expsums.VaughanSplit(5000, 17)
+    split(1, 0, 0.3)
+    alive = [weakref.ref(arr) for arr in split._arrays]
+    del split
+    gc.collect()
+    assert [ref() is None for ref in alive] == [True] * 5
 
 
 def test_vaughan_rejects_U_past_X_and_d_below_1(tables):
@@ -362,10 +367,10 @@ def _divisor_sums_per_j(out, coeffs, ms, seq):
         out[ms[:cut] * j] += values[:cut] * seq[j]
 
 
-def _fresh_vaughan_sums(X, U, d, c, theta):
-    """vaughan_decompose before its trials shared buffers: every array made
-    afresh, the angle reduced out of place."""
-    arrays = [arr[c % d :: d] for arr in expsums._vaughan_arrays(X, U)]
+def _fresh_vaughan_sums(arrays, X, d, c, theta):
+    """vaughan_decompose before its trials shared buffers: every temporary
+    made afresh, the angle reduced out of place."""
+    arrays = [arr[c % d :: d] for arr in arrays]
     ns = np.arange(c % d, X, d, dtype=np.int64)
     x = ns * theta
     ang = x - np.floor(x)
@@ -382,13 +387,12 @@ def _fresh_vaughan_sums(X, U, d, c, theta):
     (20_011, 2, 1000), (3_000, 14, 7), (500, 2, 1),  # many blocks of pairs
 ])
 def test_vaughan_arrays_equal_the_per_j_build_byte_for_byte(monkeypatch, X, U, block):
-    build = expsums._vaughan_arrays.__wrapped__  # past the cache
     with monkeypatch.context() as patch:
         patch.setattr(expsums, "_divisor_sums", _divisor_sums_per_j)
-        want = build(X, U)
+        want = expsums._vaughan_arrays(X, U)
     if block is not None:
         monkeypatch.setattr(expsums, "SCAN_BLOCK", block)
-    got = build(X, U)
+    got = expsums._vaughan_arrays(X, U)
     for name, g, w in zip(("a1", "a2", "a3", "a4", "a5"), got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (X, U, name)
 
@@ -404,7 +408,7 @@ def test_shared_trial_buffers_give_the_fresh_sums(X, U):
     draws += [(1, 0, -rng.random()), (10**30, X - 1, 0.25), (7, -3, 1e6 * rng.random())]
     split = expsums.VaughanSplit(X, U)
     for d, c, theta in draws:
-        want = _fresh_vaughan_sums(X, U, d, c, theta)
+        want = _fresh_vaughan_sums(split._arrays, X, d, c, theta)
         assert split(d, c, theta) == want, (d, c, theta)
         assert vaughan_decompose(None, X, U, d, c, theta) == want, (d, c, theta)
 
