@@ -515,13 +515,15 @@ def buchstab_and_app(
 
     Over primes p < X with p = 3 (mod 8) ending in r and avoiding the digit:
     S counts p - 1 free of sieve primes (= 3 mod 4, not dividing b) up to
-    z = X^(1/alpha), total the same up to sqrt(X), and T = S - total those
-    whose least sieve factor lies in (z, sqrt X].  Both come from one sift of
+    z = X^(1/alpha), total the same up to sqrt(X), and T those whose least
+    sieve factor lies in (z, sqrt X].  S and total come from one sift of
     m = (p - 1) / 2 < X / 2 by the sieve primes, read after the primes up to z
-    and again after those up to sqrt(X).  app_count drops the mod-8
-    restriction and counts p - 1 in B, read off in_bcal_array at (p - 1) / 2,
-    a sift by all primes = 3 (mod 4); every p in total is checked to be
-    counted there too.  predicted_scale is X^zeta / (log X)^(3/2).
+    and again after those up to sqrt(X); T counts the survivors of the first
+    read that some sieve prime in (z, sqrt X] divides, and S = T + total is
+    checked.  app_count drops the mod-8 restriction and counts p - 1 in B,
+    read off in_bcal_array at (p - 1) / 2, a sift by all primes = 3 (mod 4);
+    every p in total is checked to be counted there too.  predicted_scale is
+    X^zeta / (log X)^(3/2).
     """
     b, r = ds.base, ds.residue
     if b % 2 == 0:
@@ -538,15 +540,22 @@ def buchstab_and_app(
     m = half[half % 4 == 1]  # p = 3 (mod 8)
     sieve = tables.primes_upto(math.isqrt(X))
     sieve = sieve[sifting_prime(sieve, b)]
+    large = sieve[sieve > z]
     free = np.ones(X // 2, dtype=bool)  # read only at the m = 1 (mod 4)
     _sift_1mod4(free, sieve[sieve <= z])
-    S = int(free[m].sum())
-    _sift_1mod4(free, sieve[sieve > z])
+    survivors = m[free[m]]
+    _sift_1mod4(free, large)
     total = int(free[m].sum())
+    divided = np.zeros(survivors.size, dtype=bool)  # T by its own route: p | m for a large p
+    for p in large.tolist():
+        divided |= survivors % p == 0
+    S, T = survivors.size, int(divided.sum())
+    if S != T + total:
+        raise InternalCheckError(f"Buchstab split S={S} is not T + total = {T} + {total}")
     outside = m[free[m] & ~in_bcal[m]]
     if outside.size:
         raise InternalCheckError(
             f"sifted prime p={2 * int(outside[0]) + 1} has p-1 outside the primitive class"
         )
     predicted = X**ds.zeta / math.log(X) ** 1.5
-    return BuchstabResult(S, S - total, total, app_count, predicted, z)
+    return BuchstabResult(S, T, total, app_count, predicted, z)

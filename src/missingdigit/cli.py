@@ -14,6 +14,7 @@ its flags and its report schema sit next to the code that fills the report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
@@ -114,24 +115,22 @@ SIEVE_RANGES = (
 )
 
 
-def _levels_reach_2(X, args, *degrees) -> bool:
-    """Whether the level X^rho and the sifting limit X^s of the sieve of each
-    degree reach 2 at --delta and --eps, computed as the specs compute them."""
-    return all(X**e >= 2 for degree in degrees
-               for e in sieveweights.sieve_exponents(degree, args.delta, args.eps))
-
-
-def _X_fits(args) -> bool:
-    """Whether X = b^k <= 2^62, for a checked base and k >= 1, without forming
-    the power (past 2^62 no int64 array can index X); b >= 3 puts every
-    k > 62 past it, and k past the float range never meets log2 b."""
-    return args.k <= 62 and args.k * math.log2(args.b) <= 62
+@contextlib.contextmanager
+def _naming(args, message):
+    """Re-raise a library refusal of the block as message, formatted with the
+    flags' values and the refusal as {exc}, so that it names its flags."""
+    try:
+        yield
+    except PreconditionError as exc:
+        raise PreconditionError(message.format_map({**vars(args), "exc": exc})) from exc
 
 
 def _system(args) -> tuple[DigitSystem, int]:
-    """The flags' digit system and X = b^k, refused before the power is formed unless it fits."""
+    """The flags' digit system and X = b^k, refused before the power is formed
+    unless X <= 2^62 (past it no int64 array can index X); a checked base
+    b >= 3 puts every k > 62 past it, and k past the float range never meets log2 b."""
     ds = DigitSystem(args.b, args.a0, args.r)
-    if not _X_fits(args):
+    if args.k > 62 or args.k * math.log2(args.b) > 62:
         raise PreconditionError(f"--b^--k must be at most 2^62, got b={args.b}, k={args.k}")
     return ds, args.b**args.k
 
@@ -186,7 +185,8 @@ def run_density(args):
 ))
 def run_fourier_stats(args):
     ds, _ = _system(args)
-    results = dataclasses.asdict(fourier.l1_and_cb(ds, args.k))
+    with _naming(args, "--a0: {exc}, got a0={a0}"):  # the digit-product transform
+        results = dataclasses.asdict(fourier.l1_and_cb(ds, args.k))
     if args.check_inversion:
         worst = fourier.inversion_max_error(ds, args.k)
         results["inversion_max_error"] = worst
@@ -196,18 +196,20 @@ def run_fourier_stats(args):
 
 
 @command("hybrid", DIGITS_R + K + (
-    ("--Q", dict(type=int, required=True)), ("--B", dict(type=int, required=True)),
+    ("--Q", dict(type=int, required=True), AT_LEAST_1),
+    ("--B", dict(type=int, required=True), AT_LEAST_1),
 ), scalars=(
     ("value", "float"), ("points", "int"), ("bound", "float", "unit implicit constant"),
     ("ratio", "float", "value/bound"),
 ))
 def run_hybrid(args):
     ds, _ = _system(args)
-    return fourier.hybrid_sum(ds, args.k, args.Q, args.B), None
+    with _naming(args, "--a0: {exc}, got a0={a0}"):  # the digit-product transform
+        return fourier.hybrid_sum(ds, args.k, args.Q, args.B), None
 
 
 @command("arcs", DIGITS_R + K + (
-    ("--C", dict(type=float, default=2.0)), ("--d", dict(type=int, default=1)),
+    ("--C", dict(type=float, default=2.0)), ("--d", dict(type=int, default=1), AT_LEAST_1),
     ("--c", dict(type=int, default=0)),
 ), scalars=(
     ("minor", "int", "frequencies"), ("major1", "int"), ("major2", "int"), ("major3", "int"),
@@ -221,7 +223,8 @@ def run_arcs(args):
     census = dict(zip(("minor", "major1", "major2", "major3"),
                       np.bincount(codes, minlength=4).tolist()))
     tables = PrimeTables(X)
-    split = circle.arc_split(tables, ds, X, args.d, args.c, args.C)
+    with _naming(args, "--a0, --b, --c and --d: {exc}, got a0={a0}, b={b}, c={c}, d={d}"):
+        split = circle.arc_split(tables, ds, X, args.d, args.c, args.C)
     results = {
         **census,
         "direct": split.direct,
@@ -266,42 +269,41 @@ def run_bv_table(args):
    # only the kinds that build sieve weights (wellfac, semi, lin) read --delta/--eps
    checks=UNIT_RESIDUE + tuple(
        (lambda args, test=test: args.kind in ("fixed", "pairs") or test(args), text)
-       for test, text in SIEVE_RANGES + ((
-           # past 2^62 _system refuses X = b^k in the runner
-           lambda args: not _X_fits(args)
-           or _levels_reach_2(args.b**args.k, args, 2 if args.kind == "lin" else 1),
-           "--kind {kind} needs its sieve level X^rho and sifting limit X^s >= 2 at"
-           " X = --b^--k, --delta and --eps, got b={b}, k={k}, delta={delta}, eps={eps}"),)))
+       for test, text in SIEVE_RANGES) + (
+       (lambda args: args.kind != "lin" or args.L is None or args.L >= 1,
+        "--L must be >= 1 with --kind lin, got {L}"),))
 def run_weighted_bv(args):
     ds, X = _system(args)
-    tables = PrimeTables(X)
     kind = args.kind
+    if kind in ("semi", "wellfac", "lin"):
+        # the spec refuses a level or sifting limit below 2, before the table claim
+        with _naming(args, "--kind {kind} needs its sieve level X^rho and sifting limit X^s >= 2"
+                     " at X = --b^--k, --delta and --eps, got b={b}, k={k}, delta={delta},"
+                     " eps={eps}"):
+            if kind == "lin":
+                spec = sieveweights.linear_upper(
+                    X, args.delta, args.eps, lambda p: (2 * ds.base) % p != 0)
+            else:
+                spec = sieveweights.semi_linear_lower(
+                    X, args.delta, args.eps, lambda p: sieveweights.sifting_prime(p, ds.base))
+    tables = PrimeTables(X)
     if kind == "fixed":
         rep = circle.weighted_discrepancy(tables, ds, X, "fixed_c", D=args.D, c=args.c)
     elif kind == "pairs":
         rep = circle.weighted_discrepancy(
             tables, ds, X, "factorable_pair", D1=args.D1, D2=args.D2, c=args.c
         )
-    elif kind in ("semi", "wellfac"):
-        spec = sieveweights.semi_linear_lower(
-            X, args.delta, args.eps, lambda p: sieveweights.sifting_prime(p, ds.base))
+    else:
         w = sieveweights.build_weights(spec, tables)
         if kind == "semi":
             rep = circle.weighted_discrepancy(tables, ds, X, "sieve_semi", weights=w)
-        else:
-            rep = circle.weighted_discrepancy(
-                tables, ds, X, "well_factorable", xi=w.values, c=args.c
-            )
-    else:  # "lin"
-        spec = sieveweights.linear_upper(
-            X, args.delta, args.eps, lambda p: (2 * ds.base) % p != 0
-        )
-        w = sieveweights.build_weights(spec, tables)
-        L = args.L if args.L is not None else max(2, int(round(X ** (1 / 3))))
-        h = lambda ell: 1.0 / math.log(X / ell)
-        rep = circle.weighted_discrepancy(
-            tables, ds, X, "sieve_lin", weights=w, L=L, h=h
-        )
+        elif kind == "wellfac":
+            rep = circle.weighted_discrepancy(tables, ds, X, "well_factorable", xi=w.values,
+                                              c=args.c)
+        else:  # "lin"
+            L = args.L if args.L is not None else max(2, int(round(X ** (1 / 3))))
+            h = lambda ell: 1.0 / math.log(X / ell)
+            rep = circle.weighted_discrepancy(tables, ds, X, "sieve_lin", weights=w, L=L, h=h)
     rows = [row._asdict() for row in rep.rows]
     return {"aggregate": rep.aggregate, "kind": rep.weight_kind, "rows_count": len(rows)}, rows
 
@@ -318,9 +320,6 @@ def run_weighted_bv(args):
     ("wellfactor_checked", "int", "with --wellfactor-X"),
     ("wellfactor_failures", "int", "with --wellfactor-X"),
 ), rows=(("kind", "str"), ("u", "float"), ("value", "float")), checks=SIEVE_RANGES + (
-    (lambda args: args.wellfactor_X is None or _levels_reach_2(args.wellfactor_X, args, 1, 2),
-     "--wellfactor-X needs both sieve levels X^rho and sifting limits X^s >= 2 at"
-     " --delta and --eps, got X={wellfactor_X}, delta={delta}, eps={eps}"),
     (lambda args: args.sandwich_nmax is None or args.sandwich_z >= 2,
      "--sandwich-z must be >= 2 with --sandwich-nmax, got z={sandwich_z}"),
     # a prime p in (D, z] has lambda^- * 1 (p) = 1, above its sifted indicator 0
@@ -329,13 +328,20 @@ def run_weighted_bv(args):
      " got D={sandwich_D}, z={sandwich_z}"),
 ))
 def run_sieve_fns(args):
+    X = args.wellfactor_X
+    if X is not None:
+        # the specs refuse a level or sifting limit below 2, before the grid claim
+        with _naming(args, "--wellfactor-X needs both sieve levels X^rho and sifting limits"
+                     " X^s >= 2 at --delta and --eps, got X={wellfactor_X}, delta={delta},"
+                     " eps={eps}"):
+            specs = (sieveweights.semi_linear_lower(X, args.delta, args.eps),
+                     sieveweights.linear_upper(X, args.delta, args.eps))
     check_budget(4 * ((args.umax - args.umin) / args.ustep + 1), "sieve function grid")
     rows = []
     u = args.umin
     while u <= args.umax + 1e-12:
         for kind in ("sem_f", "sem_F", "lin_f", "lin_F"):
-            lo, hi = sievenumerics._DOMAIN[kind]
-            if lo < u <= hi + 1e-12:
+            if sievenumerics.in_domain(kind, u):
                 rows.append({"kind": kind, "u": round(u, 12),
                              "value": sievenumerics.sieve_fn(kind, u)})
         u += args.ustep
@@ -356,25 +362,19 @@ def run_sieve_fns(args):
         results["sandwich_violations"] = total_bad
         if total_bad:
             raise InternalCheckError(f"{total_bad} sandwich violations")
-    if args.wellfactor_X is not None:
-        X = args.wellfactor_X
-        specs = (sieveweights.semi_linear_lower(X, args.delta, args.eps),
-                 sieveweights.linear_upper(X, args.delta, args.eps))
+    if X is not None:
         # build_weights reads the primes up to z; well_factor only factors
         tables = PrimeTables(math.ceil(max(spec.z for spec in specs)))
         checked = 0
         for spec in specs:
             w = sieveweights.build_weights(spec, tables)
-            for d in w.support:
-                if X**0.1 <= d <= X**spec.rho:
-                    # the well-factor range starts at the spec's sifting limit
-                    try:
+            with _naming(args, "--wellfactor-X, --delta and --eps: {exc},"
+                         " got X={wellfactor_X}, delta={delta}, eps={eps}"):
+                for d in w.support:
+                    if X**0.1 <= d <= X**spec.rho:
+                        # the well-factor range starts at the spec's sifting limit
                         sieveweights.well_factor(d, spec, spec.z, X, tables)
-                    except PreconditionError as exc:
-                        raise PreconditionError(
-                            f"--wellfactor-X, --delta and --eps: {exc},"
-                            f" got X={X}, delta={args.delta}, eps={args.eps}") from exc
-                    checked += 1
+                        checked += 1
         results["wellfactor_checked"] = checked
         results["wellfactor_failures"] = 0
     return results, rows
@@ -391,17 +391,18 @@ def run_sieve_fns(args):
     ("eps", "float"), ("I_sem", "float"), ("ten_ninth_I_lin", "float"), ("difference", "float"),
 ), checks=SIEVE_RANGES)
 def run_integrals(args):
-    margin = sievenumerics.lower_bound_margin(args.delta, args.eps)
+    with _naming(args, "--delta and --eps: {exc}, got delta={delta}, eps={eps}"):
+        margin = sievenumerics.lower_bound_margin(args.delta, args.eps)
+        rows = None
+        if args.sensitivity:
+            rows = []
+            for eps in (1e-4, 1e-6, 1e-8):
+                m = sievenumerics.lower_bound_margin(args.delta, eps)
+                rows.append({"eps": eps, "I_sem": m["I_sem"],
+                             "ten_ninth_I_lin": m["ten_ninth_I_lin"],
+                             "difference": m["difference"]})
     margin["reference_I_sem"] = 1.60492
     margin["reference_ten_ninth_I_lin"] = 1.4566
-    rows = None
-    if args.sensitivity:
-        rows = []
-        for eps in (1e-4, 1e-6, 1e-8):
-            m = sievenumerics.lower_bound_margin(args.delta, eps)
-            rows.append({"eps": eps, "I_sem": m["I_sem"],
-                         "ten_ninth_I_lin": m["ten_ninth_I_lin"],
-                         "difference": m["difference"]})
     if margin["difference"] <= 0.1:
         raise InternalCheckError(
             f"positivity margin {margin['difference']} not above 0.1"
@@ -442,7 +443,8 @@ def run_constants(args):
         results.update(mertens_product=product, mertens_predicted=predicted,
                        mertens_ratio=product / predicted)
     if args.tweight_X is not None:
-        tw_limit = sievenumerics.t_weight_limit(args.tweight_X, args.alpha)
+        with _naming(args, "--tweight-X and --alpha: {exc}, got X={tweight_X}, alpha={alpha}"):
+            tw_limit = sievenumerics.t_weight_limit(args.tweight_X, args.alpha)
         total, predicted = sievenumerics.t_weight_sum(
             PrimeTables(tw_limit), args.tweight_X, args.alpha, args.b, consts
         )
@@ -454,7 +456,7 @@ def run_constants(args):
 
 
 @command("two-squares", (
-    ("--n", dict(type=int, default=None)),
+    ("--n", dict(type=int, default=None), AT_LEAST_1),
     ("--limit", dict(type=int, default=None), AT_LEAST_2),
     ("--check-brute", dict(action="store_true")),
 ), scalars=(
@@ -528,16 +530,20 @@ def run_vaughan_check(args):
 
 
 @command("mikawa", (
-    ("--M", dict(type=int, required=True)), ("--N", dict(type=int, required=True)),
-    ("--X", dict(type=int, required=True)), ("--theta", dict(type=float, required=True)),
-    ("--Q", dict(type=int, default=100), FLOAT_SIZED),
+    ("--M", dict(type=int, required=True), AT_LEAST_1),
+    ("--N", dict(type=int, required=True), AT_LEAST_1),
+    ("--X", dict(type=int, required=True), AT_LEAST_1),
+    ("--theta", dict(type=float, required=True)),
+    ("--Q", dict(type=int, default=100), AT_LEAST_1, FLOAT_SIZED),
 ), scalars=(
     ("W", "float"), ("bound", "float", "unit implicit constant"), ("ratio", "float"),
     ("a", "int"), ("q", "int"), ("beta", "float"), ("H", "float"),
 ))
 def run_mikawa(args):
-    ta = expsums.dirichlet_approx(args.theta, args.Q, args.X)
-    res = expsums.mikawa_w(args.M, args.N, args.X, ta)
+    with _naming(args, "--theta and --Q: {exc}, got theta={theta}, Q={Q}"):
+        ta = expsums.dirichlet_approx(args.theta, args.Q, args.X)
+    with _naming(args, "--M, --N and --X: {exc}, got M={M}, N={N}, X={X}"):
+        res = expsums.mikawa_w(args.M, args.N, args.X, ta)
     return {
         "W": res.value, "bound": res.bound,
         "ratio": res.value / res.bound if res.bound else math.inf,
@@ -559,7 +565,8 @@ def run_mikawa(args):
 def run_buchstab_app(args):
     ds, X = _system(args)
     tables = PrimeTables(X)
-    res = circle.buchstab_and_app(tables, ds, X, args.alpha)
+    with _naming(args, "--alpha: {exc}, got alpha={alpha}"):
+        res = circle.buchstab_and_app(tables, ds, X, args.alpha)
     return {**res._asdict(), "identity_ok": res.total == res.S - res.T,
             "ratio": res.app_count / res.predicted_scale}, None
 

@@ -54,12 +54,17 @@ def _chain_log(u: float) -> float:
     return math.log(1.0 + 2.0 * (u - 1.0) + 2.0 * math.sqrt(u * (u - 1.0)))
 
 
+def in_domain(kind: str, u: float) -> bool:
+    """Whether u lies in the stated domain (lo, hi] of the sieve function kind."""
+    lo, hi = _DOMAIN[kind]
+    return lo < u <= hi + 1e-12
+
+
 def sieve_fn(kind: str, u: float) -> float:
     """Evaluate one of the four sieve functions on its stated domain."""
     if kind not in _DOMAIN:
         raise PreconditionError(f"unknown sieve function {kind!r}")
-    lo, hi = _DOMAIN[kind]
-    if not lo < u <= hi + 1e-12:
+    if not in_domain(kind, u):
         raise PreconditionError(f"{kind} undefined at u = {u}")
     if kind == "sem_F":
         return 2.0 * math.sqrt(E_GAMMA / math.pi) / math.sqrt(u)

@@ -433,6 +433,18 @@ def test_a_wrong_membership_mask_exits_4(capsys, monkeypatch, argv):
     assert json.loads(err)["error"]["kind"] == "InternalCheckError"
 
 
+def _dropping_m1_in_the_second_sift(real):
+    calls = []
+
+    def sift(free, primes):
+        real(free, primes)
+        calls.append(primes)
+        if len(calls) == 2:
+            free[1] = False
+
+    return sift
+
+
 @pytest.mark.parametrize("argv,target,name,wrong", [
     # each replacement wrong(real) spoils one side of a two-route comparison
     (("count", *SYSTEM, "--k", "3", "--check"), digitset, "contains_array",
@@ -457,6 +469,9 @@ def test_a_wrong_membership_mask_exits_4(capsys, monkeypatch, argv):
     # the two sides of b/phi(b) = sum over squarefree q | b of 1/phi(q)
     (("constants", "--plimit", "1000", "--b", "10"), sievenumerics, "totient",
      lambda real: lambda n: real(n) + 1),
+    # S = T + total: the second sift also drops m = 1 (p = 3), which T still counts in S
+    (("buchstab-app", "--b", "7", "--a0", "4", "--r", "3", "--k", "6"), circle, "_sift_1mod4",
+     lambda real: _dropping_m1_in_the_second_sift(real)),
 ])
 def test_two_routes_disagreeing_exits_4(capsys, monkeypatch, argv, target, name, wrong):
     code, _, _ = run_cli(capsys, *argv)
@@ -531,16 +546,20 @@ def _swept_exit(capsys, argv):
     return code, out.out, out.err
 
 
+def _names_a_flag(err: str) -> bool:
+    return "--" in json.loads(err)["error"]["message"]
+
+
 def test_no_flag_value_ends_in_a_traceback(capsys, monkeypatch):
-    """Each argv exits 0, 2, 3 or 4 within 5 s."""
+    """Each argv exits 0, 2, 3 or 4 within 5 s, and an exit-2 message names a flag."""
     monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000000")
     previous = signal.signal(signal.SIGALRM, _raise_timeout)
     failures = []
     try:
         for argv in _flag_sweep():
-            code = _swept_exit(capsys, argv)[0]
-            if code not in (0, 2, 3, 4):
-                failures.append((" ".join(argv), code))
+            code, _, err = _swept_exit(capsys, argv)
+            if code not in (0, 2, 3, 4) or code == 2 and not _names_a_flag(err):
+                failures.append((" ".join(argv), code, err[-300:]))
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert not failures
@@ -575,7 +594,7 @@ def _one_record(err: str, code: int) -> bool:
 @pytest.mark.parametrize("line", GOLDEN_CONFIGS)
 def test_extreme_values_end_in_a_report_or_one_error_record(capsys, monkeypatch, line):
     """Each argv exits 0 with a report, or 2, 3 or 4 with one JSON error
-    record on stderr and nothing on stdout."""
+    record on stderr and nothing on stdout; an exit-2 message names a flag."""
     monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000000")
     previous = signal.signal(signal.SIGALRM, _raise_timeout)
     failures = []
@@ -586,6 +605,7 @@ def test_extreme_values_end_in_a_report_or_one_error_record(capsys, monkeypatch,
                 ok = out != "" and err == ""
             else:
                 ok = code in (2, 3, 4) and out == "" and _one_record(err, code)
+                ok = ok and (code != 2 or _names_a_flag(err))
             if not ok:
                 failures.append((" ".join(argv), code, err[-300:]))
     finally:
@@ -781,7 +801,7 @@ def test_a_sandwich_level_below_z_is_refused_naming_both_flags(capsys, D, z):
      "--r and --r - 1 must be prime to --b, got r=1, b=7"),
     ("vaughan-check --X 30 --U 50 --trials 1", "--U must be below --X, got U=50, X=30"),
     ("vaughan-check --X 2", "--X must be >= 3, got 2"),  # the default U = 2 is not below 2
-    # sieve levels X^rho and sifting limits X^s below 2
+    # sieve levels X^rho and sifting limits X^s below 2, refused by the specs before any claim
     ("weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind semi --delta 0.15 --eps 0.1",
      "--kind semi needs its sieve level X^rho and sifting limit X^s >= 2 at X = --b^--k,"
      " --delta and --eps, got b=10, k=4, delta=0.15, eps=0.1"),
@@ -789,6 +809,10 @@ def test_a_sandwich_level_below_z_is_refused_naming_both_flags(capsys, D, z):
      "--kind lin needs its sieve level X^rho and sifting limit X^s >= 2 at X = --b^--k,"
      " --delta and --eps, got b=3, k=3, delta=0.001, eps=1e-06"),
     ("sieve-fns --wellfactor-X 31",
+     "--wellfactor-X needs both sieve levels X^rho and sifting limits X^s >= 2 at"
+     " --delta and --eps, got X=31, delta=0.001, eps=1e-06"),
+    # before the grid claim of ~7.6e9 steps
+    ("sieve-fns --wellfactor-X 31 --ustep 1e-9",
      "--wellfactor-X needs both sieve levels X^rho and sifting limits X^s >= 2 at"
      " --delta and --eps, got X=31, delta=0.001, eps=1e-06"),
     ("sieve-fns --sandwich-nmax 100 --sandwich-z 1.5",
@@ -802,6 +826,33 @@ def test_a_sandwich_level_below_z_is_refused_naming_both_flags(capsys, D, z):
 def test_flag_relations_are_refused_before_the_runner(capsys, monkeypatch, line, message):
     # a check left in a runner would come after a table claim past this budget (exit 3)
     monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000")
+    code, out, err = run_cli(capsys, *line.split())
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == message
+
+
+@pytest.mark.parametrize("line, message", [
+    ("integrals --eps 0.14", "--delta and --eps: alpha*rho = 0.9059260247197471 outside [1, 3],"
+     " got delta=0.001, eps=0.14"),
+    ("mikawa --M 1000000000000 --N 8 --X 5000 --theta 0.333333",
+     "--M, --N and --X: X and 8 M^2 N must be below 2^53, got M=1000000000000, N=8, X=5000"),
+    (f"mikawa --M 8 --N 8 --X 5000 --theta 0.4142135623730951 --Q {2**1023}",
+     f"--theta and --Q: Q={2**1023} takes q Q past the float range at q=2,"
+     f" got theta=0.4142135623730951, Q={2**1023}"),
+    ("arcs --b 10 --a0 7 --r 3 --k 3 --d 2 --c 1", "--a0, --b, --c and --d: need gcd(c, d) ="
+     " gcd(d, b) = 1, got a0=7, b=10, c=1, d=2"),
+    ("arcs --b 10 --a0 0 --r 3 --k 3", "--a0, --b, --c and --d: digit-product transform needs"
+     " a nonzero excluded digit, got a0=0, b=10, c=0, d=1"),
+    ("hybrid --b 10 --a0 0 --r 3 --k 3 --Q 4 --B 4",
+     "--a0: digit-product transform needs a nonzero excluded digit, got a0=0"),
+    ("fourier-stats --b 10 --a0 0 --r 3 --k 3",
+     "--a0: digit-product transform needs a nonzero excluded digit, got a0=0"),
+    ("buchstab-app --b 7 --a0 4 --r 3 --k 4 --alpha 2",
+     "--alpha: alpha must exceed 2, got alpha=2.0"),
+    ("constants --plimit 1000 --b 10 --tweight-X 10000 --alpha 4",
+     "--tweight-X and --alpha: alpha must lie in [2, 4), got X=10000, alpha=4.0"),
+])
+def test_a_library_refusal_names_its_flags(capsys, line, message):
     code, out, err = run_cli(capsys, *line.split())
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["message"] == message
