@@ -27,7 +27,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from ._budget import check_budget
+from ._budget import SCAN_BLOCK, check_budget
 from .digitset import DigitSystem, contains_array, count, member_mask
 from .errors import InternalCheckError, PreconditionError
 from .expsums import _phases
@@ -272,16 +272,23 @@ class DiscrepancyReport:
 def _rechecked(counts: ProgressionCounts, rows: list[Row], rel: float = 0.0) -> list[Row]:
     """rows, once the row of largest d is recomputed by another route: the
     prime powers below X in its progressions are taken first and tested for
-    membership after, digit by digit rather than from the mask.  That sums
-    the same terms in the same order, so a masked-sum row must match
-    exactly; rel allows a difference relative to the Lambda side for rows
-    summed in another order."""
+    membership after, digit by digit rather than from the mask.  The record
+    is walked in slices of SCAN_BLOCK, so the scratch is bounded by a slice
+    and the kept logs.  That sums the same terms in the same order, so a
+    masked-sum row must match exactly; rel allows a difference relative to
+    the Lambda side for rows summed in another order."""
     if rows:
         row = max(rows, key=lambda row: row.d)
-        ns, logs = counts.tables.prime_powers_upto(counts.X - 1, row.d, row.c)
-        keep = np.flatnonzero(in_class(ns, counts.q, counts.a))
-        ns, logs = ns[keep], logs[keep]
-        lam = float(logs[contains_array(counts.ds, ns)].sum())
+        ns, logs = counts.tables.prime_powers_upto(counts.X - 1)
+        kept = []
+        for lo in range(0, ns.size, SCAN_BLOCK):
+            n, log = ns[lo : lo + SCAN_BLOCK], logs[lo : lo + SCAN_BLOCK]
+            keep = in_class(n, row.d, row.c)
+            if counts.q > 1:
+                keep &= in_class(n, counts.q, counts.a)
+            n, log = n[keep], log[keep]
+            kept.append(log[contains_array(counts.ds, n)])
+        lam = float(np.concatenate(kept).sum())
         E = lam - counts.main(row.d)
         if abs(E - row.E) > rel * max(1.0, abs(lam)):
             raise InternalCheckError(f"row d={row.d}, c={row.c} has E={row.E}, rechecked {E}")

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ import oracles
 from missingdigit import (
     DigitSystem,
     PreconditionError,
+    PrimeTables,
     ProgressionCounts,
     arc_split,
     buchstab_and_app,
@@ -18,10 +20,13 @@ from missingdigit import (
     ramanujan_sum,
     semi_linear_lower,
     build_weights,
+    circle,
+    linear_upper,
     primetables,
     weighted_discrepancy,
 )
-from missingdigit.circle import _KIND_CODE, KIND_M1, KIND_M2, KIND_M3, KIND_MINOR, arc_codes
+from missingdigit.circle import _KIND_CODE, KIND_M1, KIND_M2, KIND_M3, KIND_MINOR, Row, arc_codes
+from missingdigit.digitset import contains_array
 from missingdigit.errors import InternalCheckError
 from missingdigit.expsums import dirichlet_approx
 from missingdigit.primetables import units
@@ -308,6 +313,67 @@ def test_weighted_sieve_lin_shape(tables):
     expect = inner - 10 * 729 * main_sum / (4 * phi_d * 4)
     row = [r for r in rep.rows if r.d == d][0]
     assert row.E == pytest.approx(expect, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_recheck_does_not_depend_on_the_block_size(tables, block):
+    # the 1280 prime powers below 10^4 in 183 slices or in 2 with a ragged last
+    # one: the exact (rel = 0) recheck still passes, and nothing else moves
+    ds, X = DigitSystem(10, 7, 3), 10**4
+    semi = build_weights(semi_linear_lower(X, prime_set=lambda p: p % 4 == 3), tables)
+    lin = build_weights(linear_upper(X, prime_set=lambda p: p not in (2, 5)), tables)
+    kinds = {
+        "abs_max_c": dict(D=10),
+        "fixed_c": dict(D=12, c=1),
+        "factorable_pair": dict(D1=5, D2=3, c=1),
+        "well_factorable": dict(xi={1: 1.0, 3: -0.5, 7: 0.25, 11: 2.0}, c=1),
+        "sieve_semi": dict(weights=semi),
+        "sieve_lin": dict(weights=lin, L=22),
+    }
+    for kind, params in kinds.items():
+        want = weighted_discrepancy(tables, ds, X, kind, **params)
+        with mock.patch.object(circle, "SCAN_BLOCK", block):
+            got = weighted_discrepancy(tables, ds, X, kind, **params)
+        assert got.rows == want.rows and got.aggregate == want.aggregate, kind
+
+
+def test_recheck_sees_the_last_slice(tables, monkeypatch):
+    # a digit test that loses one member of the last slice must fail the recheck
+    ds, X, block = DigitSystem(10, 7, 3), 10**4, 1000
+    ns, _ = tables.prime_powers_upto(X - 1)
+    last = ns[(ns.size - 1) // block * block]
+    dropped = []
+
+    def dropping(ds, values):
+        member = contains_array(ds, values)
+        if values.size and values[0] >= last and member.any():
+            member[np.flatnonzero(member)[-1]] = False
+            dropped.append(True)
+        return member
+
+    monkeypatch.setattr(circle, "SCAN_BLOCK", block)
+    monkeypatch.setattr(circle, "contains_array", dropping)
+    with pytest.raises(InternalCheckError, match="rechecked"):
+        weighted_discrepancy(tables, ds, X, "fixed_c", D=12, c=1)
+    assert dropped == [True]
+
+
+def test_recheck_scratch_is_bounded_by_the_block():
+    # The row d = 3 holds half the prime powers below 10^7.  In slices the
+    # scratch is four int64 arrays of a slice (the class residues, the
+    # gathered n and logs, the digit quotients) plus the kept logs, twice
+    # when joined.
+    X = 10**7
+    counts = ProgressionCounts(PrimeTables(X), DigitSystem(10, 7, 3), X)
+    rows = [Row(d, 1, counts.E(d, 1), 1.0) for d in (1, 3)]
+    bound = 4 * 8 * circle.SCAN_BLOCK + 2 * 8 * counts.ns.size
+    tracemalloc.start()
+    try:
+        circle._rechecked(counts, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
 
 
 def test_arc_split_conservation(tables):

@@ -1,6 +1,8 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import oracles
@@ -16,6 +18,7 @@ from missingdigit import (
     linf_probe,
 )
 from missingdigit import fourier
+from missingdigit.digitset import contains_array
 from missingdigit.fourier import spectrum
 from missingdigit.primetables import factor
 
@@ -123,6 +126,30 @@ def test_inversion_claims_the_budget(monkeypatch):
         inversion_indicator(ds, k, 1)
     monkeypatch.delenv("MISSINGDIGIT_BUDGET")
     assert inversion_indicator(ds, k, 1) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_inversion_error_does_not_depend_on_the_block_size(monkeypatch):
+    # the largest error over all n at once, against the blocked maxima
+    ds, k = DigitSystem(3, 1, 2), 7
+    recovered = fourier._inverted(ds, k)
+    want = np.abs(recovered - contains_array(ds, np.arange(3**k))).max()
+    monkeypatch.setattr(fourier, "SCAN_BLOCK", 100)  # 21 slices, a ragged last one
+    assert fourier.inversion_max_error(ds, k) == want
+
+
+def test_inversion_error_scratch_is_bounded_by_the_block():
+    # Over the cached inverse at X = 10^6 the scratch is a few int64 arrays
+    # of a slice (the n, the digit quotients and remainders, the difference,
+    # its absolute value).
+    ds, k = DigitSystem(10, 7, 3), 6
+    fourier._inverted(ds, k)
+    tracemalloc.start()
+    try:
+        fourier.inversion_max_error(ds, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * fourier.SCAN_BLOCK, peak
 
 
 def test_inversion_range_errors():
