@@ -32,7 +32,7 @@ from .digitset import DigitSystem, contains_array, count, member_mask
 from .errors import InternalCheckError, PreconditionError
 from .expsums import _phases
 from .fourier import spectrum
-from .primetables import PrimeTables, _sift_1mod4, in_class, reduced_fractions, totient, units
+from .primetables import PrimeTables, _sift_1mod4, in_class, mod, reduced_fractions, totient, units
 from .sieveweights import sifting_prime
 
 KIND_MINOR = "Minor"
@@ -175,7 +175,7 @@ def ramanujan_sum(q: int, a: int) -> complex:
     if q < 1:
         raise PreconditionError("q must be >= 1")
     m = np.flatnonzero(units(q))  # m = 0 stands for m = q, reduced only at q = 1
-    return complex(_phases(-(m * (a % q) % q) / q).sum())
+    return complex(_phases(-mod(m * (a % q), q) / q).sum())
 
 
 # -- discrepancy ----------------------------------------------------------------
@@ -231,9 +231,10 @@ class ProgressionCounts:
         return float(self.logs[in_class(self.ns, d, c)].sum())
 
     def lam_mod(self, d: int) -> np.ndarray:
-        """The member log sums of every residue class mod d by one bincount,
-        which sums in another order (the last bit may differ from lam)."""
-        return np.bincount(self.ns % d, weights=self.logs, minlength=d)
+        """The member log sums of every residue class mod d by one bincount
+        over the residues from mod, which sums in another order (the last bit
+        may differ from lam)."""
+        return np.bincount(mod(self.ns, d), weights=self.logs, minlength=d)
 
     def main(self, d: int, s: float = 1) -> float:
         """The main term b cnt s / (phi(q) phi(d) phi(b))."""
@@ -399,7 +400,7 @@ def _rechecked_lin(counts: ProgressionCounts, rows: list[Row],
         for (ell, h_ell), (nn, logs) in zip(ells, ranges):
             if math.gcd(ell, row.d) == 1:
                 main_sum += h_ell / ell
-            keep = in_class(2 * ell * nn + 1, row.d, 0) & ((ell * nn) % 4 == 1)
+            keep = in_class(2 * ell * nn + 1, row.d, 0) & in_class(ell * nn, 4, 1)
             if keep.any():
                 member = contains_array(counts.ds, 2 * ell * nn[keep] + 1)
                 inner += h_ell * float(logs[keep][member].sum())
@@ -544,7 +545,7 @@ def buchstab_and_app(
     half = members[members > 2] // 2  # m = (p - 1) / 2; p - 1 is in B iff m is in Bcal
     in_bcal = tables.in_bcal_array(X // 2)
     app_count = int(in_bcal[half].sum()) + members.size - half.size  # p = 2: 1 is in B
-    m = half[half % 4 == 1]  # p = 3 (mod 8)
+    m = half[in_class(half, 4, 1)]  # p = 3 (mod 8)
     sieve = tables.primes_upto(math.isqrt(X))
     sieve = sieve[sifting_prime(sieve, b)]
     large = sieve[sieve > z]
@@ -555,7 +556,7 @@ def buchstab_and_app(
     total = int(free[m].sum())
     divided = np.zeros(survivors.size, dtype=bool)  # T by its own route: p | m for a large p
     for p in large.tolist():
-        divided |= survivors % p == 0
+        divided |= in_class(survivors, p, 0)
     S, T = survivors.size, int(divided.sum())
     if S != T + total:
         raise InternalCheckError(f"Buchstab split S={S} is not T + total = {T} + {total}")

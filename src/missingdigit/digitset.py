@@ -16,9 +16,9 @@ level by level into one array (member_mask, read-only and not cached): each
 level is b - 1 row copies of the one below, one per leading digit, with the
 excluded digit's row cleared.  The array
 callers build it once per report and gather membership from it with one
-index.  contains_array keeps a digit-by-digit route for values of any size,
-and the internal rechecks read membership through it, independently of the
-mask.
+index.  contains_array keeps a digit-by-digit route for int64 values of any
+size, one base-b digit off every value per pass (primetables.mod), and the
+internal rechecks read membership through it, independently of the mask.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from ._budget import check_budget
 from .errors import PreconditionError
-from .primetables import totient
+from .primetables import in_class, mod, totient
 
 
 @dataclass(frozen=True)
@@ -89,19 +89,21 @@ def contains(ds: DigitSystem, n: int) -> bool:
 
 
 def contains_array(ds: DigitSystem, values: np.ndarray) -> np.ndarray:
-    """Vectorized membership for a nonnegative integer array."""
+    """Vectorized membership for a nonnegative integer array, read as int64.
+    The last-digit test and the digit loop, which peels one base-b digit off
+    every value per pass, divide by b through primetables.mod."""
     arr = np.asarray(values, dtype=np.int64)
     if arr.size and arr.min() < 0:
         raise PreconditionError("membership is defined for nonnegative integers")
     b, a0 = ds.base, ds.excluded
     ok = np.ones(arr.shape, dtype=bool)
     if ds.residue is not None:
-        ok &= arr % b == ds.residue
+        ok &= in_class(arr, b, ds.residue)
     if a0 == 0:
         ok &= arr != 0
-    rest = arr.copy()
+    rest = arr
     while True:
-        rest, digit = np.divmod(rest, b)
+        rest, digit = mod(rest, b, with_quotient=True)
         if a0:
             ok &= digit != a0
         else:  # a 0 with nothing left above it is past the leading digit

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._budget import SCAN_BLOCK, check_budget
 from .errors import InternalCheckError, PreconditionError
-from .primetables import INT64_MAX, PrimeTables, in_class, tau, units
+from .primetables import INT64_MAX, PrimeTables, in_class, mod, tau, units
 
 TWO_PI = 2.0 * math.pi
 # The array sums convert their integer inputs to float64, which equals the
@@ -63,9 +63,10 @@ class ThetaApprox:
         The product of residues stays below 2^63 while (q - 1)^2 does, and
         Python ints (an object array) take over past that.
         """
-        if (self.q - 1) ** 2 > INT64_MAX:
-            ms = ms.astype(object)
-        return (ms % self.q) * (self.a % self.q) % self.q
+        q, a = self.q, self.a % self.q
+        if (q - 1) ** 2 > INT64_MAX:
+            return (ms.astype(object) % q) * a % q
+        return mod(mod(ms, q) * a, q)
 
     def unit_norms(self, ms: np.ndarray) -> np.ndarray:
         """||m theta|| = distance of m*theta to the nearest integer, for an
@@ -459,7 +460,8 @@ def mikawa_w(M: int, N: int, X: int, ta: ThetaApprox) -> MinSum:
     tau3 = np.array([tau(n, 3) for n in ns.tolist()], dtype=np.float64)
     total = 0.0
     for lo in range(0, M * N, SCAN_BLOCK):  # the pairs (m, n) in loop order
-        m, i = np.divmod(np.arange(lo, min(lo + SCAN_BLOCK, M * N), dtype=np.int64), N)
+        pairs = np.arange(lo, min(lo + SCAN_BLOCK, M * N), dtype=np.int64)
+        m, i = mod(pairs, N, with_quotient=True)
         m += M + 1
         m2n = m * m * ns[i]
         terms = tau3[i] * _min_terms(float(X) / m2n + 1.0, ta.unit_norms(m2n))
@@ -554,7 +556,7 @@ def type_one_max(
         if j == 1:
             terms *= np.log(ns.astype(np.float64))
         for d, sums in enumerate(inner, start=1):
-            c = mn % d
+            c = mod(mn, d)
             sums += w * (np.bincount(c, terms.real, d) + 1j * np.bincount(c, terms.imag, d))
     total = 0.0
     for d, sums in enumerate(inner, start=1):

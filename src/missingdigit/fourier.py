@@ -31,7 +31,7 @@ from ._budget import SCAN_BLOCK, check_budget
 from .digitset import DigitSystem, contains_array, count
 from .errors import PreconditionError
 from .expsums import _phases
-from .primetables import reduced_fractions
+from .primetables import mod, reduced_fractions
 
 
 @dataclass
@@ -75,6 +75,16 @@ def eval_hat(ds: DigitSystem, k: int, theta: float) -> complex:
     return value
 
 
+def _spectrum_steps(ds: DigitSystem, k: int) -> int:
+    """The work of spectrum(ds, k), X = b^k, summed over what it builds: X for
+    the root table, X for the residue gather when the last digit is pinned
+    (p = 1, else p = 0), and per level j = p..k-1, (b - 1) b^(k-j) root
+    gathers and X multiplies.  The gathers sum to b^(k-p+1) - b."""
+    b, p = ds.base, int(ds.residue is not None)
+    X = b**k
+    return (1 + p) * X + (k - p) * X + b ** (k - p + 1) - b
+
+
 @lru_cache(maxsize=8)
 def spectrum(ds: DigitSystem, k: int) -> np.ndarray:
     """hat1_set(t/X) for all 0 <= t < X = b^k, exact rational phases; cached.
@@ -87,11 +97,11 @@ def spectrum(ds: DigitSystem, k: int) -> np.ndarray:
     _require_product_form(ds, k)
     b = ds.base
     X = b**k
-    check_budget(X * k * b, f"spectrum scan at X={X}")
+    check_budget(_spectrum_steps(ds, k), f"spectrum scan at X={X}")
     t = np.arange(X, dtype=np.int64)
     roots = np.exp(2j * np.pi * t / X)
     if ds.residue is not None:
-        out = roots[(ds.residue * t) % X]
+        out = roots[mod(ds.residue * t, X)]
         start = 1
     else:
         out = np.ones(X, dtype=np.complex128)
@@ -102,7 +112,7 @@ def spectrum(ds: DigitSystem, k: int) -> np.ndarray:
         factor = np.zeros(period, dtype=np.complex128)
         for d in ds.allowed:
             # d b^j t mod X = ((d s) mod period) b^j, with s = t mod period
-            factor += roots[(d * s) % period * b**j]
+            factor += roots[mod(d * s, period) * b**j]
         rows = out.reshape(-1, period)
         rows *= factor
     out.setflags(write=False)
@@ -177,7 +187,7 @@ def hybrid_sum(ds: DigitSystem, k: int, Q: int, B: int) -> dict:
         raise PreconditionError("Q and B must be >= 1")
     b = ds.base
     X = b**k
-    check_budget(4 * Q * Q * B + X * k * b, f"hybrid scan Q={Q} B={B}")
+    check_budget(4 * Q * Q * B + _spectrum_steps(ds, k), f"hybrid scan Q={Q} B={B}")
     # cs[i] = sum of |hat1(t/X)| over t < i
     cs = np.concatenate(([0.0], np.cumsum(np.abs(spectrum(ds, k)))))
     total = 0.0
@@ -187,10 +197,10 @@ def hybrid_sum(ds: DigitSystem, k: int, Q: int, B: int) -> dict:
         # [1 - B, B], less e = B when q divides X a
         base = (X // q) * a + (X % q) * a // q  # floor(X a / q) without overflow
         length = 2 * B - ((X % q) * a % q == 0)
-        start = (base + 1 - B) % X
-        end = start + length
-        # the sum of |hat| over t in [start, end), continued periodically
-        total += float((cs[end % X] + end // X * cs[X] - cs[start]).sum())
+        start = mod(base + 1 - B, X)
+        # the sum of |hat| over t in [start, start + length), continued periodically
+        wraps, end = mod(start + length, X, with_quotient=True)
+        total += float((cs[end] + wraps * cs[X] - cs[start]).sum())
         points += int(length.sum())
     stats = l1_and_cb(ds, k)
     rhs = (b - 1) ** k * (Q * Q * B) ** stats.alpha_b_estimate + Q * Q * B * (

@@ -36,6 +36,12 @@ past it.
 The arrays are read-only.  Growth replaces the shared record whole, so the
 tables are safe to share and a caller holding an older array still reads
 correct values.
+
+Every remainder of an int64 array by a scalar in the package, the residue
+classes of in_class among them, goes through mod: numpy's floor division by
+a scalar, which multiplies and shifts, then a multiply and a subtraction.
+(sieveweights.sifting_prime, which also takes an int, reads p mod 4 off the
+low bits.)
 """
 
 from __future__ import annotations
@@ -51,10 +57,29 @@ from .errors import PreconditionError
 INT64_MAX = np.iinfo(np.int64).max
 
 
+def mod(ns: np.ndarray, d: int,
+        with_quotient: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """ns mod d in [0, d) over the int64 array ns, for an int 1 <= d <= INT64_MAX,
+    as ns - (ns // d) d; with with_quotient, the pair (ns // d, ns mod d).
+
+    numpy floor-divides an integer array by a scalar with a multiply and a
+    shift (libdivide), but takes % and np.divmod with one hardware division
+    per entry, at several times the cost.  The remainder is built in place in
+    the quotient's array (one array; two with the quotient), and is exact:
+    for an n near INT64_MIN the product (n // d) d may wrap past int64, but
+    the subtraction wraps back, as int64 arithmetic is modulo 2^64.
+    """
+    out = ns // d
+    rem = np.multiply(out, d) if with_quotient else np.multiply(out, d, out=out)
+    np.subtract(ns, rem, out=rem)
+    return (out, rem) if with_quotient else rem
+
+
 def in_class(ns: np.ndarray, d: int, c: int) -> np.ndarray:
-    """Bool mask of n = c (mod d) over the int64 array ns, d >= 1: a modulus
-    past int64 exceeds every n, so its class holds c mod d alone."""
-    return ns % d == c % d if d <= INT64_MAX else ns == c % d
+    """Bool mask of n = c (mod d) over the int64 array ns, d >= 1, from the
+    residues of mod.  A modulus past int64 exceeds every n >= 0, so among
+    those its class holds c mod d alone (every caller's ns are >= 0)."""
+    return mod(ns, d) == c % d if d <= INT64_MAX else ns == c % d
 
 
 class QuadClass(NamedTuple):
@@ -334,5 +359,5 @@ class PrimeTables:
         check_budget(size - 1, f"Bcal sift of [0, {size})")
         ok = np.zeros(size, dtype=bool)
         ok[1::4] = True
-        _sift_1mod4(ok, small[small % 4 == 3])
+        _sift_1mod4(ok, small[in_class(small, 4, 3)])
         return ok

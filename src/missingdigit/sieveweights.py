@@ -47,8 +47,9 @@ def _all_primes(_p: int) -> bool:
 
 def sifting_prime(p, b: int):
     """Whether p is one of the application's sifting primes, p = 3 (mod 4)
-    and p not dividing b; p an int or an int64 array (then elementwise)."""
-    return (p % 4 == 3) & (b % p != 0)
+    and p not dividing b; p an int or an int64 array (then elementwise).
+    p mod 4 is read off the low two bits, exact for an int and an array alike."""
+    return ((p & 3) == 3) & (b % p != 0)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -159,3 +161,36 @@ def test_primes_upto_refuses_past_the_limit(tables):
 def test_range_errors(tables):
     with pytest.raises(PreconditionError):
         tables.factor(0)
+
+
+# numpy's remainder calls, each one hardware division per entry; an int64
+# array's remainder by a scalar goes through primetables.mod instead.  A
+# static check cannot see % on an array: CHANGES.md lists the sites swept.
+NUMPY_REMAINDERS = {"divmod", "remainder", "fmod", "mod"}
+
+
+def numpy_remainders(source: str) -> list[str]:
+    """The np.divmod, np.remainder, np.fmod and np.mod in source, by line,
+    called or not, and those names imported from numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in NUMPY_REMAINDERS
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append((node.lineno, f"np.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in NUMPY_REMAINDERS]
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_remainder_guard_sees_each_spelling():
+    source = ("q, r = np.divmod(a, 3)\nr = numpy.remainder(a, 3)\nf = np.fmod\n"
+              "from numpy import mod\nr = a % 3\nq, r = divmod(7, 3)\n")
+    assert numpy_remainders(source) == ["1: np.divmod", "2: np.remainder", "3: np.fmod", "4: mod"]
+
+
+def test_the_package_takes_no_numpy_remainder():
+    package = pathlib.Path(primetables.__file__).parent
+    found = [f"{path.name}:{hit}" for path in sorted(package.glob("*.py"))
+             for hit in numpy_remainders(path.read_text())]
+    assert found == []

@@ -7,8 +7,10 @@ membership mask against scalar contains, tables sliced from the shared sieve
 (made before or after a larger one) against a fresh build, the sieve's
 primes, the factorization helper and every PrimeTables method that reads it
 (prime_powers_upto among them, for y from -1 past the limit and moduli up to
-60) against trial division in oracles.py, the quadratic classes against the
-scalar classifiers, the weighted discrepancy rows against discrepancy_E
+60) against trial division in oracles.py, the int64 remainder helper and
+in_class against Python's floor division from INT64_MIN to INT64_MAX (and
+in_class past int64), the quadratic classes against the scalar
+classifiers, the weighted discrepancy rows against discrepancy_E
 (the bincount rows of abs_max_c to 1e-9 relative), and the linear-sieve
 rows and the Buchstab split against the per-(d, ell) and per-prime loops
 they replace.  Kernels: the unit phases against the
@@ -258,6 +260,33 @@ def test_prime_powers_upto_matches_trial_division(y, d, c):
     want = [n for n in range(2, y + 1) if n % d == c % d and lam[n] > 0]
     assert ns.tolist() == want
     assert logs.tolist() == [lam[n] for n in want]
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+INT64_EDGES = [INT64_MIN, INT64_MIN + 1, -INT64_MAX, -1, 0, 1, INT64_MAX - 1, INT64_MAX]
+int64s = st.one_of(st.integers(INT64_MIN, INT64_MAX), st.sampled_from(INT64_EDGES))
+
+
+@given(st.lists(int64s, max_size=40), st.sampled_from([1, 2, 3, 4, 5, 7, 11, 13, 29, INT64_MAX]))
+@example([], 3)
+@example(INT64_EDGES, 1)
+@example(INT64_EDGES, 3)
+@example(INT64_EDGES, INT64_MAX)
+def test_mod_equals_python_floor_division(ns, d):
+    # (n // d) d wraps past int64 for n near INT64_MIN; the remainder must not
+    arr = np.array(ns, dtype=np.int64)
+    quotient, rem = primetables.mod(arr, d, with_quotient=True)
+    assert quotient.dtype == rem.dtype == np.int64
+    assert quotient.tolist() == [n // d for n in ns]
+    assert rem.tolist() == primetables.mod(arr, d).tolist() == [n % d for n in ns]
+    assert arr.tolist() == ns  # the input is read, not written
+    for c in (0, 1, -1, INT64_MIN):
+        assert primetables.in_class(arr, d, c).tolist() == [n % d == c % d for n in ns]
+    # a modulus past int64 exceeds every n >= 0: its class holds c mod d alone
+    ns = [n for n in ns if n >= 0]
+    for big, c in ((2**63, -1), (2**63 + 1, 1), (10**30, 7)):  # c mod 2^63 is INT64_MAX
+        got = primetables.in_class(np.array(ns, dtype=np.int64), big, c)
+        assert got.tolist() == [n % big == c % big for n in ns]
 
 
 # sizes where the sqrt cutoff of the sift bites: p^2 and 2 p^2, each +- 1, for p = 3 (mod 4)
