@@ -31,7 +31,7 @@ from ._budget import SCAN_BLOCK, check_budget
 from .digitset import DigitSystem, contains_array, count, member_mask
 from .errors import InternalCheckError, PreconditionError
 from .expsums import _phases
-from .fourier import spectrum
+from .fourier import _fft_steps, spectrum
 from .primetables import PrimeTables, _sift_1mod4, in_class, mod, reduced_fractions, totient, units
 from .sieveweights import sifting_prime
 
@@ -220,8 +220,12 @@ class ProgressionCounts:
         self.cnt = count(ds, self.k)
         self.mask = member_mask(ds, self.k)
         keep = np.flatnonzero(self.mask[ns])  # the mask first: it keeps the fewer
-        keep = keep[in_class(ns[keep], q, a)]
-        self.ns, self.logs = ns[keep], logs[keep]
+        self.ns, self.logs = self._in_progression(ns[keep], logs[keep])
+
+    def _in_progression(self, ns: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """ns and their logs at the n = a (mod q); at q = 1 all, with no class pass."""
+        keep = in_class(ns, self.q, self.a) if self.q > 1 else slice(None)
+        return ns[keep], logs[keep]
 
     def lam(self, d: int, c: int) -> float:
         """Sum of log p over the members n = c (mod d), gcd(c, d) = gcd(d, b)
@@ -270,27 +274,29 @@ class DiscrepancyReport:
     aggregate: float
 
 
-def _rechecked(counts: ProgressionCounts, rows: list[Row], rel: float = 0.0) -> list[Row]:
-    """rows, once the row of largest d is recomputed by another route: the
-    prime powers below X in its progressions are taken first and tested for
-    membership after, digit by digit rather than from the mask.  The record
-    is walked in slices of SCAN_BLOCK, so the scratch is bounded by a slice
-    and the kept logs.  That sums the same terms in the same order, so a
-    masked-sum row must match exactly; rel allows a difference relative to
-    the Lambda side for rows summed in another order."""
+def _recounted(counts: ProgressionCounts, row: Row) -> tuple[float, float]:
+    """The Lambda side of row and its main-term share 1: the prime powers in its progressions,
+    then membership digit by digit, not from the mask, per SCAN_BLOCK slice of the record
+    (the scratch is a slice and the kept logs): the masked sum's terms, in its order."""
+    ns, logs = counts.tables.prime_powers_upto(counts.X - 1)
+    kept = []
+    for lo in range(0, ns.size, SCAN_BLOCK):
+        n, log = ns[lo : lo + SCAN_BLOCK], logs[lo : lo + SCAN_BLOCK]
+        keep = in_class(n, row.d, row.c)
+        n, log = counts._in_progression(n[keep], log[keep])
+        kept.append(log[contains_array(counts.ds, n)])
+    return float(np.concatenate(kept).sum()), 1
+
+
+def _rechecked(counts: ProgressionCounts, rows: list[Row], rel: float = 0.0,
+               recount: Callable[..., tuple[float, float]] = _recounted) -> list[Row]:
+    """rows, once the row of largest d is recomputed by another route: recount
+    gives its Lambda side lam and main-term share s, and lam - main(d, s) must
+    be its E within rel * max(1, |lam|) (0: the same sum in the same order)."""
     if rows:
         row = max(rows, key=lambda row: row.d)
-        ns, logs = counts.tables.prime_powers_upto(counts.X - 1)
-        kept = []
-        for lo in range(0, ns.size, SCAN_BLOCK):
-            n, log = ns[lo : lo + SCAN_BLOCK], logs[lo : lo + SCAN_BLOCK]
-            keep = in_class(n, row.d, row.c)
-            if counts.q > 1:
-                keep &= in_class(n, counts.q, counts.a)
-            n, log = n[keep], log[keep]
-            kept.append(log[contains_array(counts.ds, n)])
-        lam = float(np.concatenate(kept).sum())
-        E = lam - counts.main(row.d)
+        lam, share = recount(counts, row)
+        E = lam - counts.main(row.d, share)
         if abs(E - row.E) > rel * max(1.0, abs(lam)):
             raise InternalCheckError(f"row d={row.d}, c={row.c} has E={row.E}, rechecked {E}")
     return rows
@@ -345,69 +351,66 @@ def _sieve_semi(counts: ProgressionCounts, *, weights) -> list[Row]:
     return _rows(counts, "sieve_semi", moduli, 1, lambda d: float(weights(d)))
 
 
+def _lin_powers(counts: ProgressionCounts, ell: int, d: int = 1, c: int = 0):
+    """The prime powers n = c (mod d) with 2 ell n + 1 < X, and their log p: the value X
+    would index past a mask of length X (and is never a member, as gcd(r, b) = 1)."""
+    return counts.tables.prime_powers_upto((counts.X - 2) // (2 * ell), d, c)
+
+
+def _lin_values(ell: int, nn: np.ndarray) -> np.ndarray:
+    return 2 * ell * nn + 1
+
+
+def _lin_share(terms: list[tuple[int, float]], d: int) -> float:
+    """The main-term share: ell n = 1 (mod 4) holds (1/4) sum h(ell)/ell over the ell prime to d."""
+    total = 0.0
+    for ell, h_ell in terms:
+        if math.gcd(ell, d) == 1:
+            total += h_ell / ell
+    return total / 4
+
+
 def _sieve_lin(counts: ProgressionCounts, *, weights, L: int,
                h: Callable[[int], float] = lambda ell: 1.0) -> list[Row]:
     if L < 1:
         raise PreconditionError(f"L must be >= 1, got {L}")
     moduli = _sieve_moduli(counts, weights)
-    b, X = counts.ds.base, counts.X
     steps = (len(moduli) + 1) * L  # each row and the term build walk every ell
     check_budget(steps, f"sieve_lin: {len(moduli)} rows over {L} values of ell")
-    # Per ell: the values 2 ell n + 1 over prime powers n with ell n = 1
-    # (mod 4) that are members, with the log p of n; each d below sums a
-    # subset of them in the same order.
-    terms = []
-    for ell in range(L + 1, 2 * L + 1):
-        h_ell = h(ell) if math.gcd(ell, 2 * b) == 1 else 0
-        if h_ell == 0:
-            continue
-        # n <= (X - 2) / (2 ell) keeps 2 ell n + 1 <= X - 1: the value X itself
-        # would index past a mask of length X (it is never a member, as
-        # gcd(r, b) = 1).  ell is odd, so ell n = 1 (mod 4) is n = ell (mod 4).
-        nn, logs = counts.tables.prime_powers_upto((X - 2) // (2 * ell), 4, ell)
-        vals = 2 * ell * nn + 1
+    terms = [(ell, h_ell) for ell in range(L + 1, 2 * L + 1)
+             if math.gcd(ell, 2 * counts.ds.base) == 1 and (h_ell := h(ell)) != 0]
+    members = []  # per ell, its member values and log p: each d sums a subset, in order
+    for ell, _ in terms:
+        nn, logs = _lin_powers(counts, ell, 4, ell)  # ell is odd: ell n = 1 (4) is n = ell (4)
+        vals = _lin_values(ell, nn)
         member = counts.mask[vals]
-        terms.append((ell, h_ell, vals[member], logs[member]))
-    size = sum(term[2].size for term in terms)
+        members.append((vals[member], logs[member]))
+    size = sum(vals.size for vals, _ in members)
     check_budget(len(moduli) * size + steps, f"sieve_lin: {len(moduli)} rows over {size} members")
     rows = []
     for d in moduli:
-        inner = main_sum = 0.0
-        for ell, h_ell, vals, val_logs in terms:
-            if math.gcd(ell, d) == 1:
-                main_sum += h_ell / ell
+        inner = 0.0
+        for (_, h_ell), (vals, val_logs) in zip(terms, members):
             keep = in_class(vals, d, 0)
             if keep.any():
                 inner += h_ell * float(val_logs[keep].sum())
-        # l n = 1 (mod 4) holds a quarter of the main term (an exact division)
-        rows.append(Row(d, -1 % d, inner - counts.main(d, main_sum / 4), float(weights(d))))
-    return _rechecked_lin(counts, rows, [(ell, h_ell) for ell, h_ell, *_ in terms])
+        rows.append(Row(d, -1 % d, inner - counts.main(d, _lin_share(terms, d)), float(weights(d))))
+    return _rechecked(counts, rows, 1e-9, lambda counts, row: _lin_recounted(counts, row, terms))
 
 
-def _rechecked_lin(counts: ProgressionCounts, rows: list[Row],
-                   ells: list[tuple[int, float]]) -> list[Row]:
-    """sieve_lin's rows, once the row of largest d is recomputed per (d, ell)
-    pair: the values 2 ell n + 1 divisible by d are taken first and tested for
-    membership after, digit by digit rather than from the mask; the two may
-    differ by 1e-9 relative to the Lambda side."""
-    if rows:
-        row = max(rows, key=lambda row: row.d)
-        # the n of sieve_lin's terms: 2 ell n + 1 <= X - 1
-        ranges = [counts.tables.prime_powers_upto((counts.X - 2) // (2 * ell)) for ell, _ in ells]
-        size = sum(nn.size for nn, _ in ranges)
-        check_budget(size, f"sieve_lin: recheck of d={row.d} over {len(ells)} values of ell")
-        inner = main_sum = 0.0
-        for (ell, h_ell), (nn, logs) in zip(ells, ranges):
-            if math.gcd(ell, row.d) == 1:
-                main_sum += h_ell / ell
-            keep = in_class(2 * ell * nn + 1, row.d, 0) & in_class(ell * nn, 4, 1)
-            if keep.any():
-                member = contains_array(counts.ds, 2 * ell * nn[keep] + 1)
-                inner += h_ell * float(logs[keep][member].sum())
-        E = inner - counts.main(row.d, main_sum / 4)
-        if abs(E - row.E) > 1e-9 * max(1.0, abs(inner)):
-            raise InternalCheckError(f"row d={row.d}, c={row.c} has E={row.E}, rechecked {E}")
-    return rows
+def _lin_recounted(counts: ProgressionCounts, row: Row, terms: list) -> tuple[float, float]:
+    """sieve_lin's Lambda side of row and its main-term share, per (d, ell): the values
+    divisible by d with ell n = 1 (mod 4) first, then membership digit by digit."""
+    ranges = [_lin_powers(counts, ell) for ell, _ in terms]
+    size = sum(nn.size for nn, _ in ranges)
+    check_budget(size, f"sieve_lin: recheck of d={row.d} over {len(terms)} values of ell")
+    inner = 0.0
+    for (ell, h_ell), (nn, logs) in zip(terms, ranges):
+        vals = _lin_values(ell, nn)
+        keep = in_class(vals, row.d, 0) & in_class(ell * nn, 4, 1)
+        if keep.any():
+            inner += h_ell * float(logs[keep][contains_array(counts.ds, vals[keep])].sum())
+    return inner, _lin_share(terms, row.d)
 
 
 # kind -> (its rows, whether the aggregate sums |E| rather than weight * E,
@@ -454,17 +457,15 @@ def weighted_discrepancy(
 
 @dataclass
 class ArcSplit:
-    major1: complex
-    major2: complex
-    major3: complex
-    minor: complex
+    sums: dict[str, complex]  # kind -> its partial sum: Major1, Major2, Major3, Minor
+    census: dict[str, int]  # kind -> its frequencies t < X
     direct: float
     main_term: float
     residual: float
 
     @property
     def major(self) -> complex:
-        return self.major1 + self.major2 + self.major3
+        return self.sums[KIND_M1] + self.sums[KIND_M2] + self.sums[KIND_M3]
 
 
 def arc_split(
@@ -473,24 +474,26 @@ def arc_split(
     """Split (1/X) sum_t hat1(t/X) LambdaHat_{d,c}(-t/X) by arc kind.
 
     The four partial sums must recombine to the direct progression count;
-    the relative residual is checked against 1e-5 and returned.
+    the relative residual is checked against 1e-5 and returned with the census.
     """
+    codes = arc_codes(X, C)
+    census = {kind: int(np.count_nonzero(codes == code)) for kind, code in _KIND_CODE.items()}
     counts = ProgressionCounts(tables, ds, X)
     direct, main_term = counts.lam(d, c), counts.main(d)
-    check_budget(X * max(1.0, math.log2(X)), f"arc split FFT at X={X}")
+    check_budget(_fft_steps(X), f"arc split FFT at X={X}")
     hat = spectrum(ds, counts.k)
     ns, logs = tables.prime_powers_upto(X - 1, d, c)
     masked = np.zeros(X)
     masked[ns] = logs
     lam_hat_neg = np.fft.fft(masked)  # index t holds LambdaHat_{d,c}(-t/X)
     terms = hat * lam_hat_neg / X
-    codes = arc_codes(X, C)
-    sums = [complex(terms[codes == code].sum()) for code in (1, 2, 3, 0)]
-    recombined = sum(sums).real
+    sums = {kind: complex(terms[codes == _KIND_CODE[kind]].sum())
+            for kind in (KIND_M1, KIND_M2, KIND_M3, KIND_MINOR)}
+    recombined = sum(sums.values()).real
     residual = abs(recombined - direct) / max(1.0, abs(direct))
     if residual > 1e-5:
         raise InternalCheckError(f"arc split lost mass: recombined {recombined} vs direct {direct}")
-    return ArcSplit(sums[0], sums[1], sums[2], sums[3], direct, main_term, residual)
+    return ArcSplit(sums, census, direct, main_term, residual)
 
 
 # -- application counts -----------------------------------------------------------

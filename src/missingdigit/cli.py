@@ -219,27 +219,19 @@ def run_hybrid(args):
    checks=UNIT_RESIDUE)
 def run_arcs(args):
     ds, X = _system(args)
-    codes = circle.arc_codes(X, args.C)
-    census = dict(zip(("minor", "major1", "major2", "major3"),
-                      np.bincount(codes, minlength=4).tolist()))
     tables = PrimeTables(X)
     with _naming(args, "--a0, --b, --c and --d: {exc}, got a0={a0}, b={b}, c={c}, d={d}"):
         split = circle.arc_split(tables, ds, X, args.d, args.c, args.C)
     results = {
-        **census,
+        **{kind.lower(): n for kind, n in split.census.items()},
         "direct": split.direct,
         "main_term": split.main_term,
         "residual": split.residual,
         "abs_major_minus_main": abs(split.major - split.main_term),
-        "abs_minor": abs(split.minor),
+        "abs_minor": abs(split.sums[circle.KIND_MINOR]),
     }
-    rows = [
-        {"kind": kind, "re": val.real, "im": val.imag, "abs": abs(val)}
-        for kind, val in (
-            ("Major1", split.major1), ("Major2", split.major2),
-            ("Major3", split.major3), ("Minor", split.minor),
-        )
-    ]
+    rows = [{"kind": kind, "re": val.real, "im": val.imag, "abs": abs(val)}
+            for kind, val in split.sums.items()]
     return results, rows
 
 

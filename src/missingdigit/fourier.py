@@ -119,6 +119,10 @@ def spectrum(ds: DigitSystem, k: int) -> np.ndarray:
     return out
 
 
+def _fft_steps(X: int) -> float:
+    return X * max(1.0, math.log2(X))
+
+
 @lru_cache(maxsize=4)
 def _inverted(ds: DigitSystem, k: int) -> np.ndarray:
     """(1/X) sum_t hat1(t/X) e(-nt/X) for all 0 <= n < X; cached, read-only.
@@ -128,7 +132,7 @@ def _inverted(ds: DigitSystem, k: int) -> np.ndarray:
     """
     _require_product_form(ds, k)
     X = ds.base**k
-    check_budget(X * max(1.0, math.log2(X)), f"inversion FFT at X={X}")
+    check_budget(_fft_steps(X), f"inversion FFT at X={X}")
     out = np.fft.fft(spectrum(ds, k)).real / X
     out.setflags(write=False)
     return out

@@ -376,11 +376,24 @@ def test_recheck_scratch_is_bounded_by_the_block():
     assert peak <= bound, (peak, bound)
 
 
+def test_a_q_1_construction_makes_no_class_pass(tables, monkeypatch):
+    # every n is in the class 0 (mod 1): a pass there would keep every member
+    moduli = []
+    real = circle.in_class
+    monkeypatch.setattr(circle, "in_class", lambda ns, d, c: moduli.append(d) or real(ns, d, c))
+    ds, X = DigitSystem(10, 7, 3), 10**4
+    counts = ProgressionCounts(tables, ds, X)
+    assert moduli == []
+    classed = ProgressionCounts(tables, ds, X, 8, 3)
+    assert moduli == [8]
+    assert classed.ns.tolist() == [n for n in counts.ns.tolist() if n % 8 == 3]
+
+
 def test_arc_split_conservation(tables):
     ds = DigitSystem(10, 7, 3)
     split = arc_split(tables, ds, 10**4, 3, 1, 2.0)
     assert split.residual <= 1e-5
-    recombined = (split.major + split.minor).real
+    recombined = (split.major + split.sums[KIND_MINOR]).real
     assert recombined == pytest.approx(split.direct, rel=1e-9)
     # d = 1: direct is the raw member Lambda count
     split1 = arc_split(tables, ds, 10**4, 1, 1, 2.0)
@@ -391,8 +404,8 @@ def test_arc_split_conservation(tables):
     )
     assert split1.direct == pytest.approx(raw, rel=1e-12)
     # Major3 alone lands within the other arcs' remainder of the main term
-    slack = abs(split1.major1) + abs(split1.major2) + abs(split1.minor)
-    assert abs(split1.major3 - split1.main_term) <= slack + abs(
+    slack = abs(split1.sums[KIND_M1]) + abs(split1.sums[KIND_M2]) + abs(split1.sums[KIND_MINOR])
+    assert abs(split1.sums[KIND_M3] - split1.main_term) <= slack + abs(
         split1.direct - split1.main_term
     ) + 1e-9
 

@@ -19,6 +19,8 @@ from missingdigit.cli import main
 GOLDEN = pathlib.Path(__file__).with_name("golden") / "cli_stdout.json"
 
 DS = "--b 10 --a0 7 --r 3 --k 5"
+B101 = "--b 101 --a0 50 --r 3 --k 3"
+B1001 = "--b 1001 --a0 500 --r 3 --k 2"
 CONFIGS = (
     f"bv-table {DS} --D 10",
     f"bv-table {DS} --D 10 --format csv",
@@ -53,6 +55,9 @@ CONFIGS = (
     "sieve-fns --sandwich-nmax 100000 --wellfactor-X 1000000",
     "constants --plimit 100000 --b 10 --y 100000",
     "mikawa --M 8 --N 8 --X 5000 --theta 0.333333 --Q 100",
+    # the paper's regime: large bases at X about 10^6
+    f"fourier-stats {B101}", f"hybrid {B101} --Q 30 --B 10", f"bv-table {B101} --D 30",
+    f"fourier-stats {B1001}", f"hybrid {B1001} --Q 30 --B 10", f"bv-table {B1001} --D 30",
 )
 
 

@@ -20,7 +20,9 @@ and the two-squares brute force against the per-element loops in oracles.py,
 compared exactly; the bilinear sum, the Type I max over residues and the
 digit-product eval_hat against their loops in oracles.py to 1e-12 relative
 (numpy's cos/sin need not equal math's, and the sums run in another order),
-including products m n past 2^63 and q past 3.04e9; rank/unrank round trips."""
+including products m n past 2^63 and q past 3.04e9; rank/unrank round trips.
+The digit and progression systems also draw the large bases of the paper's
+regime (101, 317, 1001), at k = 1 or 2 within each test's X."""
 
 import math
 import random
@@ -46,16 +48,20 @@ from missingdigit.expsums import type_one_max
 from missingdigit.fourier import inversion_max_error, spectrum
 
 
+# bases near 100 and 1000, the paper's regime: k = 1 or 2 at X <= 10^5
+LARGE_BASES = (101, 317, 1001)
+
+
 @st.composite
 def grid_sizes(draw, bases, max_X):
-    b = draw(st.sampled_from(bases))
+    b = draw(st.sampled_from([b for b in bases if b <= max_X]))
     k = draw(st.integers(1, int(math.log(max_X) / math.log(b) + 1e-9)))
     return b, k
 
 
 @st.composite
 def digit_systems(draw, max_X):
-    b, k = draw(grid_sizes((3, 4, 5, 7, 10), max_X))
+    b, k = draw(grid_sizes((3, 4, 5, 7, 10) + LARGE_BASES, max_X))
     a0 = draw(st.integers(1, b - 1))
     r = draw(st.one_of(st.none(), st.sampled_from([d for d in range(b) if d != a0])))
     return DigitSystem(b, a0, r), k
@@ -350,7 +356,7 @@ def test_quadratic_class_of_matches_table(tables, n):
 @st.composite
 def progression_systems(draw, max_X):
     """(ds, k): residue coprime to the base, b^k <= max_X."""
-    b, k = draw(grid_sizes((3, 5, 7, 10), max_X))
+    b, k = draw(grid_sizes((3, 5, 7, 10) + LARGE_BASES, max_X))
     r = draw(st.sampled_from([r for r in range(1, b) if math.gcd(r, b) == 1]))
     a0 = draw(st.sampled_from([a for a in range(b) if a != r]))
     return DigitSystem(b, a0, r), k
