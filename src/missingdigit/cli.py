@@ -501,9 +501,9 @@ def _brute_primitive_marks(limit: int) -> np.ndarray:
             "--U must be below --X, got U={U}, X={X}"),))
 def run_vaughan_check(args):
     X = args.X
-    tables = PrimeTables(X)
     # each trial sums over n < X in one class mod d >= 1
     check_budget(args.trials * X, f"{args.trials} Vaughan trials at X={X}")
+    tables = PrimeTables(X)
     U = args.U if args.U is not None else max(2, math.ceil(X ** (1 / 3)))
     rng = random.Random(args.seed)
     split = expsums.VaughanSplit(X, U)  # one set of buffers for every trial

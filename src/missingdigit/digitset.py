@@ -14,11 +14,12 @@ Hence 0 is a member iff a0 != 0, which makes the [0, b^k) product counts exact.
 Over [0, b^k) the members form a product set, so their indicator is built
 level by level into one array (member_mask, read-only and not cached): each
 level is b - 1 row copies of the one below, one per leading digit, with the
-excluded digit's row cleared.  The array
-callers build it once per report and gather membership from it with one
-index.  contains_array keeps a digit-by-digit route for int64 values of any
-size, one base-b digit off every value per pass (primetables.mod), and the
-internal rechecks read membership through it, independently of the mask.
+excluded digit's row cleared.  Callers build it once per report and gather
+membership from it with one index, and members, the ordered enumeration,
+lists its set entries.  contains_array keeps a digit-by-digit route for int64
+values of any size, one base-b digit off every value per pass
+(primetables.mod), and the internal rechecks read membership through it,
+independently of the mask.
 """
 
 from __future__ import annotations
@@ -173,26 +174,10 @@ def count_positive(ds: DigitSystem, k: int) -> int:
     return count(ds, k) - (1 if contains(ds, 0) else 0)
 
 
-def _place_sums(b: int, digits, tail: int, first: int, last: int) -> np.ndarray:
-    """tail + sum of d_i b^i over first <= i < last with every d_i in the
-    increasing digits, in increasing order: one outer sum per place, from the
-    low digit up, with the new (higher) digit as the outer index."""
-    out = np.array([tail], dtype=np.int64)
-    column = np.array(digits, dtype=np.int64)[:, None]
-    for i in range(first, last):
-        out = (column * b**i + out).ravel()
-    return out
-
-
 def members(ds: DigitSystem, k: int) -> list[int]:
-    """All members of the set in [0, b^k), strictly increasing: the blocks of
-    _blocks in turn, each one outer sum over its free places."""
-    total = count(ds, k)
-    check_budget(total, f"enumerating {total} members")
-    tail, first = (0, 0) if ds.residue is None else (ds.residue, 1)
-    return np.concatenate(
-        [_place_sums(ds.base, ds.allowed, tail, first, j) for j, _ in _blocks(ds, k)]
-    ).tolist()
+    """All members of the set in [0, b^k), strictly increasing: the set
+    entries of member_mask, whose claim of b^k steps covers them."""
+    return np.flatnonzero(member_mask(ds, k)).tolist()
 
 
 def unrank(ds: DigitSystem, k: int, i: int) -> int:

@@ -159,8 +159,7 @@ def euler_constants(tables: PrimeTables, p_limit: int) -> SieveConstants:
     log_c1 = 0.0
     log_c3 = 0.0
     log_c2p = 0.0
-    for p in tables.primes_upto(p_limit):
-        p = int(p)
+    for p in tables.primes_upto(p_limit).tolist():
         if p % 4 == 1:
             log_c1 += math.log1p(-1.0 / (p - 1) ** 2)
         elif p % 4 == 3:
@@ -190,8 +189,7 @@ def mertens_3mod4(tables: PrimeTables, y: int,
     if y < 2:
         raise PreconditionError("y must be >= 2")
     product = 1.0
-    for p in tables.primes_upto(y):
-        p = int(p)
+    for p in tables.primes_upto(y).tolist():
         if p % 4 == 3:
             product *= 1.0 - 1.0 / (p - 1)
     predicted = 2.0 * constants.C2 * constants.C3 * math.sqrt(

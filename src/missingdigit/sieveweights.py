@@ -164,7 +164,7 @@ def _admits_chain(spec: SieveSpec, chain: list[int]) -> bool:
 def build_weights(spec: SieveSpec, tables: PrimeTables) -> SieveWeight:
     """lambda_d = mu(d) over the support, by descending-chain DFS."""
     zcap = min(int(spec.z + _SLACK), int(spec.D + _SLACK))
-    primes = [int(p) for p in tables.primes_upto(zcap) if spec.prime_set(int(p))]
+    primes = [p for p in tables.primes_upto(zcap).tolist() if spec.prime_set(p)]
     primes.sort(reverse=True)
     log_d = math.log(spec.D) + _SLACK
     logs = {p: math.log(p) for p in primes}
@@ -208,8 +208,7 @@ def sandwich_check(
                 conv[d::d] += v
     coprime = np.ones(n_max + 1, dtype=np.int64)
     # a prime above n_max divides no n checked, so the table need not reach z
-    for p in tables.primes_upto(min(int(z + _SLACK), n_max)):
-        p = int(p)
+    for p in tables.primes_upto(min(int(z + _SLACK), n_max)).tolist():
         if prime_set(p):
             coprime[p::p] = 0
     violated = (conv_minus > coprime) | (coprime > conv_plus)

@@ -246,6 +246,17 @@ def test_runners_size_their_tables_by_what_they_read(capsys, monkeypatch):
         assert made == limits, line
 
 
+def test_vaughan_check_claims_its_trials_before_its_table(capsys, monkeypatch):
+    made = []
+    monkeypatch.setattr(cli, "PrimeTables", made.append)
+    monkeypatch.delenv("MISSINGDIGIT_BUDGET", raising=False)
+    code, out, err = run_cli(capsys, "vaughan-check", "--X", "10000000", "--trials", "100")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["message"] == (
+        "100 Vaughan trials at X=10000000 needs ~1e+09 steps, budget is 200000000")
+    assert made == []
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from missingdigit import (
     unrank,
 )
 from missingdigit.digitset import contains_array, member_mask
+from missingdigit.errors import BudgetError
 
 import numpy as np
 import oracles
@@ -93,6 +95,13 @@ def test_members_sorted_complete_and_ranked(ds, k):
     for i, n in enumerate(got):
         assert unrank(ds, k, i) == n
         assert rank(ds, k, n) == i
+
+
+def test_members_claim_the_mask_of_b_to_the_k(monkeypatch):
+    # 9^6 = 531441 members fit the budget; the mask's 10^6 steps do not
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", str(10**6 - 1))
+    with pytest.raises(BudgetError, match=re.escape("membership mask of 10^6 values")):
+        members(DigitSystem(10, 3), 6)
 
 
 def test_unrank_example():

@@ -52,7 +52,6 @@ READERS = {
     "expsums.type_one_max": ("perfbench/ops.py", "type_one_max"),
     "expsums._check_type_one": ("perfbench/ops.py", "type_one_max"),
     "digitset.members": ("perfbench/ops.py", "members"),
-    "digitset._place_sums": ("perfbench/ops.py", "members"),
     "digitset.rank": ("perfbench/ops.py", "rank"),
     "digitset.unrank": ("perfbench/ops.py", "unrank"),
     "fourier.linf_probe": ("perfbench/ops.py", "linf_probe"),
