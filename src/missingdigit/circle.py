@@ -13,9 +13,10 @@ Major1 (close to a reduced fraction with q not dividing X) or Minor; a single
 t can witness several major conditions, so classification checks Major3,
 then Major2, then Major1, scanning q and a in increasing order and taking
 the first witness.  That priority is what makes the labels a partition.
-The whole-grid codes are painted window by window around each fraction a/q
-instead of classifying every t: the kinds are painted in reverse priority,
-each over the ones before it, which gives the same first-witness partition.
+The whole-grid codes are painted, not classified t by t: Major1 window by
+window around each fraction a/q, then Major2 and Major3 on the rows of the
+grid that start at the points a X/q, each kind over the ones before it, which
+gives the same first-witness partition.
 """
 
 from __future__ import annotations
@@ -98,35 +99,26 @@ def classify_arc(t: int, X: int, C: float) -> ArcLabel:
 _KIND_CODE = {KIND_MINOR: 0, KIND_M1: 1, KIND_M2: 2, KIND_M3: 3}
 
 
-def _covered(X: int, windows) -> np.ndarray:
-    """Bool over t < X: True inside at least one window [t_lo, t_hi], the
-    windows given as blocks of (t_lo, t_hi) arrays.  Each block adds its
-    starts and ends to one difference array by bincount.  A window of a/q
-    holds floor(a X / q), which lies in [0, X), so clipped to [0, X) it still
-    starts no later than it ends."""
+def _major1_cover(X: int, cutoff: float, qs: np.ndarray) -> np.ndarray:
+    """Bool over t < X: True where |t q - a X| <= q cutoff for a reduced a/q,
+    1 <= a <= q/2, q in qs (for an integer, |n| <= radius iff |n| <= floor(radius)).
+    Each block of fractions adds its window starts and ends to one difference
+    array by bincount.  The window of a/q holds floor(a X / q), which lies in
+    [0, X), so clipped to [0, X) it still starts no later than it ends."""
+    bound = np.floor(np.arange(qs.max(initial=0) + 1) * cutoff).astype(np.int64)
     cover = np.zeros(X, dtype=np.int64)
-    for t_lo, t_hi in windows:
-        cover += np.bincount(np.maximum(t_lo, 0), minlength=X)
-        cover -= np.bincount(t_hi + 1, minlength=X)[:X]  # ends past X - 1 close nothing
+    for q, a in reduced_fractions(qs, half=True):
+        aX, r = a * X, bound[q]
+        cover += np.bincount(np.maximum(-((r - aX) // q), 0), minlength=X)
+        cover -= np.bincount((aX + r) // q + 1, minlength=X)[:X]  # ends past X - 1 close nothing
     return np.cumsum(cover) > 0
 
 
-def _major1_windows(X: int, cutoff: float, qs: np.ndarray):
-    """The t with |t q - a X| <= q cutoff, one interval per reduced a/q,
-    1 <= a <= q/2, q in qs: for an integer, |n| <= radius iff |n| <= floor(radius)."""
-    bound = np.floor(np.arange(qs.max(initial=0) + 1) * cutoff).astype(np.int64)
-    for q, a in reduced_fractions(qs, half=True):
-        aX, r = a * X, bound[q]
-        yield -((r - aX) // q), (aX + r) // q
-
-
-def _major2_windows(X: int, cutoff: float, qs: np.ndarray):
-    """The t with |t - a X/q| <= cutoff, one interval per reduced a/q,
-    0 <= a < q, q in qs (each q | X)."""
-    r = math.floor(cutoff)
-    for q, a in reduced_fractions(qs, a_min=0):
-        centre = a * (X // q)
-        yield centre - r, centre + r
+def arc_split_claims(X: int, C: float) -> tuple[tuple[float, str], tuple[float, str]]:
+    """The budget claims (steps, what) of arc_split at X: arc_codes' classification,
+    then the FFT.  A caller that builds a table for the split makes both first."""
+    return ((X * _cutoff(X, C), f"arc classification at X={X}"),
+            (_fft_steps(X), f"arc split FFT at X={X}"))
 
 
 @lru_cache(maxsize=4)
@@ -134,37 +126,39 @@ def arc_codes(X: int, C: float) -> np.ndarray:
     """Codes 0..3 (minor, M1, M2, M3) for every t < X; cached, read-only.
 
     The codes order the kinds by priority, so classify_arc's first-witness
-    label of t is the highest kind among its witnesses.  The windows around
-    the fractions a/q, q <= log(X)^C, are painted in reverse priority, each
-    kind over the ones before it: Major1 windows (q not dividing X), then
-    Major2 windows (q | X, 0 < |eta| <= cutoff), then Major3 as the strided
-    slices codes[::X//q] (q | X).  Each kind is one pass over its reduced
-    fractions (primetables.reduced_fractions), Major1 over those with
-    a <= q/2 alone: t lies in the window of a/q exactly when X - t lies in
-    that of (q - a)/q, so the rest is the mirror image (t = 0, whose mirror
-    X is off the grid, is Major3 from q = 1).  Each window is the one
-    interval of t where classify_arc's exact test holds.  Its a-window adds
-    nothing: where the exact test holds, t q - q cutoff <= a X <= t q + q cutoff
-    (Major1), and a X and t q are exact floats (t q < X cutoff < 2^53), so by
-    monotone rounding classify_arc's float expressions put a in its window;
-    Major2 likewise.  Major2 needs no eta != 0 test: eta = 0 at a reduced
-    a/q is a Major3 point, painted over last.
+    label of t is the highest kind among its witnesses; the kinds are painted
+    in reverse priority, each over the ones before it, for q <= log(X)^C.
+    Major1 (q not dividing X) is one pass over the reduced fractions with
+    a <= q/2 (primetables.reduced_fractions): t lies in the window of a/q
+    exactly when X - t lies in that of (q - a)/q, so the rest is the mirror
+    image (t = 0, whose mirror X is off the grid, is Major3 from q = 1).  Each
+    window is the one interval of t where classify_arc's exact test holds; its
+    a-window adds nothing, since a X and t q are exact floats (t q < X cutoff
+    < 2^53), so by monotone rounding classify_arc's float expressions put a in
+    its window.  Major2 and Major3 (q | X) read no fractions: per divisor q the
+    grid is q rows of X/q, row a starting at a X/q.  Major2 covers the first
+    floor(cutoff) + 1 and the last floor(cutoff) columns of the rows, but not
+    the last row's end (a = q is no fraction); Major3 then covers the row
+    starts codes[::X//q], so Major2 needs no eta != 0 test.  Painting every a,
+    reduced or not, adds nothing: a/q is a'/q' for a divisor q' of q.
     """
     cutoff = _cutoff(X, C)
-    check_budget(X * cutoff, f"arc classification at X={X}")
+    check_budget(*arc_split_claims(X, C)[0])
     qmax = int(min(cutoff, X))
     qs = np.arange(1, qmax + 1, dtype=np.int64)
     divides = X % qs == 0
-    divisors = qs[divides]
+    divisors = qs[divides].tolist()
     m1, m2, m3 = (np.int8(_KIND_CODE[kind]) for kind in (KIND_M1, KIND_M2, KIND_M3))
+    codes = np.zeros(X, dtype=np.int8)
     if qmax < X:  # else q = X makes every t Major3
-        half = _covered(X, _major1_windows(X, cutoff, qs[~divides]))
-        major1 = half | np.roll(half[::-1], 1)  # t from a/q, X - t from (q - a)/q
-        major2 = _covered(X, _major2_windows(X, cutoff, divisors))
-        codes = np.maximum(m1 * major1, m2 * major2)  # Major2 painted over Major1
-    else:
-        codes = np.zeros(X, dtype=np.int8)
-    for q in divisors.tolist():
+        half = _major1_cover(X, cutoff, qs[~divides])
+        codes[half | np.roll(half[::-1], 1)] = m1  # t from a/q, X - t from (q - a)/q
+        r = math.floor(cutoff)  # >= 1 once q = 1 <= cutoff
+        for q in divisors:
+            rows = codes.reshape(q, X // q)
+            rows[:, : r + 1] = m2
+            rows[:-1, -r:] = m2
+    for q in divisors:
         codes[:: X // q] = m3
     codes.setflags(write=False)
     return codes
@@ -478,9 +472,9 @@ def arc_split(
     """
     codes = arc_codes(X, C)
     census = {kind: int(np.count_nonzero(codes == code)) for kind, code in _KIND_CODE.items()}
+    check_budget(*arc_split_claims(X, C)[1])
     counts = ProgressionCounts(tables, ds, X)
     direct, main_term = counts.lam(d, c), counts.main(d)
-    check_budget(_fft_steps(X), f"arc split FFT at X={X}")
     hat = spectrum(ds, counts.k)
     ns, logs = tables.prime_powers_upto(X - 1, d, c)
     masked = np.zeros(X)

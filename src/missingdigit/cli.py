@@ -219,6 +219,8 @@ def run_hybrid(args):
    checks=UNIT_RESIDUE)
 def run_arcs(args):
     ds, X = _system(args)
+    for steps, what in circle.arc_split_claims(X, args.C):  # refused before the table
+        check_budget(steps, what)
     tables = PrimeTables(X)
     with _naming(args, "--a0, --b, --c and --d: {exc}, got a0={a0}, b={b}, c={c}, d={d}"):
         split = circle.arc_split(tables, ds, X, args.d, args.c, args.C)

@@ -19,8 +19,8 @@ moduli, bases and sieve chains of desk size, and each call claims sqrt(n)
 steps from the budget; it reads no table, so neither do the PrimeTables
 methods that factor.  The
 reduced residues come from units(d) for one modulus and from
-reduced_fractions(qs) for the fractions a/q over many, which factors nothing
-and reads its primes from the held record.
+reduced_fractions(qs) for the fractions a/q over many (Major1 arcs, hybrid
+sums), which factors nothing and reads its primes from the held record.
 The two quadratic classes are
 
     B    = {n : n = n1^2 + n2^2 with gcd(n1, n2) = 1}
@@ -205,36 +205,35 @@ def units(d: int) -> np.ndarray:
     return out
 
 
-def reduced_fractions(qs: np.ndarray, a_min: int = 1,
+def reduced_fractions(qs: np.ndarray,
                       half: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The reduced fractions a/q, a_min <= a < q (a_min = 0 or 1), over the
-    increasing int64 array qs >= 1, as (q, a) int64 arrays in blocks; with
-    half, only those with 2a <= q (the others are the (q - a)/q).
+    """The reduced fractions a/q, 1 <= a < q, over the increasing int64 array
+    qs >= 1, as (q, a) int64 arrays in blocks; with half, only those with
+    2a <= q (the others are the (q - a)/q).
 
-    The rows q of qs are taken max(1, SCAN_BLOCK // (qs[-1] - a_min)) at a
-    time, each row over the numerators below the block's last q (up to half
-    of it with half); a block yields its reduced cells in row order (q, then
-    a), possibly none.  No gcd is taken: along each row the multiples of each
-    prime of its q, read from the held record, are cleared (so a = 0 survives
-    at q = 1 alone).
+    The rows q of qs are taken max(1, SCAN_BLOCK // (qs[-1] - 1)) at a time,
+    each row over the numerators below the block's last q (up to half of it
+    with half); a block yields its reduced cells in row order (q, then a),
+    possibly none.  No gcd is taken: along each row the multiples of each
+    prime of its q, read from the held record, are cleared.
     """
-    if not qs.size or qs[-1] <= a_min:
+    if not qs.size or qs[-1] <= 1:
         return
-    q_block = max(1, SCAN_BLOCK // int(qs[-1] - a_min))
-    primes = _shared_sieve(max(2, int(qs[-1]))).primes
+    q_block = max(1, SCAN_BLOCK // int(qs[-1] - 1))
+    primes = _shared_sieve(int(qs[-1])).primes
     for lo in range(0, qs.size, q_block):
         block = qs[lo : lo + q_block]
         top = int(block[-1])
         if half:
-            numerators = np.arange(a_min, top // 2 + 1, dtype=np.int64)
+            numerators = np.arange(1, top // 2 + 1, dtype=np.int64)
             reduced = 2 * numerators <= block[:, None]
         else:
-            numerators = np.arange(a_min, top, dtype=np.int64)
+            numerators = np.arange(1, top, dtype=np.int64)
             reduced = numerators < block[:, None]
         below = primes[: np.searchsorted(primes, top, side="right")]
         rows, at = np.nonzero(block[:, None] % below == 0)
         for row, p in zip(rows.tolist(), below[at].tolist()):
-            reduced[row, -a_min % p :: p] = False
+            reduced[row, p - 1 :: p] = False  # a = p, 2p, ...
         yield (np.repeat(block, np.count_nonzero(reduced, axis=1)),
                np.broadcast_to(numerators, reduced.shape)[reduced])
 

@@ -27,7 +27,7 @@ from missingdigit import (
 )
 from missingdigit.circle import _KIND_CODE, KIND_M1, KIND_M2, KIND_M3, KIND_MINOR, Row, arc_codes
 from missingdigit.digitset import contains_array
-from missingdigit.errors import InternalCheckError
+from missingdigit.errors import BudgetError, InternalCheckError
 from missingdigit.expsums import dirichlet_approx
 from missingdigit.primetables import units
 from missingdigit.sieveweights import SieveSpec
@@ -408,6 +408,18 @@ def test_arc_split_conservation(tables):
     assert abs(split1.sums[KIND_M3] - split1.main_term) <= slack + abs(
         split1.direct - split1.main_term
     ) + 1e-9
+
+
+def test_arc_split_claims_its_fft_before_the_member_mask(tables, monkeypatch):
+    X, C = 10**4, 1.0
+    (arc_steps, _), (fft_steps, _) = circle.arc_split_claims(X, C)
+    assert arc_steps < 10**5 < fft_steps
+    masks = []
+    monkeypatch.setattr(circle, "member_mask", lambda *args: masks.append(args))
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", str(10**5))
+    with pytest.raises(BudgetError, match=r"^arc split FFT at X=10000 needs ~1\.33e\+05 steps"):
+        arc_split(tables, DigitSystem(10, 7, 3), X, 1, 1, C)
+    assert masks == []
 
 
 def test_count_missing_digit_primes(tables):

@@ -257,6 +257,20 @@ def test_vaughan_check_claims_its_trials_before_its_table(capsys, monkeypatch):
     assert made == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("--k 8", "arc classification at X=100000000 needs ~3.39e+10 steps"),
+    ("--k 7 --C 0.5", "arc split FFT at X=10000000 needs ~2.33e+08 steps"),
+])
+def test_arcs_claims_its_scans_before_its_table(capsys, monkeypatch, argv, message):
+    made = []
+    monkeypatch.setattr(cli, "PrimeTables", made.append)
+    monkeypatch.delenv("MISSINGDIGIT_BUDGET", raising=False)
+    code, out, err = run_cli(capsys, *f"arcs --b 10 --a0 7 --r 3 {argv}".split())
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["message"] == f"{message}, budget is 200000000"
+    assert made == []
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -98,23 +98,23 @@ def test_units_agree_with_gcd():
         assert units(d).tolist() == [math.gcd(c, d) == 1 for c in range(d)]
 
 
-REDUCED_ROWS = [([1], 0), ([1], 1), ([2], 1), ([1, 2, 4, 5, 10, 20, 25], 0),
-                (list(range(2, 61)), 1), (list(range(31, 61)), 1),
-                ([q for q in range(2, 90) if 360 % q], 1)]
+# each row keeps its earlier test id: its index, then the least numerator 1
+REDUCED_ROWS = {"qs1-1": [1], "qs2-1": [2], "qs4-1": list(range(2, 61)),
+                "qs5-1": list(range(31, 61)), "qs6-1": [q for q in range(2, 90) if 360 % q]}
 
 
 @pytest.mark.parametrize("half", [False, True])
 @pytest.mark.parametrize("block", [1, 5, 64, 1 << 17])
-@pytest.mark.parametrize("qs, a_min", REDUCED_ROWS)
-def test_reduced_fractions_agree_with_gcd(qs, a_min, block, half, monkeypatch):
+@pytest.mark.parametrize("qs", list(REDUCED_ROWS.values()), ids=list(REDUCED_ROWS))
+def test_reduced_fractions_agree_with_gcd(qs, block, half, monkeypatch):
     monkeypatch.setattr(primetables, "SCAN_BLOCK", block)
     rows = np.array(qs, dtype=np.int64)
-    blocks = list(primetables.reduced_fractions(rows, a_min, half=half))
+    blocks = list(primetables.reduced_fractions(rows, half=half))
     got = [(q, a) for q_arr, a_arr in blocks for q, a in zip(q_arr.tolist(), a_arr.tolist())]
-    assert got == [(q, a) for q in qs for a in range(a_min, q)
+    assert got == [(q, a) for q in qs for a in range(1, q)
                    if math.gcd(a, q) == 1 and (2 * a <= q or not half)]
-    # rows max(1, block // width) at a time, width = qs[-1] - a_min
-    width = qs[-1] - a_min
+    # rows max(1, block // width) at a time, width = qs[-1] - 1
+    width = qs[-1] - 1
     q_block = max(1, block // width) if width else None
     assert len(blocks) == (-(-len(qs) // q_block) if width else 0)
     for i, (q_arr, a_arr) in enumerate(blocks):
