@@ -198,8 +198,9 @@ class ProgressionCounts:
     order; cnt = count(ds, k) counts all members below X ending in r, not only
     prime powers.  mask is the membership mask of [0, X), built once here for
     every row that reads membership; it lives as long as the counts.  A
-    modulus q > 1 must be prime to every d read.  The member classes take
-    q and d past int64; the main term still factors them.
+    modulus q > 1 must be prime to every d read; main refuses any other d.
+    The member classes take q and d past int64; the main term still factors
+    them.
     """
 
     def __init__(self, tables: PrimeTables, ds: DigitSystem, X: int, q: int = 1, a: int = 0):
@@ -235,7 +236,9 @@ class ProgressionCounts:
         return np.bincount(mod(self.ns, d), weights=self.logs, minlength=d)
 
     def main(self, d: int, s: float = 1) -> float:
-        """The main term b cnt s / (phi(q) phi(d) phi(b))."""
+        """The main term b cnt s / (phi(q) phi(d) phi(b)), which needs gcd(d, q) = 1."""
+        if math.gcd(d, self.q) != 1:
+            raise PreconditionError(f"need gcd(d, q) = 1, got d={d}, q={self.q}")
         b = self.ds.base
         return b * self.cnt * s / (totient(self.q) * totient(d) * totient(b))
 

@@ -629,22 +629,26 @@ def main(argv=None) -> int:
             return 0
         _check_domains(args)
         results, rows = args.func(args)
+        report = {"subcommand": args.subcommand, "config": _config_dict(args),
+                  "results": results}
+        if rows is not None:
+            report["rows"] = rows
+        text = render(report, args.format)
+        if args.output:
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise PreconditionError(
+                    f"--output: cannot write {args.output!r}: {exc.strerror}") from exc
+        else:
+            sys.stdout.write(text)
     except (PreconditionError, BudgetError, InternalCheckError, MemoryError) as exc:
         code = getattr(exc, "exit_code", BudgetError.exit_code)  # out of memory: too large
         record = {"error": {"code": code, "kind": type(exc).__name__, "message": str(exc)},
                   "config": _config_dict(args)}
         sys.stderr.write(canonical_json(record) + "\n")
         return code
-    report = {"subcommand": args.subcommand, "config": _config_dict(args),
-              "results": results}
-    if rows is not None:
-        report["rows"] = rows
-    text = render(report, args.format)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

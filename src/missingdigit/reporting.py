@@ -2,9 +2,11 @@
 
 JSON is the canonical format: keys sorted, floats printed with 12 significant
 digits, exact rationals as "p/q" strings, so identical configs produce
-byte-identical output.  CSV is a projection of the same report: one comment
-line holding the canonical config, then an RFC-quoted table (the rows table
-when the subcommand produces rows, otherwise a single scalar row).
+byte-identical output.  Every string and key goes through json's own escaper,
+so control characters come out escaped (\\u0001, \\n) as RFC 8259 requires.
+CSV is a projection of the same report: one comment line holding the canonical
+config, then an RFC-quoted table (the rows table when the subcommand produces
+rows, otherwise a single scalar row).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import io
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 
 def format_float(x: float) -> str:
@@ -25,43 +28,25 @@ def format_float(x: float) -> str:
     return format(x, ".12g")
 
 
-def _emit(value, out: list[str]) -> None:
-    if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(format_float(value))
-    elif isinstance(value, Fraction):
-        out.append(f'"{value.numerator}/{value.denominator}"')
-    elif isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        out.append(f'"{escaped}"')
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(value, key=str)):
-            if i:
-                out.append(", ")
-            out.append(f'"{key}": ')
-            _emit(value[key], out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(", ")
-            _emit(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def canonical_json(obj) -> str:
-    out: list[str] = []
-    _emit(obj, out)
-    return "".join(out)
+    if isinstance(obj, float):  # the commonest leaves first
+        return format_float(obj)
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, Fraction):
+        return f'"{obj.numerator}/{obj.denominator}"'
+    if isinstance(obj, dict):
+        return "{" + ", ".join([f"{encode_basestring(str(key))}: {canonical_json(obj[key])}"
+                                for key in sorted(obj, key=str)]) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(canonical_json, obj)) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _cell(value) -> str:

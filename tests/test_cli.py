@@ -281,6 +281,16 @@ def test_output_file(tmp_path, capsys):
     assert report["results"]["kappa"] == "5/6"
 
 
+def test_an_unwritable_output_file_is_one_error_record(tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "dir" / "report.json"
+    code, out, err = run_cli(capsys, "count", "--b", "10", "--a0", "7", "--k", "3",
+                             "--output", str(path))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"]["message"].startswith("--output: cannot write")
+    assert record["config"]["k"] == 3 and not path.parent.exists()
+
+
 @pytest.mark.parametrize("steps, shown", [
     (123456, "1.23e+05"), (2.5e7, "2.5e+07"), (2**63, "9.22e+18"), (10**400, "1e+400"),
     (2 * 10**401 // 3, "6.67e+400"), (2**1100, "1.36e+331"),
@@ -705,6 +715,7 @@ def test_values_outside_a_formula_exit_2(capsys, line):
     "count --b 10 --a0 7",  # no --k
     "count --b 10 --a0 7 --k 1e308",
     "weighted-bv --b 10 --a0 7 --r 3 --k 4 --kind bogus",
+    "count --b 10 --a0 7 --k 3 a\x01b",  # a control character the record must escape
 ])
 def test_a_refused_parse_is_one_error_record_with_an_empty_config(capsys, line):
     code, out, err = run_cli(capsys, *line.split())

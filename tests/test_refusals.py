@@ -21,6 +21,9 @@ CASES = {
     "ramanujan_sum q < 1": (lambda t: circle.ramanujan_sum(0, 1), "q must be >= 1"),
     "ProgressionCounts X not a power": (
         lambda t: circle.ProgressionCounts(t, DS, 999), "not a power of the base"),
+    "ProgressionCounts d sharing a factor with q": (
+        lambda t: circle.ProgressionCounts(t, DigitSystem(7, 4, 3), 7**5, 8, 3).E(4, 3),
+        "need gcd(d, q) = 1, got d=4, q=8"),
     "weighted_discrepancy unknown kind": (
         lambda t: circle.weighted_discrepancy(t, DS, 1000, "bogus"), "unknown weight kind"),
     # digitset
