@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -121,9 +120,8 @@ def arc_split_claims(X: int, C: float) -> tuple[tuple[float, str], tuple[float, 
             (_fft_steps(X), f"arc split FFT at X={X}"))
 
 
-@lru_cache(maxsize=4)
 def arc_codes(X: int, C: float) -> np.ndarray:
-    """Codes 0..3 (minor, M1, M2, M3) for every t < X; cached, read-only.
+    """Codes 0..3 (minor, M1, M2, M3) for every t < X.
 
     The codes order the kinds by priority, so classify_arc's first-witness
     label of t is the highest kind among its witnesses; the kinds are painted
@@ -160,7 +158,6 @@ def arc_codes(X: int, C: float) -> np.ndarray:
             rows[:-1, -r:] = m2
     for q in divisors:
         codes[:: X // q] = m3
-    codes.setflags(write=False)
     return codes
 
 

@@ -123,9 +123,29 @@ def _fft_steps(X: int) -> float:
     return X * max(1.0, math.log2(X))
 
 
-@lru_cache(maxsize=4)
-def _inverted(ds: DigitSystem, k: int) -> np.ndarray:
-    """(1/X) sum_t hat1(t/X) e(-nt/X) for all 0 <= n < X; cached, read-only.
+def inversion_indicator(ds: DigitSystem, k: int, n: int) -> float:
+    """(1/X) sum_t hat1(t/X) e(-nt/X), which equals 1_set(n): the defining sum.
+
+    With t = sum_j t_j b^j, e(-nt/X) is the product over j of e(-m_j/X) with
+    m_j = t_j (n b^j mod X) mod X, an exact integer, so the spectrum is
+    contracted in O(X) with the b phases of one position at a time, last first.
+    """
+    b = ds.base
+    X = b**k
+    if not 0 <= n < X:
+        raise PreconditionError(f"n={n} not in [0, {X})")
+    check_budget(X, f"inversion sum at X={X}")
+    value = spectrum(ds, k)
+    step = int(n)  # n b^j mod X, in Python ints
+    for _ in range(k):
+        m = np.array([d * step % X for d in range(b)], dtype=np.float64)
+        value = value.reshape(-1, b) @ np.exp(-2j * np.pi * m / X)
+        step = step * b % X
+    return float(value[0].real) / X
+
+
+def inversion_max_error(ds: DigitSystem, k: int) -> float:
+    """max over n < X of |(1/X) sum_t hat1(t/X) e(-nt/X) - 1_set(n)|.
 
     The inversion sum for every n at once is one FFT of the spectrum, so it
     costs O(X log X) and goes through the scan budget.
@@ -133,23 +153,12 @@ def _inverted(ds: DigitSystem, k: int) -> np.ndarray:
     _require_product_form(ds, k)
     X = ds.base**k
     check_budget(_fft_steps(X), f"inversion FFT at X={X}")
-    out = np.fft.fft(spectrum(ds, k)).real / X
-    out.setflags(write=False)
-    return out
+    return _max_error(ds, np.fft.fft(spectrum(ds, k)).real / X)
 
 
-def inversion_indicator(ds: DigitSystem, k: int, n: int) -> float:
-    """(1/X) sum_t hat1(t/X) e(-nt/X); equals the membership indicator of n."""
-    X = ds.base**k
-    if not 0 <= n < X:
-        raise PreconditionError(f"n={n} not in [0, {X})")
-    return float(_inverted(ds, k)[n])
-
-
-def inversion_max_error(ds: DigitSystem, k: int) -> float:
-    """max over n < X of |(1/X) sum_t hat1(t/X) e(-nt/X) - 1_set(n)|, the
-    maximum of the maxima over slices of SCAN_BLOCK values of n."""
-    recovered = _inverted(ds, k)
+def _max_error(ds: DigitSystem, recovered: np.ndarray) -> float:
+    """max over n of |recovered[n] - 1_set(n)|, the maximum of the maxima over
+    slices of SCAN_BLOCK values of n."""
     X = recovered.size
     maxima = [
         np.abs(recovered[lo : lo + SCAN_BLOCK]

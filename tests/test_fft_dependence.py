@@ -14,7 +14,6 @@ from unittest import mock
 import numpy as np
 import scipy.fft
 
-from missingdigit import fourier
 from test_golden import CONFIGS, GOLDEN, stdout_of
 
 ARCS = "arcs --b 10 --a0 7 --r 3 --k 4 --C 2 --d 3 --c 1"
@@ -51,12 +50,8 @@ def fields(stdout: str) -> dict:
 
 def test_only_the_pinned_fields_move_under_another_fft():
     golden = json.loads(GOLDEN.read_text())
-    fourier._inverted.cache_clear()  # it holds FFT results; none may cross the patch
-    try:
-        with mock.patch.object(np.fft, "fft", scipy.fft.fft):
-            rerun = {line: fields(stdout_of(line)) for line in CONFIGS}
-    finally:
-        fourier._inverted.cache_clear()
+    with mock.patch.object(np.fft, "fft", scipy.fft.fft):
+        rerun = {line: fields(stdout_of(line)) for line in CONFIGS}
     moved = set()
     for line in CONFIGS:
         want = fields(golden[line])

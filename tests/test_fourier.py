@@ -65,13 +65,9 @@ def test_spectrum_cache_is_read_only():
     assert spectrum.cache_info().hits == hits + 1
     assert spectrum.cache_info().maxsize == 8
     assert first[0] == pytest.approx(81, rel=1e-12)
-    # the inverse FFT that inversion_indicator reads is shared the same way
-    inverted = fourier._inverted(ds, 3)
-    with pytest.raises(ValueError):
-        inverted[3] = 0.0
-    assert fourier._inverted(ds, 3) is inverted
-    assert fourier._inverted.cache_info().maxsize == 4
-    assert inversion_indicator(ds, 3, 3) == inverted[3]
+    # the defining sum of inversion_indicator reads the cached spectrum; at
+    # n = 3 it is entry 3 of the spectrum's FFT
+    assert inversion_indicator(ds, 3, 3) == pytest.approx(np.fft.fft(first).real[3] / 1000, abs=1e-12)
 
 
 def test_trivial_bound_random_thetas():
@@ -117,10 +113,9 @@ def test_inversion_past_the_old_cap():
 
 
 def test_inversion_claims_the_budget(monkeypatch):
-    # a cached spectrum does not make the inversion free: its FFT is claimed
+    # a cached spectrum does not make the inversion free: its X-term sum is claimed
     ds, k = DigitSystem(10, 9, 1), 4
     spectrum(ds, k)
-    fourier._inverted.cache_clear()
     monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000")
     with pytest.raises(BudgetError):
         inversion_indicator(ds, k, 1)
@@ -131,21 +126,21 @@ def test_inversion_claims_the_budget(monkeypatch):
 def test_inversion_error_does_not_depend_on_the_block_size(monkeypatch):
     # the largest error over all n at once, against the blocked maxima
     ds, k = DigitSystem(3, 1, 2), 7
-    recovered = fourier._inverted(ds, k)
+    recovered = np.fft.fft(spectrum(ds, k)).real / 3**k
     want = np.abs(recovered - contains_array(ds, np.arange(3**k))).max()
     monkeypatch.setattr(fourier, "SCAN_BLOCK", 100)  # 21 slices, a ragged last one
     assert fourier.inversion_max_error(ds, k) == want
 
 
 def test_inversion_error_scratch_is_bounded_by_the_block():
-    # Over the cached inverse at X = 10^6 the scratch is a few int64 arrays
-    # of a slice (the n, the digit quotients and remainders, the difference,
-    # its absolute value).
+    # Over a given inverse at X = 10^6 the comparison's scratch is a few
+    # int64 arrays of a slice (the n, the digit quotients and remainders, the
+    # difference, its absolute value).
     ds, k = DigitSystem(10, 7, 3), 6
-    fourier._inverted(ds, k)
+    recovered = np.fft.fft(spectrum(ds, k)).real / 10**k
     tracemalloc.start()
     try:
-        fourier.inversion_max_error(ds, k)
+        fourier._max_error(ds, recovered)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -45,7 +45,7 @@ from missingdigit.circle import _KIND_CODE, arc_codes
 from missingdigit.cli import _brute_primitive_marks
 from missingdigit.digitset import contains_array, member_mask
 from missingdigit.expsums import type_one_max
-from missingdigit.fourier import inversion_max_error, spectrum
+from missingdigit.fourier import inversion_indicator, inversion_max_error, spectrum
 
 
 # bases near 100 and 1000, the paper's regime: k = 1 or 2 at X <= 10^5
@@ -88,10 +88,14 @@ def test_tiled_spectrum_matches_defining_sum(system, rng):
         assert spec[t] == pytest.approx(want, rel=1e-9, abs=1e-9), (ds, k, t)
 
 
-@given(digit_systems(5 * 10**4))
-def test_fft_inversion_matches_membership(system):
+@given(digit_systems(5 * 10**4), st.randoms())
+def test_fft_inversion_matches_membership(system, rng):
+    # the FFT over every n, and the defining sum at a few n
     ds, k = system
+    X = ds.base**k
     assert inversion_max_error(ds, k) <= 1e-9
+    for n in {0, X - 1, *rng.sample(range(X), min(X, 20))}:
+        assert inversion_indicator(ds, k, n) == pytest.approx(float(contains(ds, n)), abs=1e-9), (ds, k, n)
 
 
 def test_fft_inversion_against_scalar_membership():

@@ -145,3 +145,22 @@ def test_each_listed_reader_reads_the_function(reached, name):
     if short != read:
         caller = getattr(importlib.import_module(f"missingdigit.{module}"), read)
         assert re.search(rf"\b{short}\b", inspect.getsource(caller)), f"{read} does not call {short}"
+
+
+# Only the spectrum is read twice within one CLI run (fourier-stats
+# --check-inversion, and the hybrid sums' repeats), so it holds the package's
+# one result cache; cli.build_parser's functools.cache holds the parser.
+CACHES = {"lru_cache", "cache"}
+
+
+def test_the_spectrum_holds_the_one_result_cache():
+    uses, cached = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Name) and node.id in CACHES
+                    or isinstance(node, ast.Attribute) and node.attr in CACHES):
+                uses += 1
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                cached += [f"{path.stem}.{node.name}" for d in node.decorator_list
+                           if ast.unparse(d).split("(")[0].split(".")[-1] in CACHES]
+    assert (uses, cached) == (2, ["cli.build_parser", "fourier.spectrum"])
