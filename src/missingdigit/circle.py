@@ -30,7 +30,7 @@ import numpy as np
 from ._budget import SCAN_BLOCK, check_budget
 from .digitset import DigitSystem, contains_array, count, member_mask
 from .errors import InternalCheckError, PreconditionError
-from .expsums import _phases
+from .expsums import _add_in_order, _phases
 from .fourier import _fft_steps, spectrum
 from .primetables import PrimeTables, _sift_1mod4, in_class, mod, reduced_fractions, totient, units
 from .sieveweights import sifting_prime
@@ -355,13 +355,9 @@ def _lin_values(ell: int, nn: np.ndarray) -> np.ndarray:
     return 2 * ell * nn + 1
 
 
-def _lin_share(terms: list[tuple[int, float]], d: int) -> float:
+def _lin_share(ells: np.ndarray, hs: np.ndarray, d: int) -> float:
     """The main-term share: ell n = 1 (mod 4) holds (1/4) sum h(ell)/ell over the ell prime to d."""
-    total = 0.0
-    for ell, h_ell in terms:
-        if math.gcd(ell, d) == 1:
-            total += h_ell / ell
-    return total / 4
+    return _add_in_order(0.0, (hs / ells)[np.gcd(ells, d) == 1]) / 4
 
 
 def _sieve_lin(counts: ProgressionCounts, *, weights, L: int,
@@ -371,10 +367,11 @@ def _sieve_lin(counts: ProgressionCounts, *, weights, L: int,
     moduli = _sieve_moduli(counts, weights)
     steps = (len(moduli) + 1) * L  # each row and the term build walk every ell
     check_budget(steps, f"sieve_lin: {len(moduli)} rows over {L} values of ell")
-    terms = [(ell, h_ell) for ell in range(L + 1, 2 * L + 1)
-             if math.gcd(ell, 2 * counts.ds.base) == 1 and (h_ell := h(ell)) != 0]
+    kept = [ell for ell in range(L + 1, 2 * L + 1) if math.gcd(ell, 2 * counts.ds.base) == 1]
+    hs = np.array([h(ell) for ell in kept], dtype=np.float64)
+    ells, hs = np.array(kept, dtype=np.int64)[hs != 0], hs[hs != 0]
     members = []  # per ell, its member values and log p: each d sums a subset, in order
-    for ell, _ in terms:
+    for ell in ells.tolist():
         nn, logs = _lin_powers(counts, ell, 4, ell)  # ell is odd: ell n = 1 (4) is n = ell (4)
         vals = _lin_values(ell, nn)
         member = counts.mask[vals]
@@ -384,27 +381,28 @@ def _sieve_lin(counts: ProgressionCounts, *, weights, L: int,
     rows = []
     for d in moduli:
         inner = 0.0
-        for (_, h_ell), (vals, val_logs) in zip(terms, members):
+        for h_ell, (vals, val_logs) in zip(hs.tolist(), members):
             keep = in_class(vals, d, 0)
             if keep.any():
                 inner += h_ell * float(val_logs[keep].sum())
-        rows.append(Row(d, -1 % d, inner - counts.main(d, _lin_share(terms, d)), float(weights(d))))
-    return _rechecked(counts, rows, 1e-9, lambda counts, row: _lin_recounted(counts, row, terms))
+        E = inner - counts.main(d, _lin_share(ells, hs, d))
+        rows.append(Row(d, -1 % d, E, float(weights(d))))
+    return _rechecked(counts, rows, 1e-9, lambda counts, row: _lin_recounted(counts, row, ells, hs))
 
 
-def _lin_recounted(counts: ProgressionCounts, row: Row, terms: list) -> tuple[float, float]:
+def _lin_recounted(counts: ProgressionCounts, row: Row, ells, hs) -> tuple[float, float]:
     """sieve_lin's Lambda side of row and its main-term share, per (d, ell): the values
     divisible by d with ell n = 1 (mod 4) first, then membership digit by digit."""
-    ranges = [_lin_powers(counts, ell) for ell, _ in terms]
+    ranges = [_lin_powers(counts, ell) for ell in ells.tolist()]
     size = sum(nn.size for nn, _ in ranges)
-    check_budget(size, f"sieve_lin: recheck of d={row.d} over {len(terms)} values of ell")
+    check_budget(size, f"sieve_lin: recheck of d={row.d} over {ells.size} values of ell")
     inner = 0.0
-    for (ell, h_ell), (nn, logs) in zip(terms, ranges):
+    for ell, h_ell, (nn, logs) in zip(ells.tolist(), hs.tolist(), ranges):
         vals = _lin_values(ell, nn)
         keep = in_class(vals, row.d, 0) & in_class(ell * nn, 4, 1)
         if keep.any():
             inner += h_ell * float(logs[keep][contains_array(counts.ds, vals[keep])].sum())
-    return inner, _lin_share(terms, row.d)
+    return inner, _lin_share(ells, hs, row.d)
 
 
 # kind -> (its rows, whether the aggregate sums |E| rather than weight * E,

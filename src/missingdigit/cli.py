@@ -30,8 +30,7 @@ from .errors import BudgetError, InternalCheckError, PreconditionError
 from .primetables import PrimeTables, quadratic_class_of
 from .reporting import canonical_json, render
 
-SCHEMAS: dict[str, dict] = {}
-_COMMANDS: dict[str, tuple] = {}  # subcommand -> (runner, flags, checks)
+_COMMANDS: dict[str, tuple] = {}  # subcommand -> (runner, flags, checks, schema)
 
 
 def command(name, flags, scalars, rows=(), checks=()):
@@ -52,8 +51,8 @@ def command(name, flags, scalars, rows=(), checks=()):
         checks = DIGIT_RANGES + tuple(checks)
 
     def register(runner):
-        SCHEMAS[name] = {"scalars": fields(scalars), "rows": fields(rows)}
-        _COMMANDS[name] = (runner, flags, checks)
+        _COMMANDS[name] = (runner, flags, checks,
+                           {"scalars": fields(scalars), "rows": fields(rows)})
         return runner
 
     return register
@@ -61,9 +60,9 @@ def command(name, flags, scalars, rows=(), checks=()):
 
 def report_schema(subcommand: str) -> dict:
     """Machine-readable field list for one subcommand's report."""
-    if subcommand not in SCHEMAS:
+    if subcommand not in _COMMANDS:
         raise PreconditionError(f"unknown subcommand {subcommand!r}")
-    return SCHEMAS[subcommand]
+    return _COMMANDS[subcommand][3]
 
 
 # -- flag groups shared by several subcommands ----------------------------------
@@ -590,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--schema", action="store_true",
                         help="print this subcommand's report schema and exit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (runner, flags, _) in _COMMANDS.items():
+    for name, (runner, flags, *_) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
         for flag, keywords, *_ in flags:
             p.add_argument(flag, **keywords)
@@ -606,7 +605,7 @@ def _config_dict(args) -> dict:
 def _check_domains(args) -> None:
     """Refuse a flag value outside its declared domain, then args failing a
     cross-flag check; every float flag must be finite."""
-    _, flags, checks = _COMMANDS[args.subcommand]
+    _, flags, checks, _ = _COMMANDS[args.subcommand]
     for flag, keywords, *domain in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
         finite = [(math.isfinite, "finite")] if keywords.get("type") is float else []

@@ -69,7 +69,8 @@ class DigitSystem:
 
     @cached_property
     def allowed(self) -> tuple[int, ...]:
-        """Allowed digits in increasing order."""
+        """Allowed digits in increasing order; read only by fourier's eval_hat
+        and spectrum, each after its claim (k*b steps, the spectrum's steps)."""
         return tuple(d for d in range(self.base) if d != self.excluded)
 
 
@@ -146,10 +147,11 @@ def member_mask(ds: DigitSystem, k: int) -> np.ndarray:
 def _blocks(ds: DigitSystem, k: int) -> list[tuple[int, int]]:
     """(places j, size) of the enumeration blocks of [0, b^k), ascending.
 
-    One block of k places over ds.allowed when a0 != 0; with a0 = 0 a leading
-    0 is no digit, so one block per length j = 1..k over the nonzero digits
-    (ds.allowed again).  A residue pins the lowest place to r, so a block of
-    j places holds (b-1)^(j - pinned) members.
+    One block of k places over the b - 1 allowed digits when a0 != 0; with
+    a0 = 0 a leading 0 is no digit, so one block per length j = 1..k over the
+    nonzero digits.  A residue pins the lowest place to r, so a block of j
+    places holds (b-1)^(j - pinned) members; rank and unrank index a digit by
+    arithmetic (one less above a0), not through ds.allowed.
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
@@ -188,7 +190,7 @@ def unrank(ds: DigitSystem, k: int, i: int) -> int:
     total = sum(size for _, size in blocks)
     if not 0 <= i < total:
         raise PreconditionError(f"rank {i} out of range [0, {total})")
-    b, allowed, pinned = ds.base, ds.allowed, ds.residue is not None
+    b, a0, pinned = ds.base, ds.excluded, ds.residue is not None
     for j, size in blocks:
         if i < size:
             break
@@ -196,7 +198,7 @@ def unrank(ds: DigitSystem, k: int, i: int) -> int:
     n, w = (ds.residue, b) if pinned else (0, 1)
     for _ in range(j - pinned):
         i, idx = divmod(i, b - 1)
-        n += allowed[idx] * w
+        n += (idx + (idx >= a0)) * w  # the idx-th allowed digit
         w *= b
     return n
 
@@ -216,6 +218,6 @@ def rank(ds: DigitSystem, k: int, n: int) -> int:
     w = 1
     for _ in range(j - pinned):
         n, digit = divmod(n, b)
-        r += (digit - (digit > a0)) * w  # the index of digit in ds.allowed
+        r += (digit - (digit > a0)) * w  # the index of digit among the allowed
         w *= b - 1
     return r

@@ -487,8 +487,10 @@ def _check_type_one(j: int, X: int, moduli) -> None:
 def type_one_inner(
     d: int, c: int, M: int, alpha: Mapping[int, complex], j: int, X: int, theta: float
 ) -> complex:
-    """sum_{mn < X, m <= M, mn = c (mod d)} alpha(m) (log n)^j e(mn theta)."""
+    """sum_{mn < X, m <= M, mn = c (mod d)} alpha(m) (log n)^j e(mn theta).
+    Each m walks at most X/d terms of its progression."""
     _check_type_one(j, X, (d,))
+    check_budget((X // d) * max(len(alpha), 1), f"type I inner sum mod {d}")
     total = 0.0 + 0.0j
     for m, w in alpha.items():
         if w == 0 or m > M or m < 1:

@@ -198,7 +198,9 @@ def tau(n: int, h: int = 2) -> int:
 
 def units(d: int) -> np.ndarray:
     """Bool array over the residues 0 <= c < d of d >= 1, True where
-    gcd(c, d) = 1: the multiples of each prime of d cleared."""
+    gcd(c, d) = 1: the multiples of each prime of d cleared.  Claims d steps
+    before it allocates its d bytes."""
+    check_budget(d, f"unit residues mod {d}")
     out = np.ones(d, dtype=bool)
     for p, _ in factor(d):
         out[::p] = False
@@ -238,17 +240,13 @@ def reduced_fractions(qs: np.ndarray,
                np.broadcast_to(numerators, reduced.shape)[reduced])
 
 
-def _classify(n: int) -> QuadClass:
-    """(n in B, n in Bcal) for n >= 1 from the primes of its odd part."""
+def quadratic_class_of(n: int) -> QuadClass:
+    """(n in B, n in Bcal) for one n >= 1 without a table, from the primes of
+    its odd part by trial division."""
+    n = _at_least_one(n)
     twos = n & -n  # the power of 2 dividing n exactly
     good_odd = all(p % 4 == 1 for p, _ in factor(n // twos))
     return QuadClass(good_odd and twos <= 2, good_odd and twos == 1)
-
-
-def quadratic_class_of(n: int) -> QuadClass:
-    """quadratic_class of one n >= 1 without a table, by trial division of
-    its odd part."""
-    return _classify(_at_least_one(n))
 
 
 class PrimeTables:

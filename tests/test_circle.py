@@ -160,6 +160,19 @@ def test_ramanujan_sums(tables):
             assert got == pytest.approx(tables.mobius(q), abs=1e-9), q
 
 
+def test_ramanujan_sum_claims_its_units_before_it_allocates(monkeypatch):
+    # the residues of a prime past 10^12 would take 931 GiB
+    monkeypatch.delenv("MISSINGDIGIT_BUDGET", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=r"^unit residues mod 1000000000039 needs ~1e\+12"):
+            ramanujan_sum(10**12 + 39, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def test_discrepancy_d1_identity(tables):
     ds = DigitSystem(10, 7, 3)
     X = 10**4

@@ -13,7 +13,7 @@ import pytest
 
 from missingdigit import (_budget, circle, cli, digitset, expsums, fourier, primetables,
                           sievenumerics, sieveweights)
-from missingdigit.cli import SCHEMAS, build_parser, main, report_schema
+from missingdigit.cli import build_parser, main, report_schema
 from missingdigit.digitset import member_mask
 from missingdigit.errors import BudgetError, PreconditionError
 from missingdigit.primetables import PrimeTables
@@ -86,7 +86,7 @@ def test_fourier_stats_schema():
 def test_unknown_schema():
     with pytest.raises(PreconditionError):
         report_schema("nope")
-    assert set(SCHEMAS) == {
+    assert set(cli._COMMANDS) == {
         "count", "density", "fourier-stats", "hybrid", "arcs", "bv-table",
         "weighted-bv", "sieve-fns", "integrals", "constants", "two-squares",
         "vaughan-check", "mikawa", "buchstab-app",
@@ -121,8 +121,8 @@ _JSON_TYPES = {
 
 def test_every_report_matches_its_schema():
     argvs = _json_argvs()
-    assert len(_readme_invocations()) == len(SCHEMAS)
-    assert {argv[0] for argv in argvs} == set(SCHEMAS)
+    assert len(_readme_invocations()) == len(cli._COMMANDS)
+    assert {argv[0] for argv in argvs} == set(cli._COMMANDS)
     for argv in argvs:
         buf = io.StringIO()
         with redirect_stdout(buf):
@@ -183,6 +183,11 @@ def test_integrals_fields(capsys):
     results = json.loads(out)["results"]
     assert results["difference"] > 0.1
     assert results["reference_I_sem"] == 1.60492
+    # at delta = 0.01 the margin is about -0.08: the positivity check fails
+    code, out, err = run_cli(capsys, "integrals", "--delta", "0.01")
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["message"].startswith("positivity margin -0.08")
 
 
 def test_vaughan_check(capsys):
@@ -940,3 +945,11 @@ def test_out_of_memory_exits_3(capsys, monkeypatch):
     assert record["error"] == {"code": 3, "kind": "MemoryError",
                                "message": "Unable to allocate the prime table"}
     assert record["config"]["limit"] == 100000
+    # the table names its limit, here the sift's sqrt(100000), when the shared
+    # sieve runs out of memory
+    monkeypatch.undo()
+    monkeypatch.setattr(primetables, "_shared_sieve", no_memory)
+    code, out, err = run_cli(capsys, "two-squares", "--limit", "100000")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["message"] == (
+        "prime sieve for limit 316 does not fit in memory")

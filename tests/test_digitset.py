@@ -108,6 +108,14 @@ def test_unrank_example():
     assert unrank(DigitSystem(3, 1), 2, 3) == 8
 
 
+def test_unrank_indexes_digits_without_the_digit_tuple():
+    # the tuple of b - 1 = 10^7 - 1 allowed digits would take seconds and 380 MiB
+    ds = DigitSystem(10**7, 1)
+    assert unrank(ds, 1, 5) == 6
+    assert rank(ds, 1, 6) == 5
+    assert "allowed" not in ds.__dict__
+
+
 def test_unrank_out_of_range():
     with pytest.raises(PreconditionError):
         unrank(DigitSystem(3, 1), 2, 4)

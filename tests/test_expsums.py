@@ -2,6 +2,7 @@ import cmath
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -527,6 +528,10 @@ def test_type_one_aggregates(tables):
     v1 = type_one_inner(3, 1, 5, a, 1, 200, 0.0)
     assert v1.real > v0.real
     assert type_one_sum({}, 5, alpha, 0, X, theta) == 0
+    # sigma = 0 drops its d before its inner sum is taken
+    with mock.patch.object(expsums, "type_one_inner", wraps=type_one_inner) as inner:
+        assert type_one_sum({1: (1.0, 0), 2: (1.0, 0), 3: (0.0, 0)}, 5, alpha, 0, X, theta) == got
+    assert [call.args[0] for call in inner.call_args_list] == [1, 2]
     # max over c enumerates reduced residues
     brute = 0.0
     for d in (1, 2, 3):
@@ -543,6 +548,21 @@ def test_type_one_aggregates(tables):
         brute += tables.tau(d, 2) * best
     got = type_one_max(tables, 3, 2, 5, a, 0, X, 0.0)
     assert got == pytest.approx(brute)
+
+
+def test_type_one_inner_claims_its_walk(monkeypatch):
+    # m = 1 walks X/d = 10^7 terms; type_one_sum refuses the same work
+    monkeypatch.setenv("MISSINGDIGIT_BUDGET", "1000")
+    with pytest.raises(BudgetError, match="type I aggregate"):
+        type_one_sum({1: (1.0, 0)}, 1, {1: 1.0}, 0, 10**7, 0.1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=r"^type I inner sum mod 1 needs ~1e\+07 steps"):
+            type_one_inner(1, 0, 1, {1: 1.0}, 0, 10**7, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 # -- phases: one helper, equal to the formula each kernel had before it ---------

@@ -164,3 +164,16 @@ def test_the_spectrum_holds_the_one_result_cache():
                 cached += [f"{path.stem}.{node.name}" for d in node.decorator_list
                            if ast.unparse(d).split("(")[0].split(".")[-1] in CACHES]
     assert (uses, cached) == (2, ["cli.build_parser", "fourier.spectrum"])
+
+
+# DigitSystem.allowed builds b - 1 digits: fourier's eval_hat and spectrum
+# read it after their claims (k*b steps, the spectrum's steps); rank and
+# unrank index a digit by arithmetic.
+def test_the_digit_tuple_is_read_behind_a_claim():
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                readers |= {f"{path.stem}.{func.name}" for node in ast.walk(func)
+                            if isinstance(node, ast.Attribute) and node.attr == "allowed"}
+    assert readers == {"fourier.eval_hat", "fourier.spectrum"}

@@ -26,6 +26,9 @@ CASES = {
         "need gcd(d, q) = 1, got d=4, q=8"),
     "weighted_discrepancy unknown kind": (
         lambda t: circle.weighted_discrepancy(t, DS, 1000, "bogus"), "unknown weight kind"),
+    "sieve_lin L < 1": (
+        lambda t: circle.weighted_discrepancy(t, DS, 1000, "sieve_lin", weights=None, L=0),
+        "L must be >= 1, got 0"),
     # digitset
     "DigitSystem residue out of range": (lambda t: DigitSystem(10, 7, 10), "residue 10 not in"),
     "contains_array negative": (
@@ -43,8 +46,12 @@ CASES = {
     "bilinear_sum X - 1 past int64": (
         lambda t: expsums.bilinear_sum({1: 1}, {1: 1}, 2**63 + 2, TA), "fit in int64"),
     "VaughanSplit U < 2": (lambda t: expsums.VaughanSplit(100, 1), "U must be >= 2"),
+    "dirichlet_approx Q < 1": (lambda t: expsums.dirichlet_approx(0.3, 0, 1000), "Q must be >= 1"),
+    "mikawa_w N < 1": (lambda t: expsums.mikawa_w(5, 0, 1000, TA), "M and N must be >= 1"),
+    "mikawa_w X < 1": (lambda t: expsums.mikawa_w(5, 5, 0, TA), "X must be >= 1"),
     # fourier
     "spectrum k < 1": (lambda t: fourier.spectrum(DS, 0), "k must be >= 1"),
+    "hybrid_sum B < 1": (lambda t: fourier.hybrid_sum(DS, 3, 2, 0), "Q and B must be >= 1"),
     "linf_probe gcd(a, q) > 1": (
         lambda t: fourier.linf_probe(DS, 9, 4, 2, 0.0), "need gcd(a, q) = 1"),
     "linf_probe q past b^(k/3)": (
@@ -75,6 +82,12 @@ CASES = {
         lambda t: sieveweights.well_factor(
             97 * 89, sieveweights.semi_linear_lower(10**6), 100.0, 10**6, t),
         "not in the sieve support"),
+    # 5 is left out of the prime set, so no chain holding it is admitted
+    "well_factor d with a prime outside the prime set": (
+        lambda t: sieveweights.well_factor(
+            5, sieveweights.semi_linear_lower(10**6, prime_set=lambda p: p != 5), 100.0,
+            10**6, t),
+        "not in the sieve support"),
 }
 
 
@@ -93,3 +106,4 @@ def test_render_refuses_an_unknown_format():
 def test_canonical_json_refuses_an_unsupported_type():
     with pytest.raises(TypeError, match="cannot serialize object"):
         canonical_json(object())
+    assert canonical_json({"a": None}) == '{"a": null}'  # None is no unsupported type

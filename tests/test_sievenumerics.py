@@ -18,7 +18,7 @@ from missingdigit import (
     sieve_fn,
     t_weight_sum,
 )
-from missingdigit.sievenumerics import t_multiplier, t_weight_limit
+from missingdigit.sievenumerics import adaptive_simpson, t_multiplier, t_weight_limit
 
 
 def test_sieve_fn_values():
@@ -84,6 +84,7 @@ def test_I_lin_edges():
     assert all(b > a for a, b in zip(vals, vals[1:]))
     with pytest.raises(PreconditionError):
         I_lin(0.5, 2.0)
+    assert adaptive_simpson(math.log, 2.0, 2.0) == 0.0  # an empty interval
 
 
 def test_euler_constants(tables):

@@ -179,3 +179,9 @@ def test_well_factor_out_of_contract(tables):
         well_factor(2, spec, X ** (1 / 3 - 2e-3), X, tables)  # below X^(1/10)
     with pytest.raises(PreconditionError):
         well_factor(37, spec, 2.0, X, tables)  # D0 outside its interval
+    # delta = 0.1 leaves d1 the window [X^0.1, D0] = [3.16, 4.64], which holds
+    # no prefix of 6 = 3 * 2: the walk stops at the prefix 6 > D0
+    spec = semi_linear_lower(X, delta=0.1)
+    D0 = X ** sieveweights.sieve_exponents(1, 0.1, spec.eps)[1]
+    with pytest.raises(InternalCheckError, match="no qualifying split for d=6"):
+        well_factor(6, spec, D0, X, tables)
